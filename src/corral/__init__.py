@@ -42,7 +42,6 @@ from .bases import (
     PathologicalBase,
     ThompsonSampling,
     Ucb1,
-    pathological_pair,
 )
 from .envs import (
     AdversarialMAB,
@@ -57,7 +56,6 @@ from .harness import (
     ExperimentConfig,
     RoundRecord,
     compute_regret,
-    estimate_prior_entropy,
     execute,
     load_config,
     run_corral,

@@ -41,7 +41,6 @@ class WeightedSample:
     context: int
     action: int
     weighted_loss: float
-    round_index: int
 
 
 def validate_policies(policies, num_arms: int, num_contexts: int) -> list[Policy]:
@@ -57,6 +56,18 @@ def validate_policies(policies, num_arms: int, num_contexts: int) -> list[Policy
             if not 0 <= a < num_arms:
                 raise ConfigError(f"policy action {a} out of range [0, {num_arms})")
     return table
+
+
+def exp_weights(cum_loss, rate: float) -> list[float]:
+    """Exponential weights ``exp(-rate * L_i)`` over cumulative losses, normalized.
+
+    Losses are shifted by their minimum first, so the largest weight is one
+    and the total cannot underflow.
+    """
+    floor = min(cum_loss)
+    weights = [math.exp(-rate * (c - floor)) for c in cum_loss]
+    total = sum(weights)
+    return [w / total for w in weights]
 
 
 def _check_range(range_param: float) -> float:
@@ -106,11 +117,7 @@ class Exp3(BaseAlgorithm):
         self.num_arms = num_arms
         self.horizon = horizon
         self.rng = rng
-        self.certificate = StabilityCertificate(
-            alpha=0.5,
-            regret_bound=lambda t, k=num_arms: math.sqrt(k * t * math.log(k)),
-            environment_class="adversarial-mab",
-        )
+        self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -123,10 +130,7 @@ class Exp3(BaseAlgorithm):
         self._last_probs: list[float] | None = None
 
     def distribution(self) -> list[float]:
-        floor = min(self.cum_loss)
-        weights = [math.exp(-self.rate * (c - floor)) for c in self.cum_loss]
-        total = sum(weights)
-        return [w / total for w in weights]
+        return exp_weights(self.cum_loss, self.rate)
 
     def propose(self, context: int) -> int:
         probs = self.distribution()
@@ -170,13 +174,7 @@ class Exp4(BaseAlgorithm):
         self.num_contexts = num_contexts
         self.horizon = horizon
         self.rng = rng
-        self.certificate = StabilityCertificate(
-            alpha=0.5,
-            regret_bound=lambda t, k=num_arms, n=len(self.policies): math.sqrt(
-                k * t * math.log(n)
-            ),
-            environment_class="adversarial-contextual",
-        )
+        self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -191,10 +189,7 @@ class Exp4(BaseAlgorithm):
         self._last_action_probs: list[float] | None = None
 
     def policy_distribution(self) -> list[float]:
-        floor = min(self.cum_loss)
-        weights = [math.exp(-self.rate * (c - floor)) for c in self.cum_loss]
-        total = sum(weights)
-        return [w / total for w in weights]
+        return exp_weights(self.cum_loss, self.rate)
 
     def propose(self, context: int) -> int:
         policy_probs = self.policy_distribution()
@@ -245,12 +240,7 @@ class EpochGreedy(BaseAlgorithm):
         self.num_contexts = num_contexts
         self.horizon = horizon
         self.rng = rng
-        self.certificate = StabilityCertificate(
-            alpha=1.0 / 3.0,
-            regret_bound=lambda t, k=num_arms, n=len(self.policies): t ** (2.0 / 3.0)
-            * math.sqrt(k * math.log(max(t, 2) * n)),
-            environment_class="stochastic-contextual",
-        )
+        self.certificate = StabilityCertificate(alpha=1.0 / 3.0)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -260,7 +250,6 @@ class EpochGreedy(BaseAlgorithm):
         )
         self.samples: list[WeightedSample] = []
         self.selected_count = 0
-        self.round_index = 0
         self.erm_policy: Policy | None = None
         self._last_arm: int | None = None
         self._last_context: int | None = None
@@ -275,7 +264,6 @@ class EpochGreedy(BaseAlgorithm):
         return arm
 
     def update(self, packet: FeedbackPacket) -> None:
-        self.round_index += 1
         if self.erm_policy is not None or not packet.selected:
             return
         if self._last_arm is None:
@@ -285,7 +273,6 @@ class EpochGreedy(BaseAlgorithm):
                 context=self._last_context,
                 action=self._last_arm,
                 weighted_loss=self.num_arms * packet.weighted_loss,
-                round_index=self.round_index,
             )
         )
         self.selected_count += 1
@@ -339,11 +326,7 @@ class ThompsonSampling(BaseAlgorithm):
         self.prior = prior
         self.num_arms = len(prior)
         self.rng = rng
-        self.certificate = StabilityCertificate(
-            alpha=0.5,
-            regret_bound=lambda t, k=self.num_arms: math.sqrt(k * t * math.log(k)),
-            environment_class="stochastic-mab",
-        )
+        self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -476,11 +459,3 @@ class PathologicalBase(BaseAlgorithm):
         if value not in self._KNOWN:
             self.locked_arm = None
             self.shattered = True
-
-
-def pathological_pair(rng_first, rng_second) -> tuple[PathologicalBase, PathologicalBase]:
-    """The two nearly-identical lock-in learners over a 4-action space."""
-    return (
-        PathologicalBase((0, 1), rng_first),
-        PathologicalBase((2, 3), rng_second),
-    )

@@ -7,8 +7,8 @@ stochastic losses are Bernoulli so that regret baselines stay analytic and
 the Beta-Bernoulli posterior of Thompson sampling applies directly.
 
 The induced-environment wrapper composes an inner environment with random
-selection and importance weighting: with probability ``p_t`` the learner's
-loss is revealed inflated by ``1 / p_t``, otherwise the round emits zero.
+selection and importance weighting: with probability ``p`` the learner's
+loss is revealed inflated by ``1 / p``, otherwise the round emits zero.
 On unselected rounds the learner's own decision is replayed to the inner
 environment as the arbitrary filler decision.
 """
@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ConfigError, sample_index
-
-Schedule = Callable[[int], float]
 
 
 @dataclass(frozen=True)
@@ -120,10 +118,6 @@ class AdversarialMAB(Environment):
     @classmethod
     def from_csv(cls, path) -> "AdversarialMAB":
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
-
-    @property
-    def horizon(self) -> int:
-        return self.script.shape[0]
 
     def next_context(self) -> int:
         self._t += 1
@@ -246,27 +240,27 @@ class LowerBoundEnv(Environment):
 class InducedEnvironment:
     """Importance-weighting wrapper around an inner environment.
 
-    Each round: draw the selection event with probability ``p_t`` from the
-    schedule; on success reveal the learner's loss divided by ``p_t``, on
-    failure reveal zero and replay the learner's own decision to the inner
-    environment. The schedule must stay in (0, 1] -- a zero selection
-    probability leaves the weighted loss undefined, so it is rejected
-    rather than given ad-hoc semantics.
+    Each round: draw the selection event with constant probability
+    ``sampling_prob``; on success reveal the learner's loss divided by it,
+    on failure reveal zero and replay the learner's own decision to the
+    inner environment. The probability must lie in (0, 1] -- a zero
+    selection probability leaves the weighted loss undefined, so it is
+    rejected rather than given ad-hoc semantics.
+
+    ``last_raw_loss`` is the inner loss behind the last ``observe`` call,
+    visible to the experimenter only.
     """
 
     kind = "induced"
 
-    def __init__(self, inner: Environment, schedule: float | Schedule, rng):
+    def __init__(self, inner: Environment, sampling_prob: float, rng):
+        prob = float(sampling_prob)
+        if not math.isfinite(prob) or not 0.0 < prob <= 1.0:
+            raise ConfigError(f"sampling probability must be in (0, 1], got {prob}")
         self.inner = inner
-        if callable(schedule):
-            self._schedule: Schedule = schedule
-        else:
-            value = float(schedule)
-            self._schedule = lambda t, v=value: v
+        self.sampling_prob = prob
         self.rng = rng
-        self._t = -1
-        self._prob = 1.0
-        self._raw = None
+        self.last_raw_loss: float | None = None
 
     @property
     def num_arms(self) -> int:
@@ -277,29 +271,14 @@ class InducedEnvironment:
         return self.inner.num_contexts
 
     def next_context(self) -> int:
-        self._t += 1
-        prob = float(self._schedule(self._t))
-        if not math.isfinite(prob) or not 0.0 < prob <= 1.0:
-            raise ConfigError(f"sampling schedule must stay in (0, 1], got {prob}")
-        self._prob = prob
         return self.inner.next_context()
-
-    @property
-    def sampling_prob(self) -> float:
-        return self._prob
-
-    @property
-    def last_raw_loss(self) -> float | None:
-        """Inner loss behind the last observe call; experimenter-side only."""
-        return self._raw
 
     def observe(self, decision: int) -> tuple[bool, float]:
         """Reveal (selected, emitted weighted loss) for the learner's decision."""
         raw = self.inner.loss_of(decision)
-        self._raw = raw
-        selected = float(self.rng.random()) < self._prob
-        if selected:
-            return True, raw / self._prob
+        self.last_raw_loss = raw
+        if float(self.rng.random()) < self.sampling_prob:
+            return True, raw / self.sampling_prob
         return False, 0.0
 
     def baseline(self) -> RegretBaseline:

@@ -5,7 +5,8 @@ sweep typos fail loudly. The runner writes one ``rounds.csv`` (round records
 for all seeds, floats at 17 significant digits so files are byte-stable) and
 one ``summary.json`` per run. Seeds are independent: every component draws
 from its own named stream, so identical configs and seeds reproduce output
-byte for byte and aggregation is order-independent.
+byte for byte and aggregation is order-independent. Every scenario plays its
+rounds through one loop, ``play``, parameterized by a feedback router.
 
 Config schema (top-level keys; see the README for worked examples)::
 
@@ -47,6 +48,7 @@ from .bases import (
     PathologicalBase,
     ThompsonSampling,
     Ucb1,
+    exp_weights,
 )
 from .core import (
     ConfigError,
@@ -54,6 +56,7 @@ from .core import (
     IntegrityError,
     importance_weight,
     named_rng,
+    sample_index,
 )
 from .envs import (
     AdversarialMAB,
@@ -75,20 +78,37 @@ SUMMARY_JSON = "summary.json"
 # Configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "scenario",
-    "horizon",
-    "seeds",
-    "environment",
-    "bases",
-    "master",
-    "rho_levels",
-    "demo",
-    "runs",
-}
-
 _MASTER_KEYS = {"eta", "regret_target", "restart_policy", "estimator"}
 _DEMO_KEYS = {"corral_eta", "naive_eta"}
+
+# kind -> key groups; besides "kind", a spec holds exactly one key of each group.
+_ENV_KEYS = {
+    "stochastic-mab": [("means", "means_prior")],
+    "adversarial-mab": [("script", "script_csv")],
+    "stochastic-contextual": [("context_probs",), ("cond_means",), ("policies",)],
+    "lower-bound": [],
+}
+_BASE_KEYS = {
+    "exp3": [],
+    "exp4": [("policies",)],
+    "epoch-greedy": [("policies",)],
+    "thompson": [("prior",)],
+    "ucb1": [],
+    "pathological": [("arm_pair",)],
+}
+
+
+def _check_spec(spec: dict, table: dict, what: str) -> None:
+    """Reject an unknown kind, unknown keys, and missing or clashing keys."""
+    kind = spec.get("kind")
+    if kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    unknown = set(spec) - {"kind"}.union(*table[kind])
+    if unknown:
+        raise ConfigError(f"unknown {what} keys for {kind}: {sorted(unknown)}")
+    for group in table[kind]:
+        if sum(key in spec for key in group) != 1:
+            raise ConfigError(f"{kind} needs exactly one of {list(group)}")
 
 
 @dataclass
@@ -107,23 +127,26 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be an object, got {type(raw).__name__}")
-        unknown = set(raw) - _TOP_KEYS
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         scenario = raw.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}")
-        cfg = cls(
-            scenario=scenario,
-            horizon=int(raw.get("horizon", 0)),
-            seeds=[int(s) for s in raw.get("seeds", [])],
-            environment=dict(raw.get("environment", {})),
-            bases=[dict(b) for b in raw.get("bases", [])],
-            master=dict(raw.get("master", {})),
-            rho_levels=[float(r) for r in raw.get("rho_levels", [])],
-            demo=dict(raw.get("demo", {})),
-            runs=[dict(r) for r in raw.get("runs", [])],
-        )
+        try:
+            cfg = cls(
+                scenario=scenario,
+                horizon=int(raw.get("horizon", 0)),
+                seeds=[int(s) for s in raw.get("seeds", [])],
+                environment=dict(raw.get("environment", {})),
+                bases=[dict(b) for b in raw.get("bases", [])],
+                master=dict(raw.get("master", {})),
+                rho_levels=[float(r) for r in raw.get("rho_levels", [])],
+                demo=dict(raw.get("demo", {})),
+                runs=[dict(r) for r in raw.get("runs", [])],
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
         cfg.validate()
         return cfg
 
@@ -145,33 +168,36 @@ class ExperimentConfig:
         unknown = set(self.master) - _MASTER_KEYS
         if unknown:
             raise ConfigError(f"unknown master keys: {sorted(unknown)}")
+        estimator = self.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
+        if estimator not in corral_master.ESTIMATORS:
+            raise ConfigError(f"unknown estimator {estimator!r}")
+        policy = self.master.get("restart_policy", corral_master.RESTART_ON_DOUBLING)
+        if policy not in corral_master.RESTART_POLICIES:
+            raise ConfigError(f"unknown restart policy {policy!r}")
         unknown = set(self.demo) - _DEMO_KEYS
         if unknown:
             raise ConfigError(f"unknown demo keys: {sorted(unknown)}")
-        if self.scenario == "corral-run":
-            if len(self.bases) < 2:
-                raise ConfigError("corral-run needs at least 2 base algorithms")
-            if not self.environment:
-                raise ConfigError("corral-run needs an environment")
-        elif self.scenario == "standalone-run":
-            if len(self.bases) != 1:
-                raise ConfigError("standalone-run needs exactly 1 base algorithm")
-            if not self.environment:
-                raise ConfigError("standalone-run needs an environment")
-        elif self.scenario == "stability-test":
-            if len(self.bases) != 1:
-                raise ConfigError("stability-test needs exactly 1 base algorithm")
-            if len(self.rho_levels) < 2:
-                raise ConfigError("stability-test needs at least 2 rho levels")
-            if any(r < 1.0 for r in self.rho_levels):
-                raise ConfigError("rho levels must be >= 1")
-            if not self.environment:
-                raise ConfigError("stability-test needs an environment")
-        elif self.scenario == "lowerbound-demo":
+        if self.scenario == "lowerbound-demo":
             if self.environment or self.bases:
                 raise ConfigError(
                     "lowerbound-demo fixes its own environment and base algorithms"
                 )
+            return
+        if not self.environment:
+            raise ConfigError(f"{self.scenario} needs an environment")
+        _check_spec(self.environment, _ENV_KEYS, "environment")
+        for spec in self.bases:
+            _check_spec(spec, _BASE_KEYS, "base")
+        if self.scenario == "corral-run":
+            if len(self.bases) < 2:
+                raise ConfigError("corral-run needs at least 2 base algorithms")
+        elif len(self.bases) != 1:
+            raise ConfigError(f"{self.scenario} needs exactly 1 base algorithm")
+        if self.scenario == "stability-test":
+            if len(self.rho_levels) < 2:
+                raise ConfigError("stability-test needs at least 2 rho levels")
+            if any(r < 1.0 for r in self.rho_levels):
+                raise ConfigError("rho levels must be >= 1")
 
     def with_seed_offset(self, offset: int) -> "ExperimentConfig":
         cfg = dataclasses.replace(self, seeds=[s + offset for s in self.seeds])
@@ -197,24 +223,11 @@ def load_config(path) -> ExperimentConfig:
 # Builders
 # ---------------------------------------------------------------------------
 
-_ENV_KEYS = {
-    "stochastic-mab": {"kind", "means", "means_prior"},
-    "adversarial-mab": {"kind", "script", "script_csv"},
-    "stochastic-contextual": {"kind", "context_probs", "cond_means", "policies"},
-    "lower-bound": {"kind"},
-}
-
 
 def build_environment(spec: dict, rng) -> Environment:
-    kind = spec.get("kind")
-    if kind not in _ENV_KEYS:
-        raise ConfigError(f"unknown environment kind {kind!r}")
-    unknown = set(spec) - _ENV_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown environment keys for {kind}: {sorted(unknown)}")
+    """Environment for a spec whose keys ``ExperimentConfig`` has checked."""
+    kind = spec["kind"]
     if kind == "stochastic-mab":
-        if ("means" in spec) == ("means_prior" in spec):
-            raise ConfigError("stochastic-mab needs exactly one of 'means' / 'means_prior'")
         if "means" in spec:
             means = spec["means"]
         else:
@@ -223,40 +236,21 @@ def build_environment(spec: dict, rng) -> Environment:
             means = [float(rng.beta(a, b)) for a, b in spec["means_prior"]]
         return StochasticMAB(means, rng)
     if kind == "adversarial-mab":
-        if ("script" in spec) == ("script_csv" in spec):
-            raise ConfigError("adversarial-mab needs exactly one of 'script' / 'script_csv'")
         if "script" in spec:
             return AdversarialMAB(spec["script"])
         return AdversarialMAB.from_csv(spec["script_csv"])
     if kind == "stochastic-contextual":
-        for key in ("context_probs", "cond_means", "policies"):
-            if key not in spec:
-                raise ConfigError(f"stochastic-contextual needs {key!r}")
         return StochasticContextual(
             spec["context_probs"], spec["cond_means"], spec["policies"], rng
         )
     return LowerBoundEnv(rng)
 
 
-_BASE_KEYS = {
-    "exp3": {"kind"},
-    "exp4": {"kind", "policies"},
-    "epoch-greedy": {"kind", "policies"},
-    "thompson": {"kind", "prior"},
-    "ucb1": {"kind"},
-    "pathological": {"kind", "arm_pair"},
-}
-
-
 def build_base(
     spec: dict, env: Environment, horizon: int, range_param: float, rng
 ) -> BaseAlgorithm:
-    kind = spec.get("kind")
-    if kind not in _BASE_KEYS:
-        raise ConfigError(f"unknown base kind {kind!r}")
-    unknown = set(spec) - _BASE_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown base keys for {kind}: {sorted(unknown)}")
+    """Base learner for a spec whose keys ``ExperimentConfig`` has checked."""
+    kind = spec["kind"]
     if kind == "exp3":
         return Exp3(env.num_arms, horizon, range_param, rng)
     if kind == "exp4":
@@ -486,6 +480,146 @@ def per_base_baseline(env: Environment, base: BaseAlgorithm) -> RegretBaseline:
 
 
 # ---------------------------------------------------------------------------
+# The round loop and its feedback routers
+# ---------------------------------------------------------------------------
+#
+# A router picks whose proposal is played and feeds the round back:
+# ``choose(proposals)`` returns the chosen base's index, and
+# ``feed(env, chosen, proposals)`` plays its proposal and returns the loss
+# the round charges, one packet per base, and the ``(base, range)`` resets
+# to apply after every base has updated. A router whose rounds are recorded
+# keeps ``row``, the last four ``RoundRecord`` fields of its latest round.
+
+
+class CorralRouter:
+    """The CORRAL master samples the base and routes its feedback packets.
+
+    With ``naive_feed`` the bases get the demonstration's naive packets
+    instead (see ``_naive_packets``); the master's own update is unchanged.
+    """
+
+    def __init__(self, state, rng, estimator: str, naive_feed: bool = False):
+        self.state = state
+        self.rng = rng
+        self.estimator = estimator
+        self.naive_feed = naive_feed
+        self.choice = self.row = None
+
+    def choose(self, proposals: list[int]) -> int:
+        self.choice = corral_master.choose(self.state, proposals, self.rng)
+        return self.choice.base
+
+    def feed(self, env, chosen: int, proposals: list[int]):
+        state = self.state
+        choice = self.choice
+        p_bar = tuple(state.p_bar)
+        eta = tuple(state.eta)
+        rho = tuple(state.rho)
+        raw = env.loss_of(choice.decision)
+        outcome = corral_master.feedback(state, choice, raw, proposals, self.estimator)
+        packets = outcome.packets
+        if self.naive_feed:
+            packets = _naive_packets(state.num_bases, chosen, raw / p_bar[chosen])
+        doublings = outcome.doublings
+        flags = "".join("1" if i in doublings else "0" for i in range(state.num_bases))
+        self.row = (p_bar, eta, rho, flags)
+        resets = [(i, state.rho[i]) for i in outcome.restarts] if outcome.restarts else ()
+        return raw, packets, resets
+
+
+class StandaloneRouter:
+    """One base drives every decision and sees its loss with probability one,
+    exactly what it would see running on its own."""
+
+    def __init__(self, base: BaseAlgorithm):
+        self.row = ((1.0,), (0.0,), (base.range_param,), "0")
+
+    def choose(self, proposals: list[int]) -> int:
+        return 0
+
+    def feed(self, env: Environment, chosen: int, proposals: list[int]):
+        raw = env.loss_of(proposals[0])
+        return raw, (importance_weight(raw, 1.0, True),), ()
+
+
+class InducedRouter(StandaloneRouter):
+    """One base inside ``InducedEnvironment``; the round charges the emitted
+    importance-weighted loss."""
+
+    def feed(self, env: InducedEnvironment, chosen: int, proposals: list[int]):
+        selected, emitted = env.observe(proposals[0])
+        raw = env.last_raw_loss if selected else None
+        return emitted, (FeedbackPacket(selected, emitted, env.sampling_prob, raw),), ()
+
+
+class NaiveRouter:
+    """Exponential weights over importance-weighted loss estimates, with the
+    demonstration's naive feed to the bases."""
+
+    def __init__(self, num_bases: int, rate: float, rng):
+        self.rate = rate
+        self.rng = rng
+        self.cum_est = [0.0] * num_bases
+        self.probs: list[float] = []
+
+    def choose(self, proposals: list[int]) -> int:
+        self.probs = exp_weights(self.cum_est, self.rate)
+        return sample_index(self.rng, self.probs)
+
+    def feed(self, env: Environment, chosen: int, proposals: list[int]):
+        raw = env.loss_of(proposals[chosen])
+        weighted = raw / self.probs[chosen]
+        self.cum_est[chosen] += weighted
+        return raw, _naive_packets(len(proposals), chosen, weighted), ()
+
+
+def _naive_packets(num_bases: int, chosen: int, weighted: float) -> list[FeedbackPacket]:
+    """Feedback as a naive master would send it: the importance-weighted
+    number is presented to the sampled base as if it were a genuinely
+    observed loss, and everyone else gets a zero round."""
+    return [
+        FeedbackPacket(True, weighted, 1.0, weighted)
+        if i == chosen
+        else FeedbackPacket(False, 0.0, 1.0)
+        for i in range(num_bases)
+    ]
+
+
+def play(env, bases, router, horizon, records=None, run_id="", seed=0, baseline=None):
+    """Play ``horizon`` rounds; return the cumulative charged loss at the end
+    and after round ``horizon // 2``.
+
+    With a ``records`` list, one ``RoundRecord`` per round is appended to it,
+    its regret measured against ``baseline``.
+    """
+    choose = router.choose
+    feed = router.feed
+    half = horizon // 2
+    cum_loss = half_loss = baseline_cum = 0.0
+    for t in range(1, horizon + 1):
+        ctx = env.next_context()
+        proposals = [b.propose(ctx) for b in bases]
+        chosen = choose(proposals)
+        raw, packets, resets = feed(env, chosen, proposals)
+        for base, packet in zip(bases, packets):
+            base.update(packet)
+        for i, range_param in resets:
+            bases[i].reset(range_param)
+        cum_loss += raw
+        if t == half:
+            half_loss = cum_loss
+        if records is not None:
+            baseline_cum += baseline.rate_at(t - 1)
+            records.append(
+                RoundRecord(
+                    run_id, seed, t, chosen, proposals[chosen], raw, cum_loss,
+                    cum_loss - baseline_cum, *router.row,
+                )
+            )
+    return cum_loss, half_loss
+
+
+# ---------------------------------------------------------------------------
 # Scenario runners
 # ---------------------------------------------------------------------------
 
@@ -510,51 +644,13 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
             build_base(spec, env, horizon, range0, named_rng(seed, f"base.{i}"))
             for i, spec in enumerate(config.bases)
         ]
-        master_rng = named_rng(seed, "master")
-        baseline = union_baseline(env, bases)
-        baselines[seed] = baseline
-        run_id = f"corral-run:{seed}"
-        cum_loss = 0.0
-        baseline_cum = 0.0
-        for t in range(1, horizon + 1):
-            p_bar = tuple(state.p_bar)
-            eta = tuple(state.eta)
-            rho = tuple(state.rho)
-            ctx = env.next_context()
-            proposals = [b.propose(ctx) for b in bases]
-            choice = corral_master.choose(state, proposals, master_rng)
-            raw = env.loss_of(choice.decision)
-            outcome = corral_master.feedback(state, choice, raw, proposals, estimator)
-            for base, packet in zip(bases, outcome.packets):
-                base.update(packet)
-            for i in outcome.restarts:
-                bases[i].reset(state.rho[i])
-            cum_loss += raw
-            baseline_cum += baseline.rate_at(t - 1)
-            flags = "".join(
-                "1" if i in outcome.doublings else "0" for i in range(num_bases)
-            )
-            records.append(
-                RoundRecord(
-                    run_id=run_id,
-                    seed=seed,
-                    t=t,
-                    chosen_base=choice.base,
-                    decision=choice.decision,
-                    raw_loss=raw,
-                    cum_loss=cum_loss,
-                    cum_regret=cum_loss - baseline_cum,
-                    p_bar=p_bar,
-                    eta=eta,
-                    rho=rho,
-                    restart_flags=flags,
-                )
-            )
+        router = CorralRouter(state, named_rng(seed, "master"), estimator)
+        baselines[seed] = baseline = union_baseline(env, bases)
+        cum_loss, _ = play(
+            env, bases, router, horizon, records, f"corral-run:{seed}", seed, baseline
+        )
         per_base_regrets.append(
-            [
-                cum_loss - per_base_baseline(env, base).cumulative(horizon)
-                for base in bases
-            ]
+            [cum_loss - per_base_baseline(env, b).cumulative(horizon) for b in bases]
         )
     summary = compute_regret(records, baselines, horizon)
     for entry, regs in zip(summary["per_seed"], per_base_regrets):
@@ -585,34 +681,9 @@ def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     for seed in sorted(config.seeds):
         env = build_environment(config.environment, named_rng(seed, "env"))
         base = build_base(config.bases[0], env, horizon, 1.0, named_rng(seed, "base.0"))
-        baseline = per_base_baseline(env, base)
-        baselines[seed] = baseline
-        run_id = f"standalone-run:{seed}"
-        cum_loss = 0.0
-        baseline_cum = 0.0
-        for t in range(1, horizon + 1):
-            ctx = env.next_context()
-            arm = base.propose(ctx)
-            raw = env.loss_of(arm)
-            base.update(importance_weight(raw, 1.0, True))
-            cum_loss += raw
-            baseline_cum += baseline.rate_at(t - 1)
-            records.append(
-                RoundRecord(
-                    run_id=run_id,
-                    seed=seed,
-                    t=t,
-                    chosen_base=0,
-                    decision=arm,
-                    raw_loss=raw,
-                    cum_loss=cum_loss,
-                    cum_regret=cum_loss - baseline_cum,
-                    p_bar=(1.0,),
-                    eta=(0.0,),
-                    rho=(base.range_param,),
-                    restart_flags="0",
-                )
-            )
+        baselines[seed] = baseline = per_base_baseline(env, base)
+        router = StandaloneRouter(base)
+        play(env, [base], router, horizon, records, f"standalone-run:{seed}", seed, baseline)
     summary = compute_regret(records, baselines, horizon)
     summary["scenario"] = "standalone-run"
     summary["horizon"] = horizon
@@ -644,17 +715,8 @@ def run_stability_test(config: ExperimentConfig) -> dict:
             )
             if base.certificate is not None:
                 certificate_alpha = base.certificate.alpha
+            cum_weighted, _ = play(wrapped, [base], InducedRouter(base), horizon)
             baseline = per_base_baseline(env, base)
-            cum_weighted = 0.0
-            for _ in range(horizon):
-                ctx = wrapped.next_context()
-                arm = base.propose(ctx)
-                selected, emitted = wrapped.observe(arm)
-                raw = wrapped.last_raw_loss if selected else None
-                base.update(
-                    FeedbackPacket(selected, emitted, wrapped.sampling_prob, raw)
-                )
-                cum_weighted += emitted
             regrets.append(cum_weighted - baseline.cumulative(horizon))
         mean = float(np.mean(regrets))
         if mean <= 0.0:
@@ -678,24 +740,12 @@ def run_stability_test(config: ExperimentConfig) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Lower-bound demonstration
-# ---------------------------------------------------------------------------
-
-
-def _naive_packets(
-    num_bases: int, chosen: int, weighted_value: float
-) -> list[FeedbackPacket]:
-    """Feedback as a naive master would send it: the importance-weighted
-    number is presented to the sampled base as if it were a genuinely
-    observed loss, and everyone else gets a zero round."""
-    packets = []
-    for i in range(num_bases):
-        if i == chosen:
-            packets.append(FeedbackPacket(True, weighted_value, 1.0, weighted_value))
-        else:
-            packets.append(FeedbackPacket(False, 0.0, 1.0))
-    return packets
+def _half_and_full_regret(baseline: RegretBaseline, losses, horizon: int):
+    full_loss, half_loss = losses
+    return (
+        half_loss - baseline.cumulative(horizon // 2),
+        full_loss - baseline.cumulative(horizon),
+    )
 
 
 def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
@@ -715,143 +765,65 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecor
     if config.scenario != "lowerbound-demo":
         raise ConfigError(f"expected lowerbound-demo config, got {config.scenario}")
     horizon = config.horizon
-    half = horizon // 2
-    corral_eta = float(
-        config.demo.get(
-            "corral_eta", corral_master.tuned_eta(math.sqrt(horizon), horizon, 2)
-        )
-    )
+    default_eta = corral_master.tuned_eta(math.sqrt(horizon), horizon, 2)
+    corral_eta = float(config.demo.get("corral_eta", default_eta))
     naive_eta = float(config.demo.get("naive_eta", 1e-4))
-    ratios = {"naive": [], "corral": []}
-    halves = {"naive": [], "corral": []}
-    fulls = {"naive": [], "corral": []}
-    standalone_steps = []
+    # (regret at T/2, regret at T) per seed, for each leg.
+    legs = {"naive": [], "corral": [], "standalone": []}
     records: list[RoundRecord] = []
     baselines: dict[int, RegretBaseline] = {}
 
     for seed in sorted(config.seeds):
         # Naive exponential-weights master.
         env = LowerBoundEnv(named_rng(seed, "env"))
-        baseline = env.baseline()
         bases = [
             PathologicalBase((0, 1), named_rng(seed, "naive.base.0")),
             PathologicalBase((2, 3), named_rng(seed, "naive.base.1")),
         ]
-        master_rng = named_rng(seed, "naive.master")
-        cum_est = [0.0, 0.0]
-        cum_loss = 0.0
-        reg_half = 0.0
-        for t in range(1, horizon + 1):
-            ctx = env.next_context()
-            proposals = [b.propose(ctx) for b in bases]
-            floor = min(cum_est)
-            weights = [math.exp(-naive_eta * (c - floor)) for c in cum_est]
-            total = sum(weights)
-            probs = [w / total for w in weights]
-            u = float(master_rng.random())
-            chosen = 0 if u < probs[0] else 1
-            raw = env.loss_of(proposals[chosen])
-            weighted = raw / probs[chosen]
-            cum_est[chosen] += weighted
-            for base, packet in zip(bases, _naive_packets(2, chosen, weighted)):
-                base.update(packet)
-            cum_loss += raw
-            if t == half:
-                reg_half = cum_loss - baseline.cumulative(half)
-        reg_full = cum_loss - baseline.cumulative(horizon)
-        halves["naive"].append(reg_half)
-        fulls["naive"].append(reg_full)
-        ratios["naive"].append(reg_full / reg_half)
+        router = NaiveRouter(2, naive_eta, named_rng(seed, "naive.master"))
+        losses = play(env, bases, router, horizon)
+        legs["naive"].append(_half_and_full_regret(env.baseline(), losses, horizon))
 
         # Corral master, same naive feeding of the bases.
         env = LowerBoundEnv(named_rng(seed, "env"))
-        baseline = env.baseline()
-        baselines[seed] = baseline
+        baselines[seed] = baseline = env.baseline()
         bases = [
             PathologicalBase((0, 1), named_rng(seed, "corral.base.0")),
             PathologicalBase((2, 3), named_rng(seed, "corral.base.1")),
         ]
         state = corral_master.init_master(corral_eta, 2, horizon)
-        master_rng = named_rng(seed, "corral.master")
-        run_id = f"lowerbound-demo:{seed}"
-        cum_loss = 0.0
-        baseline_cum = 0.0
-        reg_half = 0.0
-        for t in range(1, horizon + 1):
-            p_bar = tuple(state.p_bar)
-            eta = tuple(state.eta)
-            rho = tuple(state.rho)
-            ctx = env.next_context()
-            proposals = [b.propose(ctx) for b in bases]
-            choice = corral_master.choose(state, proposals, master_rng)
-            raw = env.loss_of(choice.decision)
-            weighted = raw / p_bar[choice.base]
-            outcome = corral_master.feedback(state, choice, raw, proposals)
-            for base, packet in zip(bases, _naive_packets(2, choice.base, weighted)):
-                base.update(packet)
-            for i in outcome.restarts:
-                bases[i].reset(state.rho[i])
-            cum_loss += raw
-            baseline_cum += baseline.rate_at(t - 1)
-            if t == half:
-                reg_half = cum_loss - baseline.cumulative(half)
-            records.append(
-                RoundRecord(
-                    run_id=run_id,
-                    seed=seed,
-                    t=t,
-                    chosen_base=choice.base,
-                    decision=choice.decision,
-                    raw_loss=raw,
-                    cum_loss=cum_loss,
-                    cum_regret=cum_loss - baseline_cum,
-                    p_bar=p_bar,
-                    eta=eta,
-                    rho=rho,
-                    restart_flags="".join(
-                        "1" if i in outcome.doublings else "0" for i in range(2)
-                    ),
-                )
-            )
-        reg_full = cum_loss - baseline.cumulative(horizon)
-        halves["corral"].append(reg_half)
-        fulls["corral"].append(reg_full)
-        ratios["corral"].append(reg_full / reg_half)
+        rng = named_rng(seed, "corral.master")
+        router = CorralRouter(state, rng, corral_master.ESTIMATOR_STANDARD, naive_feed=True)
+        losses = play(
+            env, bases, router, horizon, records, f"lowerbound-demo:{seed}", seed, baseline
+        )
+        legs["corral"].append(_half_and_full_regret(baseline, losses, horizon))
 
         # Matched standalone: the base whose pair carries the cheap losses.
         env = LowerBoundEnv(named_rng(seed, "env"))
-        baseline = env.baseline()
         base = PathologicalBase(env.cheap_pair, named_rng(seed, "standalone.base"))
-        cum_loss = 0.0
-        reg_half = 0.0
-        for t in range(1, horizon + 1):
-            ctx = env.next_context()
-            arm = base.propose(ctx)
-            raw = env.loss_of(arm)
-            base.update(importance_weight(raw, 1.0, True))
-            cum_loss += raw
-            if t == half:
-                reg_half = cum_loss - baseline.cumulative(half)
-        reg_full = cum_loss - baseline.cumulative(horizon)
-        standalone_steps.append(reg_full - reg_half)
+        losses = play(env, [base], StandaloneRouter(base), horizon)
+        legs["standalone"].append(_half_and_full_regret(env.baseline(), losses, horizon))
 
+    masters = {}
+    for name in ("naive", "corral"):
+        ratios = [full / half for half, full in legs[name]]
+        masters[name] = {
+            "mean_regret_half": float(np.mean([half for half, _ in legs[name]])),
+            "mean_regret_full": float(np.mean([full for _, full in legs[name]])),
+            "mean_ratio": float(np.mean(ratios)),
+            "per_seed_ratio": [float(x) for x in ratios],
+        }
+    steps = [full - half for half, full in legs["standalone"]]
     summary = {
         "scenario": "lowerbound-demo",
         "horizon": horizon,
         "corral_eta": corral_eta,
         "naive_eta": naive_eta,
-        "masters": {
-            name: {
-                "mean_regret_half": float(np.mean(halves[name])),
-                "mean_regret_full": float(np.mean(fulls[name])),
-                "mean_ratio": float(np.mean(ratios[name])),
-                "per_seed_ratio": [float(x) for x in ratios[name]],
-            }
-            for name in ("naive", "corral")
-        },
+        "masters": masters,
         "standalone_matched": {
-            "max_regret_step": float(max(standalone_steps)),
-            "mean_regret_step": float(np.mean(standalone_steps)),
+            "max_regret_step": float(max(steps)),
+            "mean_regret_step": float(np.mean(steps)),
         },
     }
     log_summary = compute_regret(records, baselines, horizon)
@@ -861,50 +833,32 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecor
 
 
 # ---------------------------------------------------------------------------
-# Prior entropy (descriptive helper for the model-selection scenario)
-# ---------------------------------------------------------------------------
-
-
-def estimate_prior_entropy(priors, num_samples: int, rng) -> list[float]:
-    """Monte-Carlo entropy (nats) of the best-arm distribution per prior.
-
-    Each prior is a list with one entry per arm: a ``[ones, zeros]`` Beta
-    pseudo-count pair, or a bare float for a point mass on that mean. Draws
-    mean vectors, tallies the argmin arm into a distribution q and returns
-    its Shannon entropy. Descriptive output only.
-    """
-    if num_samples < 10_000:
-        raise ConfigError(f"need at least 10000 samples, got {num_samples}")
-    results = []
-    for prior in priors:
-        columns = []
-        for arm in prior:
-            if isinstance(arm, (int, float)):
-                columns.append(np.full(num_samples, float(arm)))
-            else:
-                a, b = arm
-                columns.append(rng.beta(float(a), float(b), size=num_samples))
-        draws = np.column_stack(columns)
-        winners = np.argmin(draws, axis=1)
-        q = np.bincount(winners, minlength=len(prior)) / num_samples
-        nonzero = q[q > 0.0]
-        results.append(float(-np.sum(nonzero * np.log(nonzero))))
-    return results
-
-
-# ---------------------------------------------------------------------------
 # Output and dispatch
 # ---------------------------------------------------------------------------
 
 
+def _write_atomic(path: str, text: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_outputs(out_dir, summary: dict, records: list[RoundRecord] | None) -> None:
+    """Write ``rounds.csv`` (if there are records), then ``summary.json``.
+
+    The CSV is formatted before anything is written, and each file appears
+    under its name only once complete, so a failed run never leaves a
+    complete-looking summary beside a missing or truncated CSV.
+    """
+    csv_text = records_to_csv(records) if records else None
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, SUMMARY_JSON), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True))
-        fh.write("\n")
-    if records:
-        with open(os.path.join(out_dir, ROUNDS_CSV), "w", encoding="utf-8") as fh:
-            fh.write(records_to_csv(records))
+    if csv_text is not None:
+        _write_atomic(os.path.join(out_dir, ROUNDS_CSV), csv_text)
+    _write_atomic(
+        os.path.join(out_dir, SUMMARY_JSON),
+        json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    )
 
 
 def execute(config: ExperimentConfig, out_dir) -> dict:
@@ -921,9 +875,8 @@ def execute(config: ExperimentConfig, out_dir) -> dict:
         summary = {"scenario": "sweep", "runs": []}
         for entry in config.runs:
             sub = ExperimentConfig.from_dict(entry["config"])
-            sub_summary = execute(sub, os.path.join(out_dir, entry["name"]))
+            execute(sub, os.path.join(out_dir, entry["name"]))
             summary["runs"].append({"name": entry["name"], "scenario": sub.scenario})
-            del sub_summary
         write_outputs(out_dir, summary, None)
         return summary
     write_outputs(out_dir, summary, records)

@@ -24,7 +24,7 @@ from .core import (
     validate_simplex,
 )
 
-DEFAULT_TOL = 1e-12
+TOLERANCE = 1e-12
 MAX_ITERATIONS = 200
 
 
@@ -45,22 +45,18 @@ def solve_lambda(
     p: Sequence[float],
     losses: Sequence[float],
     rates: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITERATIONS,
 ) -> float:
     """Solve the normalization constraint F(lam) = 1 by a guarded line search.
 
     Bisection on ``[min loss, max loss]`` keeps a valid bracket (any lam with
     a nonpositive denominator counts as F = +inf, since the smallest pole can
     sit inside the bracket); a Newton step is taken whenever it stays inside
-    the bracket. Returns once ``|F - 1| <= tol`` or once the bracket collapses
-    to floating-point resolution, where the best-seen lam is exact to one ulp
-    and further iterations cannot improve it.
+    the bracket. Returns once ``|F - 1| <= TOLERANCE`` or once the bracket
+    collapses to floating-point resolution, where the best-seen lam is exact
+    to one ulp and further iterations cannot improve it.
     """
     p = validate_simplex(p)
     _check_inputs(p, losses, rates)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     lo = min(losses)
     hi = max(losses)
     if lo == hi:
@@ -70,7 +66,7 @@ def solve_lambda(
     best_lam = lo
     best_err = math.inf
     lam = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         if hi - lo <= 4e-16 * max(1.0, abs(lo), abs(hi)):
             return best_lam
         poles = False
@@ -90,7 +86,7 @@ def solve_lambda(
             lam = 0.5 * (lo + hi)
             continue
         err = total - 1.0
-        if abs(err) <= tol:
+        if abs(err) <= TOLERANCE:
             return lam
         if abs(err) < best_err:
             best_err = abs(err)
@@ -105,7 +101,8 @@ def solve_lambda(
         else:
             lam = 0.5 * (lo + hi)
     raise SolverConvergenceError(
-        f"no lambda with |F-1| <= {tol} after {max_iter} iterations (best {best_err})"
+        f"no lambda with |F-1| <= {TOLERANCE} after {MAX_ITERATIONS} iterations "
+        f"(best {best_err})"
     )
 
 
@@ -113,7 +110,6 @@ def omd_step(
     p: Sequence[float],
     losses: Sequence[float],
     rates: Sequence[float],
-    tol: float = DEFAULT_TOL,
 ) -> list[float]:
     """One log-barrier OMD update; returns the next distribution.
 
@@ -124,7 +120,7 @@ def omd_step(
     _check_inputs(p, losses, rates)
     if min(losses) == max(losses):
         return p
-    lam = solve_lambda(p, losses, rates, tol=tol)
+    lam = solve_lambda(p, losses, rates)
     q = [1.0 / (1.0 / pi + r * (l - lam)) for pi, r, l in zip(p, rates, losses)]
     return validate_simplex(q)
 

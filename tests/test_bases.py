@@ -13,7 +13,6 @@ from corral.bases import (
     ThompsonSampling,
     Ucb1,
     explore_budget,
-    pathological_pair,
 )
 from corral.core import ConfigError, FeedbackPacket, importance_weight, named_rng
 
@@ -155,10 +154,10 @@ class TestEpochGreedy:
         b.samples = []
         from corral.bases import WeightedSample
 
-        b.samples.append(WeightedSample(0, 0, 4.0, 1))  # hits policies 0 and 2
-        b.samples.append(WeightedSample(1, 1, 1.0, 2))  # hits policies 1 and 2
+        b.samples.append(WeightedSample(0, 0, 4.0))  # hits policies 0 and 2
+        b.samples.append(WeightedSample(1, 1, 1.0))  # hits policies 1 and 2
         assert b.erm_index() == 1  # totals: 4.0, 1.0, 5.0
-        b.samples = [WeightedSample(0, 0, 2.0, 1), WeightedSample(0, 1, 2.0, 2)]
+        b.samples = [WeightedSample(0, 0, 2.0), WeightedSample(0, 1, 2.0)]
         assert b.erm_index() == 0  # totals tie at 2.0; lowest index wins
 
     def test_erm_matches_bruteforce(self):
@@ -313,11 +312,6 @@ class TestPathologicalPair:
         assert b.locked_arm == 0
         b.update(FeedbackPacket(True, 0.5, 1.0, raw_loss=0.5))
         assert b.shattered
-
-    def test_pair_arms(self):
-        first, second = pathological_pair(named_rng(5, "a"), named_rng(5, "b"))
-        assert first.arm_pair == (0, 1)
-        assert second.arm_pair == (2, 3)
 
 
 class TestStabilityExponentPower:

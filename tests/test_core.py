@@ -114,22 +114,14 @@ class TestValidateSimplex:
 
 class TestStabilityCertificate:
     def test_valid_certificate(self):
-        cert = StabilityCertificate(0.5, lambda t: math.sqrt(t), "adversarial-mab")
-        assert cert.regret_bound(100) == 10.0
+        cert = StabilityCertificate(0.5)
+        assert cert.alpha == 0.5
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
-            StabilityCertificate(0.0, lambda t: t, "stochastic-mab")
+            StabilityCertificate(0.0)
         with pytest.raises(ConfigError):
-            StabilityCertificate(1.5, lambda t: t, "stochastic-mab")
-
-    def test_decreasing_bound_rejected(self):
-        with pytest.raises(ConfigError):
-            StabilityCertificate(0.5, lambda t: -float(t), "stochastic-mab")
-
-    def test_unknown_environment_class(self):
-        with pytest.raises(ConfigError):
-            StabilityCertificate(0.5, lambda t: t, "quantum-mab")
+            StabilityCertificate(1.5)
 
 
 class TestNamedRng:

@@ -214,21 +214,10 @@ class TestInducedEnvironment:
 
     def test_schedule_validation(self):
         env = StochasticMAB([0.5, 0.5], named_rng(12, "env"))
-        wrapped = InducedEnvironment(env, lambda t: 0.0, named_rng(12, "wrapper"))
         with pytest.raises(ConfigError):
-            wrapped.next_context()
-        wrapped = InducedEnvironment(env, 1.5, named_rng(12, "wrapper"))
+            InducedEnvironment(env, 0.0, named_rng(12, "wrapper"))
         with pytest.raises(ConfigError):
-            wrapped.next_context()
-
-    def test_history_dependent_schedule_allowed(self):
-        env = StochasticMAB([0.5, 0.5], named_rng(13, "env"))
-        wrapped = InducedEnvironment(
-            env, lambda t: 1.0 / (1 + t % 3), named_rng(13, "wrapper")
-        )
-        for _ in range(9):
-            wrapped.next_context()
-            wrapped.observe(1)
+            InducedEnvironment(env, 1.5, named_rng(12, "wrapper"))
 
 
 class TestRawLossRangeFuzz:

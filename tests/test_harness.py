@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from corral import harness
 from corral.cli import main
 from corral.core import ConfigError, IntegrityError, named_rng
 from corral.envs import RegretBaseline
@@ -13,7 +14,6 @@ from corral.harness import (
     ExperimentConfig,
     RoundRecord,
     compute_regret,
-    estimate_prior_entropy,
     execute,
     records_to_csv,
     run_corral,
@@ -44,18 +44,16 @@ class TestConfigValidation:
             config(typo_key=1)
 
     def test_unknown_environment_key(self):
-        cfg = config(environment={"kind": "stochastic-mab", "means": [0.1, 0.9], "mean": 1})
         with pytest.raises(ConfigError):
-            run_corral(cfg)
+            config(environment={"kind": "stochastic-mab", "means": [0.1, 0.9], "mean": 1})
 
     def test_unknown_master_key(self):
         with pytest.raises(ConfigError):
             config(master={"eta": 0.05, "learning_rate": 0.1})
 
     def test_unknown_base_key(self):
-        cfg = config(bases=[{"kind": "exp3", "rate": 1}, {"kind": "ucb1"}])
         with pytest.raises(ConfigError):
-            run_corral(cfg)
+            config(bases=[{"kind": "exp3", "rate": 1}, {"kind": "ucb1"}])
 
     def test_corral_needs_two_bases(self):
         with pytest.raises(ConfigError):
@@ -414,30 +412,6 @@ class TestStability:
         assert len(out["per_rho"]) == 2
 
 
-class TestEntropyEstimator:
-    def test_point_mass_has_zero_entropy(self):
-        value = estimate_prior_entropy(
-            [[0.2, 0.5, 0.9]], 10_000, named_rng(0, "entropy")
-        )[0]
-        assert value == 0.0
-
-    def test_exchangeable_prior_approaches_log_k(self):
-        value = estimate_prior_entropy(
-            [[[1, 1]] * 4], 100_000, named_rng(0, "entropy")
-        )[0]
-        assert abs(value - math.log(4)) <= 0.05
-
-    def test_symmetric_two_arm_prior(self):
-        value = estimate_prior_entropy(
-            [[[2, 2], [2, 2]]], 100_000, named_rng(1, "entropy")
-        )[0]
-        assert abs(value - math.log(2)) <= 0.05
-
-    def test_sample_floor_enforced(self):
-        with pytest.raises(ConfigError):
-            estimate_prior_entropy([[0.5, 0.5]], 9_999, named_rng(0, "entropy"))
-
-
 class TestLowerBoundDemoSmoke:
     def test_small_demo_runs_and_reports(self):
         cfg = ExperimentConfig.from_dict(
@@ -462,6 +436,16 @@ class TestCsvFormat:
         # 17 significant digits round-trip float64 exactly.
         row = lines[1].split(",")
         assert float(row[8]) == records[0].p_bar[0]
+
+    def test_failed_csv_leaves_no_outputs(self, tmp_path, monkeypatch):
+        def broken(records):
+            raise IntegrityError("formatting failed")
+
+        monkeypatch.setattr(harness, "records_to_csv", broken)
+        with pytest.raises(IntegrityError):
+            execute(config(horizon=3, seeds=[0]), tmp_path / "out")
+        assert not (tmp_path / "out" / "rounds.csv").exists()
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestCli:
@@ -517,6 +501,35 @@ class TestCli:
         )
         assert main(["standalone", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"bases": [{"kind": "exp4"}, {"kind": "exp3"}]},
+            {"bases": [{"kind": "thompson"}, {"kind": "exp3"}]},
+            {"horizon": "x"},
+            {"seeds": "ab"},
+            {"master": {"eta": 0.05, "estimator": "fancy"}},
+            {"master": {"eta": 0.05, "restart_policy": "sometimes"}},
+        ],
+        ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
+             "restart-policy"],
+    )
+    def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
+        raw = {
+            "scenario": "corral-run",
+            "horizon": 50,
+            "seeds": [0],
+            "environment": MAB_ENV,
+            "bases": [{"kind": "exp3"}, {"kind": "ucb1"}],
+            "master": {"eta": 0.05},
+        }
+        raw.update(overrides)
+        path = self.write_config(tmp_path, raw)
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_dir.exists()
 
     def test_invalid_config_reports_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"scenario": "corral-run", "bogus": 1})

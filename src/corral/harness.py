@@ -573,16 +573,17 @@ class NaiveRouter:
         return raw, _naive_packets(len(proposals), chosen, weighted), ()
 
 
+# Packets are immutable, so every naive zero round can share one.
+_NAIVE_ZERO_ROUND = FeedbackPacket(False, 0.0, 1.0)
+
+
 def _naive_packets(num_bases: int, chosen: int, weighted: float) -> list[FeedbackPacket]:
     """Feedback as a naive master would send it: the importance-weighted
     number is presented to the sampled base as if it were a genuinely
     observed loss, and everyone else gets a zero round."""
-    return [
-        FeedbackPacket(True, weighted, 1.0, weighted)
-        if i == chosen
-        else FeedbackPacket(False, 0.0, 1.0)
-        for i in range(num_bases)
-    ]
+    packets = [_NAIVE_ZERO_ROUND] * num_bases
+    packets[chosen] = FeedbackPacket(True, weighted, 1.0, weighted)
+    return packets
 
 
 def play(env, bases, router, horizon, records=None, run_id="", seed=0, baseline=None):

@@ -3,7 +3,9 @@
 Every base proposes a decision for the current context, consumes one
 ``FeedbackPacket`` per round (selected or not; unselected rounds carry zero
 loss so stateful learners can still count rounds), and can be reset with a
-new loss-range parameter ``rho``. A reset re-initializes all learned state
+new loss-range parameter ``rho``. ``update`` follows the round's
+``propose`` and trusts its packet, which ``FeedbackPacket`` and
+``importance_weight`` have checked. A reset re-initializes all learned state
 and re-tunes internal rates for the new range; the random stream keeps its
 position, exactly as if a fresh handle had been built around the same
 generator.
@@ -24,9 +26,7 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    ContractError,
     FeedbackPacket,
-    InvalidLossError,
     StabilityCertificate,
     sample_index,
 )
@@ -92,14 +92,6 @@ class BaseAlgorithm:
     def reset(self, range_param: float) -> None:
         raise NotImplementedError
 
-    def _recover_raw(self, packet: FeedbackPacket) -> float:
-        raw = packet.raw_loss
-        if raw is None:
-            raise ContractError("selected packet without recoverable raw loss")
-        if not 0.0 <= raw <= 1.0:
-            raise InvalidLossError(f"recovered raw loss must be in [0, 1], got {raw}")
-        return raw
-
 
 class Exp3(BaseAlgorithm):
     """Exponential weights over arms with importance-weighted internal losses.
@@ -142,8 +134,6 @@ class Exp3(BaseAlgorithm):
     def update(self, packet: FeedbackPacket) -> None:
         if not packet.selected:
             return
-        if self._last_arm is None or self._last_probs is None:
-            raise ContractError("update before any proposal")
         self.cum_loss[self._last_arm] += (
             packet.weighted_loss / self._last_probs[self._last_arm]
         )
@@ -205,8 +195,6 @@ class Exp4(BaseAlgorithm):
     def update(self, packet: FeedbackPacket) -> None:
         if not packet.selected:
             return
-        if self._last_arm is None:
-            raise ContractError("update before any proposal")
         estimate = packet.weighted_loss / self._last_action_probs[self._last_arm]
         for j, pol in enumerate(self.policies):
             if pol[self._last_context] == self._last_arm:
@@ -266,8 +254,6 @@ class EpochGreedy(BaseAlgorithm):
     def update(self, packet: FeedbackPacket) -> None:
         if self.erm_policy is not None or not packet.selected:
             return
-        if self._last_arm is None:
-            raise ContractError("update before any proposal")
         self.samples.append(
             WeightedSample(
                 context=self._last_context,
@@ -344,10 +330,7 @@ class ThompsonSampling(BaseAlgorithm):
     def update(self, packet: FeedbackPacket) -> None:
         if not packet.selected:
             return
-        if self._last_arm is None:
-            raise ContractError("update before any proposal")
-        raw = self._recover_raw(packet)
-        outcome = 1.0 if float(self.rng.random()) < raw else 0.0
+        outcome = 1.0 if float(self.rng.random()) < packet.raw_loss else 0.0
         self.ones[self._last_arm] += outcome
         self.zeros[self._last_arm] += 1.0 - outcome
 
@@ -397,11 +380,8 @@ class Ucb1(BaseAlgorithm):
     def update(self, packet: FeedbackPacket) -> None:
         if not packet.selected:
             return
-        if self._last_arm is None:
-            raise ContractError("update before any proposal")
-        raw = self._recover_raw(packet)
         self.counts[self._last_arm] += 1
-        self.totals[self._last_arm] += raw
+        self.totals[self._last_arm] += packet.raw_loss
         self.selected_rounds += 1
 
 

@@ -11,6 +11,11 @@ Conventions used across the package:
 * Probability vectors are plain ``list[float]`` on the simplex with strictly
   positive entries (the log-barrier map is undefined at zero), normalized to
   sum to one within ``1e-9``.
+
+Values are checked once, where they enter: config load, constructors,
+``importance_weight``, ``validate_simplex``, ``omd.omd_step`` and the
+master's ``choose``/``feedback``. Values computed from them inside a round
+are not checked again.
 """
 
 from __future__ import annotations
@@ -117,9 +122,10 @@ def importance_weight(raw: float, prob: float, selected: bool) -> FeedbackPacket
     On selected rounds the weighted loss is ``raw / prob``; unselected
     rounds carry zero loss (the round still happened, with no information).
     """
-    if not np.isfinite(raw) or not 0.0 <= raw <= 1.0:
+    # NaN and +-inf fail the range comparisons themselves.
+    if not 0.0 <= raw <= 1.0:
         raise InvalidLossError(f"raw loss must be in [0, 1], got {raw}")
-    if not np.isfinite(prob) or not 0.0 < prob <= 1.0:
+    if not 0.0 < prob <= 1.0:
         raise InvalidProbabilityError(f"probability must be in (0, 1], got {prob}")
     if selected:
         return FeedbackPacket(True, raw / prob, prob, raw)
@@ -132,7 +138,7 @@ def validate_simplex(p: Sequence[float]) -> list[float]:
     Entries must be strictly positive and finite; the sum may drift from one
     by at most ``SIMPLEX_HARD_TOL`` (the line search is iterative, so tiny
     drift is expected). Larger drift signals a solver bug and is not
-    recoverable.
+    recoverable. The checked vector goes through ``normalize``.
     """
     entries = [float(x) for x in p]
     if not entries:
@@ -145,7 +151,13 @@ def validate_simplex(p: Sequence[float]) -> list[float]:
     total = sum(entries)
     if abs(total - 1.0) > SIMPLEX_HARD_TOL:
         raise NormalizationDriftError(f"sum {total} drifted beyond {SIMPLEX_HARD_TOL}")
-    return [x / total for x in entries]
+    return normalize(entries)
+
+
+def normalize(p: Sequence[float]) -> list[float]:
+    """Divide a vector built from checked values by its sum, unchecked."""
+    total = sum(p)
+    return [x / total for x in p]
 
 
 def sample_index(rng, probs: Sequence[float]) -> int:

@@ -1,8 +1,10 @@
 """Environments: stateful generators of (context, loss vector) rounds.
 
 Every environment realizes one round per ``next_context`` call (drawing the
-context and the full loss vector), after which ``loss_of`` evaluates any
-decision against the realized losses. Raw losses are always in [0, 1];
+context and the full loss vector), after which ``loss_of`` evaluates a
+decision against the realized losses. ``loss_of`` does not check the
+decision: a base's decision space is checked against its environment when
+the base is built. Raw losses are always in [0, 1];
 stochastic losses are Bernoulli so that regret baselines stay analytic and
 the Beta-Bernoulli posterior of Thompson sampling applies directly.
 
@@ -15,7 +17,6 @@ environment as the arbitrary filler decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,12 +66,6 @@ class Environment:
         raise NotImplementedError
 
 
-def _check_decision(decision: int, num_arms: int) -> int:
-    if not 0 <= decision < num_arms:
-        raise ConfigError(f"decision {decision} out of range [0, {num_arms})")
-    return int(decision)
-
-
 class StochasticMAB(Environment):
     """Independent Bernoulli losses per arm with fixed means."""
 
@@ -93,7 +88,7 @@ class StochasticMAB(Environment):
         return 0
 
     def loss_of(self, decision: int) -> float:
-        return float(self._losses[_check_decision(decision, self.num_arms)])
+        return float(self._losses[decision])
 
     def baseline(self) -> RegretBaseline:
         best = int(np.argmin(self.means))
@@ -126,7 +121,7 @@ class AdversarialMAB(Environment):
         return 0
 
     def loss_of(self, decision: int) -> float:
-        return float(self.script[self._t, _check_decision(decision, self.num_arms)])
+        return float(self.script[self._t, decision])
 
     def baseline(self) -> RegretBaseline:
         best = int(np.argmin(self.script.sum(axis=0)))
@@ -176,7 +171,7 @@ class StochasticContextual(Environment):
         return self._context
 
     def loss_of(self, decision: int) -> float:
-        return float(self._losses[_check_decision(decision, self.num_arms)])
+        return float(self._losses[decision])
 
     def expected_policy_loss(self, policy: Sequence[int]) -> float:
         return float(
@@ -230,7 +225,7 @@ class LowerBoundEnv(Environment):
         return 0
 
     def loss_of(self, decision: int) -> float:
-        return self.losses[_check_decision(decision, self.num_arms)]
+        return self.losses[decision]
 
     def baseline(self) -> RegretBaseline:
         best = self.losses.index(0.1)
@@ -255,7 +250,7 @@ class InducedEnvironment:
 
     def __init__(self, inner: Environment, sampling_prob: float, rng):
         prob = float(sampling_prob)
-        if not math.isfinite(prob) or not 0.0 < prob <= 1.0:
+        if not 0.0 < prob <= 1.0:
             raise ConfigError(f"sampling probability must be in (0, 1], got {prob}")
         self.inner = inner
         self.sampling_prob = prob

@@ -52,6 +52,7 @@ from .bases import (
 )
 from .core import (
     ConfigError,
+    CorralError,
     FeedbackPacket,
     IntegrityError,
     importance_weight,
@@ -133,6 +134,9 @@ class ExperimentConfig:
         scenario = raw.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}")
+        for key in ("seeds", "rho_levels"):
+            if isinstance(raw.get(key), str):
+                raise ConfigError(f"{key} must be a list, got a string")
         try:
             cfg = cls(
                 scenario=scenario,
@@ -142,12 +146,14 @@ class ExperimentConfig:
                 bases=[dict(b) for b in raw.get("bases", [])],
                 master=dict(raw.get("master", {})),
                 rho_levels=[float(r) for r in raw.get("rho_levels", [])],
-                demo=dict(raw.get("demo", {})),
+                demo={k: float(v) for k, v in dict(raw.get("demo", {})).items()},
                 runs=[dict(r) for r in raw.get("runs", [])],
             )
-        except (TypeError, ValueError) as exc:
+            cfg.validate()
+        except CorralError:
+            raise
+        except (TypeError, ValueError, KeyError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
-        cfg.validate()
         return cfg
 
     def validate(self) -> None:
@@ -165,6 +171,8 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         unknown = set(self.master) - _MASTER_KEYS
         if unknown:
             raise ConfigError(f"unknown master keys: {sorted(unknown)}")
@@ -198,6 +206,14 @@ class ExperimentConfig:
                 raise ConfigError("stability-test needs at least 2 rho levels")
             if any(r < 1.0 for r in self.rho_levels):
                 raise ConfigError("rho levels must be >= 1")
+        # Build what a run builds, once, so that bad values fail here.
+        rng = np.random.default_rng(0)
+        env = build_environment(self.environment, rng)
+        for spec in self.bases:
+            build_base(spec, env, self.horizon, 1.0, rng)
+        if self.scenario == "corral-run":
+            eta0 = master_eta(self.master, len(self.bases), self.horizon)
+            corral_master.init_master(eta0, len(self.bases), self.horizon)
 
     def with_seed_offset(self, offset: int) -> "ExperimentConfig":
         cfg = dataclasses.replace(self, seeds=[s + offset for s in self.seeds])
@@ -270,7 +286,10 @@ def build_base(
         return ThompsonSampling(prior, range_param, rng)
     if kind == "ucb1":
         return Ucb1(env.num_arms)
-    return PathologicalBase(tuple(spec["arm_pair"]), rng)
+    pair = tuple(int(a) for a in spec["arm_pair"])
+    if len(pair) != 2 or not all(0 <= a < env.num_arms for a in pair):
+        raise ConfigError(f"arm_pair must be 2 arms in [0, {env.num_arms}), got {pair}")
+    return PathologicalBase(pair, rng)
 
 
 def master_eta(master_spec: dict, num_bases: int, horizon: int) -> float:
@@ -282,10 +301,7 @@ def master_eta(master_spec: dict, num_bases: int, horizon: int) -> float:
         return corral_master.tuned_eta(float(target), horizon, num_bases)
     if eta is None:
         raise ConfigError("master config needs an 'eta'")
-    value = float(eta)
-    if not value > 0.0:
-        raise ConfigError(f"eta must be > 0, got {value}")
-    return value
+    return float(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .core import (
     FeedbackPacket,
     InvalidLossError,
     importance_weight,
+    normalize,
     sample_index,
-    validate_simplex,
 )
 from .omd import omd_step
 
@@ -195,10 +195,9 @@ def feedback(
     master_loss[choice.base] = observed_loss / state.p_bar[choice.base]
     state.p = omd_step(state.p, master_loss, state.eta)
 
+    # A convex mix of the checked q and the uniform vector needs no check.
     mix = state.gamma / state.num_bases
-    state.p_bar = validate_simplex(
-        [(1.0 - state.gamma) * x + mix for x in state.p]
-    )
+    state.p_bar = normalize([(1.0 - state.gamma) * x + mix for x in state.p])
 
     doublings = apply_schedule(state)
     restarts = list(doublings) if state.restart_policy == RESTART_ON_DOUBLING else []

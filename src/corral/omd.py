@@ -21,24 +21,12 @@ from typing import Sequence
 
 from .core import (
     SolverConvergenceError,
+    normalize,
     validate_simplex,
 )
 
 TOLERANCE = 1e-12
 MAX_ITERATIONS = 200
-
-
-def _check_inputs(p: Sequence[float], losses: Sequence[float], rates: Sequence[float]) -> None:
-    if not (len(p) == len(losses) == len(rates)):
-        raise ValueError(
-            f"mismatched lengths: p={len(p)}, losses={len(losses)}, rates={len(rates)}"
-        )
-    for v in losses:
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"losses must be finite and >= 0, got {v}")
-    for r in rates:
-        if not math.isfinite(r) or r <= 0.0:
-            raise ValueError(f"rates must be finite and > 0, got {r}")
 
 
 def solve_lambda(
@@ -53,10 +41,10 @@ def solve_lambda(
     sit inside the bracket); a Newton step is taken whenever it stays inside
     the bracket. Returns once ``|F - 1| <= TOLERANCE`` or once the bracket
     collapses to floating-point resolution, where the best-seen lam is exact
-    to one ulp and further iterations cannot improve it.
+    to one ulp and further iterations cannot improve it. The inputs are
+    trusted (``omd_step`` checks them); ``p`` is renormalized unchecked.
     """
-    p = validate_simplex(p)
-    _check_inputs(p, losses, rates)
+    p = normalize(p)
     lo = min(losses)
     hi = max(losses)
     if lo == hi:
@@ -72,13 +60,11 @@ def solve_lambda(
         poles = False
         total = 0.0
         slope = 0.0
-        dens = []
         for ip, r, l in zip(inv_p, rates, losses):
             d = ip + r * (l - lam)
             if d <= 0.0:
                 poles = True
                 break
-            dens.append(d)
             total += 1.0 / d
             slope += r / (d * d)
         if poles:
@@ -113,11 +99,21 @@ def omd_step(
 ) -> list[float]:
     """One log-barrier OMD update; returns the next distribution.
 
-    Equal losses leave the distribution unchanged. The output always passes
-    through simplex validation, which renormalizes line-search drift.
+    Checks its inputs, which ``solve_lambda`` trusts. Equal losses leave the
+    distribution unchanged. The output always passes through simplex
+    validation, which renormalizes line-search drift and guards the solver.
     """
     p = validate_simplex(p)
-    _check_inputs(p, losses, rates)
+    if not (len(p) == len(losses) == len(rates)):
+        raise ValueError(
+            f"mismatched lengths: p={len(p)}, losses={len(losses)}, rates={len(rates)}"
+        )
+    for v in losses:
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"losses must be finite and >= 0, got {v}")
+    for r in rates:
+        if not math.isfinite(r) or r <= 0.0:
+            raise ValueError(f"rates must be finite and > 0, got {r}")
     if min(losses) == max(losses):
         return p
     lam = solve_lambda(p, losses, rates)

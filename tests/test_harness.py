@@ -23,6 +23,14 @@ from corral.harness import (
 )
 
 MAB_ENV = {"kind": "stochastic-mab", "means": [0.1, 0.9]}
+SMALL_RUN = {
+    "scenario": "corral-run",
+    "horizon": 50,
+    "seeds": [0],
+    "environment": MAB_ENV,
+    "bases": [{"kind": "exp3"}, {"kind": "ucb1"}],
+    "master": {"eta": 0.05},
+}
 
 
 def config(**overrides):
@@ -74,9 +82,8 @@ class TestConfigValidation:
             config(horizon=1)
 
     def test_tuned_eta_requires_target(self):
-        cfg = config(master={"eta": "tuned"})
         with pytest.raises(ConfigError):
-            run_corral(cfg)
+            config(master={"eta": "tuned"})
 
     def test_tuned_eta_resolves(self):
         cfg = config(master={"eta": "tuned", "regret_target": 10.0}, horizon=100)
@@ -511,23 +518,34 @@ class TestCli:
             {"seeds": "ab"},
             {"master": {"eta": 0.05, "estimator": "fancy"}},
             {"master": {"eta": 0.05, "restart_policy": "sometimes"}},
+            {"seeds": "12"},
+            {"seeds": [3, 3]},
+            {"environment": {"kind": "stochastic-mab", "means": "ab"}},
+            {"master": {"eta": "fast"}},
+            {"master": {}},
+            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [1]}]},
+            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 7]}]},
+            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
+             "demo": {"corral_eta": "fast"}},
+            {"scenario": "sweep", "runs": [
+                {"name": "first", "config": SMALL_RUN},
+                {"name": "second", "config": dict(SMALL_RUN, master={"eta": "fast"})},
+            ]},
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
-             "restart-policy"],
+             "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
+             "eta-missing", "arm-pair-short", "arm-pair-range", "demo-eta", "sweep-eta"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
-        raw = {
-            "scenario": "corral-run",
-            "horizon": 50,
-            "seeds": [0],
-            "environment": MAB_ENV,
-            "bases": [{"kind": "exp3"}, {"kind": "ucb1"}],
-            "master": {"eta": 0.05},
-        }
-        raw.update(overrides)
+        raw = dict(SMALL_RUN, **overrides)
+        if raw["scenario"] == "sweep":
+            raw = {"scenario": "sweep", "runs": raw["runs"]}
         path = self.write_config(tmp_path, raw)
+        with pytest.raises(ConfigError):
+            harness.load_config(path)
         out_dir = tmp_path / "o"
-        assert main(["run", "--config", path, "--out", str(out_dir)]) == 1
+        command = {"corral-run": "run", "lowerbound-demo": "lowerbound-demo", "sweep": "sweep"}
+        assert main([command[raw["scenario"]], "--config", path, "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out_dir.exists()
 

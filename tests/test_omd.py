@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corral.core import DegenerateDistributionError, named_rng
 from corral.omd import bregman_log_barrier, omd_step, solve_lambda
@@ -60,12 +62,13 @@ class TestSolveLambda:
                 assert f_value(float(x)) > 1.0
 
     def test_bad_inputs_rejected(self):
+        # solve_lambda trusts its inputs; omd_step, its entry point, checks them.
         with pytest.raises(ValueError):
-            solve_lambda([0.5, 0.5], [1.0, -1.0], [1.0, 1.0])
+            omd_step([0.5, 0.5], [1.0, -1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            solve_lambda([0.5, 0.5], [1.0, 0.0], [0.0, 1.0])
+            omd_step([0.5, 0.5], [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError):
-            solve_lambda([0.5, 0.5], [1.0], [1.0, 1.0])
+            omd_step([0.5, 0.5], [1.0], [1.0, 1.0])
 
 
 class TestOmdStep:
@@ -109,6 +112,38 @@ class TestOmdStep:
             bumped[i] += 0.5 + float(rng.random())
             q_bumped = omd_step(p, bumped, rates)
             assert q_bumped[i] <= q[i] + 1e-12
+
+
+@st.composite
+def master_scale_instances(draw):
+    """An OMD step as the master takes it at scale: horizon T up to 1e8 and
+    M up to 32 bases, some coordinates of p at the 1/(T*M) smoothing floor,
+    a one-hot importance-weighted loss up to T*M and rates inflated up to 5x."""
+    horizon = draw(st.integers(2, 10**8))
+    m = draw(st.integers(2, 32))
+    floor = 1.0 / (horizon * m)
+    at_floor = draw(st.integers(1, m - 1))
+    size = m - at_floor
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+    rest = (1.0 - at_floor * floor) / sum(weights)
+    p = draw(st.permutations([floor] * at_floor + [w * rest for w in weights]))
+    losses = [0.0] * m
+    losses[draw(st.integers(0, m - 1))] = draw(st.floats(0.0, float(horizon * m)))
+    eta0 = draw(st.floats(1e-6, 1.0))
+    inflation = draw(st.lists(st.floats(1.0, 5.0), min_size=m, max_size=m))
+    return p, losses, [eta0 * x for x in inflation]
+
+
+class TestMasterScale:
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(master_scale_instances())
+    def test_unchecked_solver_path_stays_valid(self, instance):
+        p, losses, rates = instance
+        q = omd_step(p, losses, rates)
+        assert min(q) > 0.0
+        assert abs(sum(q) - 1.0) <= 1e-9
+        lam = solve_lambda(p, losses, rates)
+        assert min(losses) <= lam <= max(losses)
 
 
 class TestBregman:

@@ -352,6 +352,57 @@ class TestComputeRegret:
         with pytest.raises(IntegrityError):
             compute_regret(records, {0: RegretBaseline(0, 0.0)}, 2)
 
+    @staticmethod
+    def schedule_run(p_bar, eta, rho, fired):
+        """A zero-loss seed-0 run with one schedule row per round."""
+        return [
+            RoundRecord("x:0", 0, t, 0, 0, 0.0, 0.0, 0.0, tuple(p), tuple(e), tuple(r),
+                        "".join("1" if f else "0" for f in fl))
+            for t, (p, e, r, fl) in enumerate(zip(p_bar, eta, rho, fired), start=1)
+        ]
+
+    def invariants(self, rounds, p_bar, eta, rho, fired):
+        run = self.schedule_run(p_bar, eta, rho, fired)
+        return compute_regret(run, {0: RegretBaseline(0, 0.0)}, rounds)
+
+    def test_doubling_count_above_cap_is_counted(self):
+        # Four rounds cap each base at ceil(log2 4) = 2 doublings.
+        out = self.invariants(
+            4, [(0.5, 0.5)] * 4, [(0.1, 0.1)] * 4, [(4.0, 4.0)] * 4,
+            [(1, 0), (1, 1), (1, 0), (0, 0)],
+        )
+        assert out["doubling_counts_max"] == [3, 1]
+        assert out["invariant_violations"] == {"doubling_count": 1, "eta_cap": 0, "rho_pbar": 0}
+
+    def test_eta_ratio_above_cap_is_counted(self):
+        out = self.invariants(
+            3, [(0.5, 0.5)] * 3, [(0.1, 0.1), (0.1, 0.3), (0.1, 0.6)], [(4.0, 4.0)] * 3,
+            [(0, 0)] * 3,
+        )
+        assert out["max_eta_ratio"] == 0.6 / 0.1
+        assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 1, "rho_pbar": 0}
+
+    def test_threshold_below_inverse_probability_is_counted(self):
+        out = self.invariants(
+            3, [(0.5, 0.5), (0.25, 0.75), (0.5, 0.5)], [(0.1, 0.1)] * 3,
+            [(4.0, 4.0), (3.0, 4.0), (4.0, 4.0)], [(0, 0)] * 3,
+        )
+        assert out["per_seed"][0]["min_rho_pbar"] == 0.75
+        assert out["per_seed"][0]["rho_final"] == [4.0, 4.0]
+        assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 1}
+
+    def test_zero_first_rate_is_left_out_of_the_eta_ratio(self):
+        out = self.invariants(
+            3, [(0.5, 0.5)] * 3, [(0.0, 0.1), (1.0, 0.1), (2.0, 0.2)], [(4.0, 4.0)] * 3,
+            [(0, 0)] * 3,
+        )
+        assert out["max_eta_ratio"] == 0.2 / 0.1
+        out = self.invariants(
+            2, [(0.5, 0.5)] * 2, [(0.0, 0.0), (1.0, 1.0)], [(4.0, 4.0)] * 2, [(0, 0)] * 2
+        )
+        assert out["max_eta_ratio"] == 1.0
+        assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 0}
+
     def test_replaying_baseline_decision_has_near_zero_regret(self):
         # Playing the baseline arm itself: pseudo-regret fluctuates around
         # zero within sampling error.

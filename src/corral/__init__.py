@@ -54,7 +54,7 @@ from .envs import (
 )
 from .harness import (
     ExperimentConfig,
-    RoundRecord,
+    RoundLog,
     compute_regret,
     execute,
     load_config,

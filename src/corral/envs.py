@@ -37,12 +37,6 @@ class RegretBaseline:
     best_decision: int
     per_round: float | np.ndarray
 
-    def rate_at(self, t: int) -> float:
-        """Baseline loss of round t (0-indexed)."""
-        if isinstance(self.per_round, np.ndarray):
-            return float(self.per_round[t])
-        return float(self.per_round)
-
     def cumulative(self, rounds: int) -> float:
         if isinstance(self.per_round, np.ndarray):
             return float(np.sum(self.per_round[:rounds]))
@@ -109,10 +103,6 @@ class AdversarialMAB(Environment):
         self.script = script
         self.num_arms = script.shape[1]
         self._t = -1
-
-    @classmethod
-    def from_csv(cls, path) -> "AdversarialMAB":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
     def next_context(self) -> int:
         self._t += 1

@@ -1,12 +1,14 @@
 """Experiment runner: wiring, seeded trials, regret accounting, CSV/JSON output.
 
 A single JSON document configures every scenario; unknown keys are errors so
-sweep typos fail loudly. The runner writes one ``rounds.csv`` (round records
-for all seeds, floats at 17 significant digits so files are byte-stable) and
-one ``summary.json`` per run. Seeds are independent: every component draws
-from its own named stream, so identical configs and seeds reproduce output
-byte for byte and aggregation is order-independent. Every scenario plays its
-rounds through one loop, ``play``, parameterized by a feedback router.
+sweep typos fail loudly. The runner writes one ``rounds.csv`` (one row per
+round of every seed, floats at 17 significant digits so files are
+byte-stable) and one ``summary.json`` per run. Seeds are independent: every
+component draws from its own named stream, so identical configs and seeds
+reproduce output byte for byte and aggregation is order-independent. Every
+scenario plays its rounds through one loop, ``play``, parameterized by a
+feedback router. A run that writes rows keeps them as one ``RoundLog`` of
+columns per seed; the CSV, regret and schedule invariants come from those.
 
 Config schema (top-level keys; see the README for worked examples)::
 
@@ -17,6 +19,7 @@ Config schema (top-level keys; see the README for worked examples)::
     environment   {"kind": "stochastic-mab", "means": [...]}
                   {"kind": "stochastic-mab", "means_prior": [[a, b], ...]}
                   {"kind": "adversarial-mab", "script": [[...]] | "script_csv": path}
+                  (at least ``horizon`` rows; the first ``horizon`` are played)
                   {"kind": "stochastic-contextual", "context_probs": [...],
                    "cond_means": [[...]], "policies": [[...]]}
                   {"kind": "lower-bound"}
@@ -26,7 +29,8 @@ Config schema (top-level keys; see the README for worked examples)::
                    "restart_policy": ..., "estimator": ...}   (corral-run)
     rho_levels    list of range bounds (stability-test)
     demo          {"corral_eta": float, "naive_eta": float}   (lowerbound-demo)
-    runs          list of {"name": str, "config": {...}}      (sweep)
+    runs          list of {"name": str, "config": {...}}      (sweep; a sweep
+                  sets no other key)
 """
 
 from __future__ import annotations
@@ -158,6 +162,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.scenario == "sweep":
+            if self != ExperimentConfig("sweep", runs=self.runs):
+                raise ConfigError("a sweep config sets only 'scenario' and 'runs'")
             if not self.runs:
                 raise ConfigError("sweep needs a nonempty 'runs' list")
             for entry in self.runs:
@@ -208,7 +214,7 @@ class ExperimentConfig:
                 raise ConfigError("rho levels must be >= 1")
         # Build what a run builds, once, so that bad values fail here.
         rng = np.random.default_rng(0)
-        env = build_environment(self.environment, rng)
+        env = build_environment(self.environment, rng, self.horizon)
         for spec in self.bases:
             build_base(spec, env, self.horizon, 1.0, rng)
         if self.scenario == "corral-run":
@@ -240,8 +246,8 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def build_environment(spec: dict, rng) -> Environment:
-    """Environment for a spec whose keys ``ExperimentConfig`` has checked."""
+def build_environment(spec: dict, rng, horizon: int) -> Environment:
+    """Environment for ``horizon`` rounds of a spec ``ExperimentConfig`` has checked."""
     kind = spec["kind"]
     if kind == "stochastic-mab":
         if "means" in spec:
@@ -253,8 +259,13 @@ def build_environment(spec: dict, rng) -> Environment:
         return StochasticMAB(means, rng)
     if kind == "adversarial-mab":
         if "script" in spec:
-            return AdversarialMAB(spec["script"])
-        return AdversarialMAB.from_csv(spec["script_csv"])
+            script = spec["script"]
+        else:
+            script = np.loadtxt(spec["script_csv"], delimiter=",", ndmin=2)
+        if len(script) < horizon:
+            raise ConfigError(f"script has {len(script)} rows, fewer than the horizon {horizon}")
+        # The baseline is the best arm over the rounds actually played.
+        return AdversarialMAB(script[:horizon])
     if kind == "stochastic-contextual":
         return StochasticContextual(
             spec["context_probs"], spec["cond_means"], spec["policies"], rng
@@ -305,41 +316,47 @@ def master_eta(master_spec: dict, num_bases: int, horizon: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Round records and summaries
+# Round logs and summaries
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One CSV row: the state the round was played with, plus its outcome.
+@dataclass
+class RoundLog:
+    """The rounds of one played run as columns; row ``t - 1`` is round t.
 
-    ``p_bar``, ``eta`` and ``rho`` hold the decision-time values of round t;
-    ``restart_flags`` is an M-character 0/1 string marking the bases whose
-    threshold fired at the end of the round.
+    ``p_bar``, ``eta`` and ``rho`` (rounds x bases) hold the decision-time
+    values of each round; ``fired`` marks the bases whose threshold fired
+    at the end of the round.
     """
 
     run_id: str
     seed: int
-    t: int
-    chosen_base: int
-    decision: int
-    raw_loss: float
-    cum_loss: float
-    cum_regret: float
-    p_bar: tuple[float, ...]
-    eta: tuple[float, ...]
-    rho: tuple[float, ...]
-    restart_flags: str
+    chosen: np.ndarray
+    decision: np.ndarray
+    raw_loss: np.ndarray
+    cum_loss: np.ndarray
+    cum_regret: np.ndarray
+    p_bar: np.ndarray
+    eta: np.ndarray
+    rho: np.ndarray
+    fired: np.ndarray
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def round_log(run_id: str, seed: int, losses, baseline: RegretBaseline, router) -> RoundLog:
+    """Log of a run ``play`` charged ``losses``, with its router's columns.
+    ``np.cumsum`` adds in round order: the bits of a running total."""
+    cum_loss = np.cumsum(losses)
+    baseline_cum = np.cumsum(np.broadcast_to(baseline.per_round, losses.shape))
+    return RoundLog(
+        run_id, seed, raw_loss=losses, cum_loss=cum_loss,
+        cum_regret=cum_loss - baseline_cum, **router.columns(),
+    )
 
 
-def records_to_csv(records: list[RoundRecord]) -> str:
-    if not records:
-        raise IntegrityError("no records to write")
-    m = len(records[0].p_bar)
+def records_to_csv(logs: list[RoundLog]) -> str:
+    if not logs:
+        raise IntegrityError("no round logs to write")
+    m = logs[0].p_bar.shape[1]
     header = (
         ["run_id", "seed", "t", "chosen_base", "decision", "raw_loss", "cum_loss", "cum_regret"]
         + [f"p_bar_{i}" for i in range(m)]
@@ -348,92 +365,61 @@ def records_to_csv(records: list[RoundRecord]) -> str:
         + ["restart_flags"]
     )
     lines = [",".join(header)]
-    for r in records:
-        row = [
-            r.run_id,
-            str(r.seed),
-            str(r.t),
-            str(r.chosen_base),
-            str(r.decision),
-            _fmt(r.raw_loss),
-            _fmt(r.cum_loss),
-            _fmt(r.cum_regret),
-        ]
-        row += [_fmt(x) for x in r.p_bar]
-        row += [_fmt(x) for x in r.eta]
-        row += [_fmt(x) for x in r.rho]
-        row.append(r.restart_flags)
-        lines.append(",".join(row))
+    for log in logs:
+        floats = np.column_stack(
+            (log.raw_loss, log.cum_loss, log.cum_regret, log.p_bar, log.eta, log.rho)
+        )
+        # Row by row: converting whole columns to Python objects at once
+        # would hold every row's objects in memory beside the CSV text.
+        rows = zip(log.chosen.tolist(), log.decision.tolist(), floats, log.fired)
+        for t, (chosen, decision, values, fired) in enumerate(rows, start=1):
+            text = ",".join(format(x, ".17g") for x in values.tolist())
+            flags = "".join("1" if f else "0" for f in fired.tolist())
+            lines.append(f"{log.run_id},{log.seed},{t},{chosen},{decision},{text},{flags}")
     return "\n".join(lines) + "\n"
 
 
 def compute_regret(
-    records: list[RoundRecord],
+    logs: list[RoundLog],
     baselines: dict[int, RegretBaseline],
     horizon: int,
 ) -> dict:
     """Aggregate per-seed regret and re-assert schedule invariants from logs.
 
-    Works purely from round records, independent of any master internals:
-    verifies every seed logged exactly ``horizon`` consecutive rounds, that
-    raw losses sum exactly to the final cumulative loss, and recomputes the
-    regret from raw losses against the baseline. Also extracts per-base
-    doubling counts, the max learning-rate ratio and the threshold-times-
-    probability floor, counting violations of each schedule invariant.
+    Works purely from the round logs, independent of any master internals:
+    checks that every log holds ``horizon`` rounds and measures the final
+    regret against the seed's baseline. Also extracts per-base doubling
+    counts, the max learning-rate ratio (over bases whose first rate is
+    positive) and the threshold-times-probability floor, counting
+    violations of each schedule invariant.
     """
-    by_seed: dict[int, list[RoundRecord]] = {}
-    for r in records:
-        by_seed.setdefault(r.seed, []).append(r)
     per_seed = []
     violations = {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 0}
     doubling_cap = math.ceil(math.log2(horizon))
-    for seed in sorted(by_seed):
-        rows = sorted(by_seed[seed], key=lambda r: r.t)
-        if len(rows) != horizon or rows[0].t != 1 or rows[-1].t != horizon:
+    for log in logs:
+        if len(log.raw_loss) != horizon:
             raise IntegrityError(
-                f"seed {seed}: expected rounds 1..{horizon}, got {len(rows)} rows"
+                f"seed {log.seed}: expected {horizon} rounds, got {len(log.raw_loss)}"
             )
-        for a, b in zip(rows, rows[1:]):
-            if b.t != a.t + 1:
-                raise IntegrityError(f"seed {seed}: missing round between {a.t} and {b.t}")
-        cum = 0.0
-        for r in rows:
-            cum += r.raw_loss
-        if cum != rows[-1].cum_loss:
-            raise IntegrityError(f"seed {seed}: raw losses do not sum to cum_loss")
-        baseline = baselines[seed]
-        regret = rows[-1].cum_loss - baseline.cumulative(horizon)
-        m = len(rows[0].p_bar)
-        doubling = [0] * m
-        max_ratio = 1.0
-        min_rho_pbar = math.inf
-        rho_floor_broken = False
-        eta_first = rows[0].eta
-        for r in rows:
-            for i in range(m):
-                if r.restart_flags[i] == "1":
-                    doubling[i] += 1
-                if eta_first[i] > 0.0:
-                    max_ratio = max(max_ratio, r.eta[i] / eta_first[i])
-                min_rho_pbar = min(min_rho_pbar, r.rho[i] * r.p_bar[i])
-                # Same non-cancelling form the schedule maintains; the
-                # product rho * p_bar can round one ulp below 1.
-                if r.rho[i] < 1.0 / r.p_bar[i]:
-                    rho_floor_broken = True
-        if any(d > doubling_cap for d in doubling):
+        doubling = log.fired.sum(axis=0).tolist()
+        rated = log.eta[0] > 0.0
+        max_ratio = float((log.eta[:, rated] / log.eta[0, rated]).max(initial=1.0))
+        if max(doubling) > doubling_cap:
             violations["doubling_count"] += 1
         if max_ratio > 5.0:
             violations["eta_cap"] += 1
-        if rho_floor_broken:
+        # Same non-cancelling form the schedule maintains; the product
+        # rho * p_bar can round one ulp below 1.
+        if (log.rho < 1.0 / log.p_bar).any():
             violations["rho_pbar"] += 1
         per_seed.append(
             {
-                "seed": seed,
-                "final_regret": regret,
+                "seed": log.seed,
+                "final_regret": float(log.cum_loss[-1]) - baselines[log.seed].cumulative(horizon),
                 "doubling_counts": doubling,
                 "max_eta_ratio": max_ratio,
-                "min_rho_pbar": min_rho_pbar,
-                "rho_final": list(rows[-1].rho),
+                "min_rho_pbar": float((log.rho * log.p_bar).min()),
+                "rho_final": log.rho[-1].tolist(),
             }
         )
     finals = [e["final_regret"] for e in per_seed]
@@ -503,8 +489,9 @@ def per_base_baseline(env: Environment, base: BaseAlgorithm) -> RegretBaseline:
 # ``choose(proposals)`` returns the chosen base's index, and
 # ``feed(env, chosen, proposals)`` plays its proposal and returns the loss
 # the round charges, one packet per base, and the ``(base, range)`` resets
-# to apply after every base has updated. A router whose rounds are recorded
-# keeps ``row``, the last four ``RoundRecord`` fields of its latest round.
+# to apply after every base has updated. A router whose rounds are logged
+# keeps their choices and schedule, and ``columns()`` returns them as the
+# matching ``RoundLog`` fields.
 
 
 class CorralRouter:
@@ -519,7 +506,10 @@ class CorralRouter:
         self.rng = rng
         self.estimator = estimator
         self.naive_feed = naive_feed
-        self.choice = self.row = None
+        self.choice = None
+        self.chosen, self.decision, self.p_bar, self.eta, self.rho = [], [], [], [], []
+        self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
+        self._schedule = list(state.eta), list(state.rho)
 
     def choose(self, proposals: list[int]) -> int:
         self.choice = corral_master.choose(self.state, proposals, self.rng)
@@ -528,19 +518,29 @@ class CorralRouter:
     def feed(self, env, chosen: int, proposals: list[int]):
         state = self.state
         choice = self.choice
-        p_bar = tuple(state.p_bar)
-        eta = tuple(state.eta)
-        rho = tuple(state.rho)
+        p_bar = state.p_bar
+        # ``feedback`` replaces ``p_bar``, and changes ``eta`` and ``rho`` only
+        # when a threshold fires, so rounds share one schedule copy until then.
+        eta, rho = self._schedule
+        self.chosen.append(chosen)
+        self.decision.append(choice.decision)
+        self.p_bar.append(p_bar)
+        self.eta.append(eta)
+        self.rho.append(rho)
         raw = env.loss_of(choice.decision)
         outcome = corral_master.feedback(state, choice, raw, proposals, self.estimator)
         packets = outcome.packets
         if self.naive_feed:
             packets = _naive_packets(state.num_bases, chosen, raw / p_bar[chosen])
-        doublings = outcome.doublings
-        flags = "".join("1" if i in doublings else "0" for i in range(state.num_bases))
-        self.row = (p_bar, eta, rho, flags)
+        if outcome.doublings:
+            self.fired[len(self.chosen) - 1, outcome.doublings] = True
+            self._schedule = list(state.eta), list(state.rho)
         resets = [(i, state.rho[i]) for i in outcome.restarts] if outcome.restarts else ()
         return raw, packets, resets
+
+    def columns(self) -> dict:
+        names = ("chosen", "decision", "p_bar", "eta", "rho")
+        return {name: np.array(getattr(self, name)) for name in names} | {"fired": self.fired}
 
 
 class StandaloneRouter:
@@ -548,14 +548,28 @@ class StandaloneRouter:
     exactly what it would see running on its own."""
 
     def __init__(self, base: BaseAlgorithm):
-        self.row = ((1.0,), (0.0,), (base.range_param,), "0")
+        self.range_param = base.range_param
+        self.decision: list[int] = []
 
     def choose(self, proposals: list[int]) -> int:
         return 0
 
     def feed(self, env: Environment, chosen: int, proposals: list[int]):
-        raw = env.loss_of(proposals[0])
+        decision = proposals[0]
+        self.decision.append(decision)
+        raw = env.loss_of(decision)
         return raw, (importance_weight(raw, 1.0, True),), ()
+
+    def columns(self) -> dict:
+        rounds = len(self.decision)
+        return {
+            "chosen": np.zeros(rounds, dtype=np.int64),
+            "decision": np.array(self.decision),
+            "p_bar": np.ones((rounds, 1)),
+            "eta": np.zeros((rounds, 1)),
+            "rho": np.full((rounds, 1), self.range_param),
+            "fired": np.zeros((rounds, 1), dtype=bool),
+        }
 
 
 class InducedRouter(StandaloneRouter):
@@ -602,18 +616,13 @@ def _naive_packets(num_bases: int, chosen: int, weighted: float) -> list[Feedbac
     return packets
 
 
-def play(env, bases, router, horizon, records=None, run_id="", seed=0, baseline=None):
-    """Play ``horizon`` rounds; return the cumulative charged loss at the end
-    and after round ``horizon // 2``.
-
-    With a ``records`` list, one ``RoundRecord`` per round is appended to it,
-    its regret measured against ``baseline``.
-    """
+def play(env, bases, router, horizon) -> np.ndarray:
+    """Play ``horizon`` rounds; return the loss each round charged."""
     choose = router.choose
     feed = router.feed
-    half = horizon // 2
-    cum_loss = half_loss = baseline_cum = 0.0
-    for t in range(1, horizon + 1):
+    losses: list[float] = []
+    charge = losses.append
+    for _ in range(horizon):
         ctx = env.next_context()
         proposals = [b.propose(ctx) for b in bases]
         chosen = choose(proposals)
@@ -622,18 +631,8 @@ def play(env, bases, router, horizon, records=None, run_id="", seed=0, baseline=
             base.update(packet)
         for i, range_param in resets:
             bases[i].reset(range_param)
-        cum_loss += raw
-        if t == half:
-            half_loss = cum_loss
-        if records is not None:
-            baseline_cum += baseline.rate_at(t - 1)
-            records.append(
-                RoundRecord(
-                    run_id, seed, t, chosen, proposals[chosen], raw, cum_loss,
-                    cum_loss - baseline_cum, *router.row,
-                )
-            )
-    return cum_loss, half_loss
+        charge(raw)
+    return np.array(losses)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +640,7 @@ def play(env, bases, router, horizon, records=None, run_id="", seed=0, baseline=
 # ---------------------------------------------------------------------------
 
 
-def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
+def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     """Full master-plus-bases loop for every seed; see the module docstring."""
     if config.scenario != "corral-run":
         raise ConfigError(f"expected corral-run config, got {config.scenario}")
@@ -650,11 +649,11 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     eta0 = master_eta(config.master, num_bases, horizon)
     restart_policy = config.master.get("restart_policy", corral_master.RESTART_ON_DOUBLING)
     estimator = config.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
-    records: list[RoundRecord] = []
+    logs: list[RoundLog] = []
     baselines: dict[int, RegretBaseline] = {}
     per_base_regrets: list[list[float]] = []
     for seed in sorted(config.seeds):
-        env = build_environment(config.environment, named_rng(seed, "env"))
+        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
         state = corral_master.init_master(eta0, num_bases, horizon, restart_policy)
         range0 = corral_master.initial_range(num_bases)
         bases = [
@@ -663,13 +662,13 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
         ]
         router = CorralRouter(state, named_rng(seed, "master"), estimator)
         baselines[seed] = baseline = union_baseline(env, bases)
-        cum_loss, _ = play(
-            env, bases, router, horizon, records, f"corral-run:{seed}", seed, baseline
-        )
+        losses = play(env, bases, router, horizon)
+        logs.append(round_log(f"corral-run:{seed}", seed, losses, baseline, router))
+        cum_loss = float(logs[-1].cum_loss[-1])
         per_base_regrets.append(
             [cum_loss - per_base_baseline(env, b).cumulative(horizon) for b in bases]
         )
-    summary = compute_regret(records, baselines, horizon)
+    summary = compute_regret(logs, baselines, horizon)
     for entry, regs in zip(summary["per_seed"], per_base_regrets):
         entry["per_base_regret"] = regs
     summary["per_base_regret_mean"] = [
@@ -681,10 +680,10 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     summary["eta"] = eta0
     summary["estimator"] = estimator
     summary["restart_policy"] = restart_policy
-    return summary, records
+    return summary, logs
 
 
-def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
+def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     """Counterfactual baseline: the single base drives every decision.
 
     The base receives a selected packet with sampling probability one every
@@ -693,19 +692,20 @@ def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     if config.scenario != "standalone-run":
         raise ConfigError(f"expected standalone-run config, got {config.scenario}")
     horizon = config.horizon
-    records: list[RoundRecord] = []
+    logs: list[RoundLog] = []
     baselines: dict[int, RegretBaseline] = {}
     for seed in sorted(config.seeds):
-        env = build_environment(config.environment, named_rng(seed, "env"))
+        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
         base = build_base(config.bases[0], env, horizon, 1.0, named_rng(seed, "base.0"))
         baselines[seed] = baseline = per_base_baseline(env, base)
         router = StandaloneRouter(base)
-        play(env, [base], router, horizon, records, f"standalone-run:{seed}", seed, baseline)
-    summary = compute_regret(records, baselines, horizon)
+        losses = play(env, [base], router, horizon)
+        logs.append(round_log(f"standalone-run:{seed}", seed, losses, baseline, router))
+    summary = compute_regret(logs, baselines, horizon)
     summary["scenario"] = "standalone-run"
     summary["horizon"] = horizon
     summary["base_kind"] = config.bases[0]["kind"]
-    return summary, records
+    return summary, logs
 
 
 def run_stability_test(config: ExperimentConfig) -> dict:
@@ -725,16 +725,16 @@ def run_stability_test(config: ExperimentConfig) -> dict:
     for rho in config.rho_levels:
         regrets = []
         for seed in sorted(config.seeds):
-            env = build_environment(config.environment, named_rng(seed, "env"))
+            env = build_environment(config.environment, named_rng(seed, "env"), horizon)
             wrapped = InducedEnvironment(env, 1.0 / rho, named_rng(seed, "wrapper"))
             base = build_base(
                 config.bases[0], env, horizon, rho, named_rng(seed, "base.0")
             )
             if base.certificate is not None:
                 certificate_alpha = base.certificate.alpha
-            cum_weighted, _ = play(wrapped, [base], InducedRouter(base), horizon)
+            cum_weighted = np.cumsum(play(wrapped, [base], InducedRouter(base), horizon))
             baseline = per_base_baseline(env, base)
-            regrets.append(cum_weighted - baseline.cumulative(horizon))
+            regrets.append(float(cum_weighted[-1]) - baseline.cumulative(horizon))
         mean = float(np.mean(regrets))
         if mean <= 0.0:
             raise IntegrityError(
@@ -757,15 +757,15 @@ def run_stability_test(config: ExperimentConfig) -> dict:
     }
 
 
-def _half_and_full_regret(baseline: RegretBaseline, losses, horizon: int):
-    full_loss, half_loss = losses
+def _half_and_full_regret(baseline: RegretBaseline, cum_loss, horizon: int):
+    half = horizon // 2
     return (
-        half_loss - baseline.cumulative(horizon // 2),
-        full_loss - baseline.cumulative(horizon),
+        float(cum_loss[half - 1]) - baseline.cumulative(half),
+        float(cum_loss[-1]) - baseline.cumulative(horizon),
     )
 
 
-def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
+def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     """Race two masters over the pathological base pair on the hard environment.
 
     Both masters route importance-weighted feedback naively, which shatters
@@ -777,7 +777,7 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecor
     matched standalone leg runs the base whose pair carries the cheap losses
     directly on the same environment, where it locks in and stops regretting.
 
-    Returns the summary and the corral leg's round records.
+    Returns the summary and the corral leg's round logs.
     """
     if config.scenario != "lowerbound-demo":
         raise ConfigError(f"expected lowerbound-demo config, got {config.scenario}")
@@ -787,7 +787,7 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecor
     naive_eta = float(config.demo.get("naive_eta", 1e-4))
     # (regret at T/2, regret at T) per seed, for each leg.
     legs = {"naive": [], "corral": [], "standalone": []}
-    records: list[RoundRecord] = []
+    logs: list[RoundLog] = []
     baselines: dict[int, RegretBaseline] = {}
 
     for seed in sorted(config.seeds):
@@ -798,8 +798,8 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecor
             PathologicalBase((2, 3), named_rng(seed, "naive.base.1")),
         ]
         router = NaiveRouter(2, naive_eta, named_rng(seed, "naive.master"))
-        losses = play(env, bases, router, horizon)
-        legs["naive"].append(_half_and_full_regret(env.baseline(), losses, horizon))
+        cum_loss = np.cumsum(play(env, bases, router, horizon))
+        legs["naive"].append(_half_and_full_regret(env.baseline(), cum_loss, horizon))
 
         # Corral master, same naive feeding of the bases.
         env = LowerBoundEnv(named_rng(seed, "env"))
@@ -811,16 +811,15 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecor
         state = corral_master.init_master(corral_eta, 2, horizon)
         rng = named_rng(seed, "corral.master")
         router = CorralRouter(state, rng, corral_master.ESTIMATOR_STANDARD, naive_feed=True)
-        losses = play(
-            env, bases, router, horizon, records, f"lowerbound-demo:{seed}", seed, baseline
-        )
-        legs["corral"].append(_half_and_full_regret(baseline, losses, horizon))
+        losses = play(env, bases, router, horizon)
+        logs.append(round_log(f"lowerbound-demo:{seed}", seed, losses, baseline, router))
+        legs["corral"].append(_half_and_full_regret(baseline, logs[-1].cum_loss, horizon))
 
         # Matched standalone: the base whose pair carries the cheap losses.
         env = LowerBoundEnv(named_rng(seed, "env"))
         base = PathologicalBase(env.cheap_pair, named_rng(seed, "standalone.base"))
-        losses = play(env, [base], StandaloneRouter(base), horizon)
-        legs["standalone"].append(_half_and_full_regret(env.baseline(), losses, horizon))
+        cum_loss = np.cumsum(play(env, [base], StandaloneRouter(base), horizon))
+        legs["standalone"].append(_half_and_full_regret(env.baseline(), cum_loss, horizon))
 
     masters = {}
     for name in ("naive", "corral"):
@@ -843,10 +842,10 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundRecor
             "mean_regret_step": float(np.mean(steps)),
         },
     }
-    log_summary = compute_regret(records, baselines, horizon)
+    log_summary = compute_regret(logs, baselines, horizon)
     summary["corral_invariants"] = log_summary["invariant_violations"]
     summary["corral_max_eta_ratio"] = log_summary["max_eta_ratio"]
-    return summary, records
+    return summary, logs
 
 
 # ---------------------------------------------------------------------------
@@ -861,14 +860,14 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_outputs(out_dir, summary: dict, records: list[RoundRecord] | None) -> None:
-    """Write ``rounds.csv`` (if there are records), then ``summary.json``.
+def write_outputs(out_dir, summary: dict, logs: list[RoundLog] | None) -> None:
+    """Write ``rounds.csv`` (if there are round logs), then ``summary.json``.
 
     The CSV is formatted before anything is written, and each file appears
     under its name only once complete, so a failed run never leaves a
     complete-looking summary beside a missing or truncated CSV.
     """
-    csv_text = records_to_csv(records) if records else None
+    csv_text = records_to_csv(logs) if logs else None
     os.makedirs(out_dir, exist_ok=True)
     if csv_text is not None:
         _write_atomic(os.path.join(out_dir, ROUNDS_CSV), csv_text)
@@ -881,13 +880,13 @@ def write_outputs(out_dir, summary: dict, records: list[RoundRecord] | None) -> 
 def execute(config: ExperimentConfig, out_dir) -> dict:
     """Run any scenario and write its outputs under ``out_dir``."""
     if config.scenario == "corral-run":
-        summary, records = run_corral(config)
+        summary, logs = run_corral(config)
     elif config.scenario == "standalone-run":
-        summary, records = run_standalone(config)
+        summary, logs = run_standalone(config)
     elif config.scenario == "stability-test":
-        summary, records = run_stability_test(config), None
+        summary, logs = run_stability_test(config), None
     elif config.scenario == "lowerbound-demo":
-        summary, records = run_lowerbound_demo(config)
+        summary, logs = run_lowerbound_demo(config)
     else:
         summary = {"scenario": "sweep", "runs": []}
         for entry in config.runs:
@@ -896,5 +895,5 @@ def execute(config: ExperimentConfig, out_dir) -> dict:
             summary["runs"].append({"name": entry["name"], "scenario": sub.scenario})
         write_outputs(out_dir, summary, None)
         return summary
-    write_outputs(out_dir, summary, records)
+    write_outputs(out_dir, summary, logs)
     return summary

@@ -100,14 +100,11 @@ def model_selection_results():
             "master": {"eta": ENSEMBLE_ETA, "estimator": "shared"},
         }
     )
-    summary, records = run_corral(cfg)
-    by_seed = {}
-    for r in records:
-        if r.t in (2_000, ENSEMBLE_HORIZON):
-            by_seed.setdefault(r.seed, {})[r.t] = r.cum_regret
-    early = float(np.mean([by_seed[s][2_000] / 2_000 for s in by_seed]))
+    summary, logs = run_corral(cfg)
+    # Row t - 1 of a log is round t.
+    early = float(np.mean([log.cum_regret[2_000 - 1] / 2_000 for log in logs]))
     late = float(
-        np.mean([by_seed[s][ENSEMBLE_HORIZON] / ENSEMBLE_HORIZON for s in by_seed])
+        np.mean([log.cum_regret[ENSEMBLE_HORIZON - 1] / ENSEMBLE_HORIZON for log in logs])
     )
     return {"summary": summary, "rate_early": early, "rate_late": late}
 

@@ -11,6 +11,7 @@ from corral.envs import (
     StochasticContextual,
     StochasticMAB,
 )
+from corral.harness import build_environment
 
 
 class TestStochasticMAB:
@@ -18,7 +19,7 @@ class TestStochasticMAB:
         env = StochasticMAB([0.1, 0.9], named_rng(0, "env"))
         baseline = env.baseline()
         assert baseline.best_decision == 0
-        assert baseline.rate_at(0) == pytest.approx(0.1)
+        assert baseline.per_round == pytest.approx(0.1)
         assert baseline.cumulative(10) == pytest.approx(1.0)
 
     def test_tie_breaks_to_lowest_index(self):
@@ -70,7 +71,8 @@ class TestAdversarialMAB:
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "script.csv"
         path.write_text("0.1,0.9\n0.3,0.2\n")
-        env = AdversarialMAB.from_csv(path)
+        spec = {"kind": "adversarial-mab", "script_csv": str(path)}
+        env = build_environment(spec, None, 2)
         assert env.script.shape == (2, 2)
         assert env.baseline().best_decision == 0
 
@@ -86,9 +88,9 @@ class TestStochasticContextual:
         )
         baseline = env.baseline()
         assert baseline.best_decision == 0
-        assert baseline.rate_at(0) == pytest.approx(0.2)
+        assert baseline.per_round == pytest.approx(0.2)
         mab = StochasticMAB([0.2, 0.7], named_rng(2, "env"))
-        assert baseline.rate_at(0) == mab.baseline().rate_at(0)
+        assert baseline.per_round == mab.baseline().per_round
 
     def test_pointwise_dominating_policy_is_baseline(self):
         env = StochasticContextual(
@@ -99,7 +101,7 @@ class TestStochasticContextual:
         )
         baseline = env.baseline()
         assert baseline.best_decision == 0
-        assert baseline.rate_at(0) == pytest.approx(0.15)
+        assert baseline.per_round == pytest.approx(0.15)
 
     def test_baseline_matches_bruteforce_enumeration(self):
         rng = named_rng(4, "env")
@@ -112,7 +114,7 @@ class TestStochasticContextual:
         ]
         baseline = env.baseline()
         assert baseline.best_decision == int(np.argmin(brute))
-        assert baseline.rate_at(0) == pytest.approx(min(brute))
+        assert baseline.per_round == pytest.approx(min(brute))
 
     def test_arm_baseline_uses_constant_policies(self):
         env = StochasticContextual(
@@ -123,7 +125,7 @@ class TestStochasticContextual:
         )
         arm = env.arm_baseline()
         # Constant arms cost 0.45 and 0.55 in expectation.
-        assert arm.rate_at(0) == pytest.approx(0.45)
+        assert arm.per_round == pytest.approx(0.45)
 
     def test_contexts_within_declared_set(self):
         env = StochasticContextual(
@@ -143,7 +145,7 @@ class TestLowerBoundEnv:
                 (0.1, 0.2),
                 (0.3, 0.4),
             ]
-            assert env.baseline().rate_at(0) == pytest.approx(0.1)
+            assert env.baseline().per_round == pytest.approx(0.1)
             assert env.losses[env.baseline().best_decision] == 0.1
             assert set(env.cheap_pair) <= {0, 1, 2, 3}
 

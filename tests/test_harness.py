@@ -1,4 +1,4 @@
-"""Runner: configs, records, regret accounting, scenario behavior, CLI."""
+"""Runner: configs, round logs, regret accounting, scenario behavior, CLI."""
 
 import json
 import math
@@ -12,7 +12,7 @@ from corral.core import ConfigError, IntegrityError, named_rng
 from corral.envs import RegretBaseline
 from corral.harness import (
     ExperimentConfig,
-    RoundRecord,
+    RoundLog,
     compute_regret,
     execute,
     records_to_csv,
@@ -23,6 +23,8 @@ from corral.harness import (
 )
 
 MAB_ENV = {"kind": "stochastic-mab", "means": [0.1, 0.9]}
+# Three rows, fewer than SMALL_RUN's horizon.
+SHORT_SCRIPT = {"kind": "adversarial-mab", "script": [[0.0, 1.0]] * 3}
 SMALL_RUN = {
     "scenario": "corral-run",
     "horizon": 50,
@@ -99,10 +101,10 @@ class TestConfigValidation:
 
 class TestRunCorral:
     def test_smoke_two_rounds(self):
-        summary, records = run_corral(config(horizon=2, seeds=[3]))
-        assert len(records) == 2
-        assert [r.t for r in records] == [1, 2]
-        assert records[0].p_bar == (0.5, 0.5)
+        summary, logs = run_corral(config(horizon=2, seeds=[3]))
+        assert [log.seed for log in logs] == [3]
+        assert len(logs[0].raw_loss) == 2
+        assert logs[0].p_bar[0].tolist() == [0.5, 0.5]
         assert summary["invariant_violations"] == {
             "doubling_count": 0,
             "eta_cap": 0,
@@ -110,11 +112,11 @@ class TestRunCorral:
         }
 
     def test_round_records_accumulate_losses(self):
-        _, records = run_corral(config(horizon=50, seeds=[2]))
+        _, logs = run_corral(config(horizon=50, seeds=[2]))
         cum = 0.0
-        for r in records:
-            cum += r.raw_loss
-            assert r.cum_loss == cum
+        for raw, cum_loss in zip(logs[0].raw_loss.tolist(), logs[0].cum_loss.tolist()):
+            cum += raw
+            assert cum_loss == cum
 
     def test_determinism_and_golden_bytes(self, tmp_path):
         cfg = config(horizon=300, seeds=[0, 1, 2], master={"eta": 0.05})
@@ -138,8 +140,8 @@ class TestRunCorral:
                 "master": {"eta": 0.01},
             }
         )
-        _, records = run_corral(cfg)
-        finals = [r.p_bar[0] for r in records if r.t == 3000]
+        _, logs = run_corral(cfg)
+        finals = [log.p_bar[-1, 0] for log in logs]
         assert abs(float(np.mean(finals)) - 0.5) <= 0.1
 
     def test_dominating_base_freezes_regret(self):
@@ -156,13 +158,12 @@ class TestRunCorral:
                 "master": {"eta": 0.02},
             }
         )
-        _, records = run_corral(cfg)
-        by_seed = {}
-        for r in records:
-            by_seed.setdefault(r.seed, {})[r.t] = r.cum_regret
-        for seed, curve in by_seed.items():
-            for t in range(51, 3001):
-                assert curve[t] <= curve[t - 1] + 1e-12
+        _, logs = run_corral(cfg)
+        assert len(logs) == 20
+        for log in logs:
+            curve = log.cum_regret
+            # Row t - 1 is round t: flat from round 50 to round 3000.
+            assert np.all(curve[50:] <= curve[49:-1] + 1e-12)
 
     def test_graceful_degradation_with_useless_base(self):
         # A base confined to never-best arms costs at most a constant
@@ -222,8 +223,8 @@ class TestRunCorral:
                 "master": {"eta": 0.05},
             }
         )
-        summary, records = run_corral(cfg)
-        assert len(records) == 800
+        summary, logs = run_corral(cfg)
+        assert [len(log.raw_loss) for log in logs] == [400, 400]
         assert len(summary["per_base_regret_mean"]) == 3
         # Union includes (0, 1), expected loss 0.2; constant arms cost 0.5;
         # so the union baseline rate is 0.2 and per-base comparators differ.
@@ -241,7 +242,7 @@ class TestRunCorral:
             for i, spec in enumerate(cfg.bases)
         ]
         baseline = union_baseline(env, bases)
-        assert baseline.rate_at(0) == pytest.approx(0.2)
+        assert baseline.per_round == pytest.approx(0.2)
 
 
 class TestRunStandalone:
@@ -293,6 +294,23 @@ class TestRunStandalone:
         summary, _ = run_standalone(cfg)
         assert summary["mean_final_regret"] == 1.0
 
+    def test_regret_counts_only_the_played_script_rows(self):
+        # Arm 0 is best over the 10 played rows and arm 1 over the script.
+        cfg = ExperimentConfig.from_dict(
+            {
+                "scenario": "standalone-run",
+                "horizon": 10,
+                "seeds": [0],
+                "environment": {
+                    "kind": "adversarial-mab",
+                    "script": [[0.0, 1.0]] * 10 + [[1.0, 0.0]] * 100,
+                },
+                "bases": [{"kind": "ucb1"}],
+            }
+        )
+        summary, _ = run_standalone(cfg)
+        assert summary["mean_final_regret"] == 1.0
+
     def test_determinism(self):
         cfg = ExperimentConfig.from_dict(
             {
@@ -310,56 +328,49 @@ class TestRunStandalone:
 
 class TestComputeRegret:
     @staticmethod
-    def record(seed, t, raw, cum, baseline_rate):
-        return RoundRecord(
-            run_id=f"x:{seed}",
-            seed=seed,
-            t=t,
-            chosen_base=0,
-            decision=0,
-            raw_loss=raw,
+    def log(raw, baseline_rate, p_bar, eta, rho, fired):
+        """A seed-0 round log with one schedule row per round."""
+        rounds = len(raw)
+        cum = np.cumsum(raw)
+        return RoundLog(
+            run_id="x:0",
+            seed=0,
+            chosen=np.zeros(rounds, dtype=np.int64),
+            decision=np.zeros(rounds, dtype=np.int64),
+            raw_loss=np.array(raw, dtype=np.float64),
             cum_loss=cum,
-            cum_regret=cum - baseline_rate * t,
-            p_bar=(1.0,),
-            eta=(0.0,),
-            rho=(2.0,),
-            restart_flags="0",
+            cum_regret=cum - baseline_rate * np.arange(1, rounds + 1),
+            p_bar=np.array(p_bar, dtype=np.float64),
+            eta=np.array(eta, dtype=np.float64),
+            rho=np.array(rho, dtype=np.float64),
+            fired=np.array(fired, dtype=bool),
+        )
+
+    def one_base(self, raw, baseline_rate):
+        rounds = len(raw)
+        return self.log(
+            raw, baseline_rate, [(1.0,)] * rounds, [(0.0,)] * rounds, [(2.0,)] * rounds,
+            [(0,)] * rounds,
         )
 
     def test_zero_loss_zero_baseline(self):
-        records = []
-        for t in range(1, 11):
-            records.append(self.record(0, t, 0.0, 0.0, 0.0))
-        out = compute_regret(records, {0: RegretBaseline(0, 0.0)}, 10)
+        log = self.one_base([0.0] * 10, 0.0)
+        out = compute_regret([log], {0: RegretBaseline(0, 0.0)}, 10)
         assert out["mean_final_regret"] == 0.0
 
     def test_constant_loss_against_baseline(self):
-        records = []
-        cum = 0.0
-        for t in range(1, 11):
-            cum += 1.0
-            records.append(self.record(0, t, 1.0, cum, 0.4))
-        out = compute_regret(records, {0: RegretBaseline(0, 0.4)}, 10)
+        log = self.one_base([1.0] * 10, 0.4)
+        out = compute_regret([log], {0: RegretBaseline(0, 0.4)}, 10)
         assert out["mean_final_regret"] == pytest.approx(6.0)
 
     def test_missing_round_is_integrity_error(self):
-        records = [self.record(0, t, 0.5, 0.5 * t, 0.0) for t in (1, 2, 4)]
+        log = self.one_base([0.5] * 3, 0.0)
         with pytest.raises(IntegrityError):
-            compute_regret(records, {0: RegretBaseline(0, 0.0)}, 4)
+            compute_regret([log], {0: RegretBaseline(0, 0.0)}, 4)
 
-    def test_loss_conservation_enforced(self):
-        records = [self.record(0, 1, 0.5, 0.5, 0.0), self.record(0, 2, 0.5, 1.1, 0.0)]
-        with pytest.raises(IntegrityError):
-            compute_regret(records, {0: RegretBaseline(0, 0.0)}, 2)
-
-    @staticmethod
-    def schedule_run(p_bar, eta, rho, fired):
+    def schedule_run(self, p_bar, eta, rho, fired):
         """A zero-loss seed-0 run with one schedule row per round."""
-        return [
-            RoundRecord("x:0", 0, t, 0, 0, 0.0, 0.0, 0.0, tuple(p), tuple(e), tuple(r),
-                        "".join("1" if f else "0" for f in fl))
-            for t, (p, e, r, fl) in enumerate(zip(p_bar, eta, rho, fired), start=1)
-        ]
+        return [self.log([0.0] * len(p_bar), 0.0, p_bar, eta, rho, fired)]
 
     def invariants(self, rounds, p_bar, eta, rho, fired):
         run = self.schedule_run(p_bar, eta, rho, fired)
@@ -475,16 +486,16 @@ class TestLowerBoundDemoSmoke:
         cfg = ExperimentConfig.from_dict(
             {"scenario": "lowerbound-demo", "horizon": 500, "seeds": [0, 1, 2]}
         )
-        summary, records = run_lowerbound_demo(cfg)
+        summary, logs = run_lowerbound_demo(cfg)
         assert set(summary["masters"]) == {"naive", "corral"}
-        assert len(records) == 3 * 500
+        assert [len(log.raw_loss) for log in logs] == [500] * 3
         assert summary["standalone_matched"]["max_regret_step"] <= 1.0
 
 
 class TestCsvFormat:
     def test_header_and_precision(self):
-        _, records = run_corral(config(horizon=3, seeds=[0]))
-        text = records_to_csv(records)
+        _, logs = run_corral(config(horizon=3, seeds=[0]))
+        text = records_to_csv(logs)
         lines = text.strip().split("\n")
         assert lines[0] == (
             "run_id,seed,t,chosen_base,decision,raw_loss,cum_loss,cum_regret,"
@@ -493,10 +504,10 @@ class TestCsvFormat:
         assert len(lines) == 4
         # 17 significant digits round-trip float64 exactly.
         row = lines[1].split(",")
-        assert float(row[8]) == records[0].p_bar[0]
+        assert float(row[8]) == logs[0].p_bar[0, 0]
 
     def test_failed_csv_leaves_no_outputs(self, tmp_path, monkeypatch):
-        def broken(records):
+        def broken(logs):
             raise IntegrityError("formatting failed")
 
         monkeypatch.setattr(harness, "records_to_csv", broken)
@@ -582,15 +593,26 @@ class TestCli:
                 {"name": "first", "config": SMALL_RUN},
                 {"name": "second", "config": dict(SMALL_RUN, master={"eta": "fast"})},
             ]},
+            {"environment": SHORT_SCRIPT},
+            {"scenario": "sweep", "runs": [
+                {"name": "first", "config": SMALL_RUN},
+                {"name": "second", "config": dict(SMALL_RUN, environment=SHORT_SCRIPT)},
+            ]},
+            {"scenario": "sweep", "seeds": [1, 1], "runs": [{"name": "a", "config": SMALL_RUN}]},
+            {"scenario": "sweep", "horizon": "7", "runs": [{"name": "a", "config": SMALL_RUN}]},
+            {"scenario": "sweep", "environment": {"kind": "nope"},
+             "runs": [{"name": "a", "config": SMALL_RUN}]},
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
-             "eta-missing", "arm-pair-short", "arm-pair-range", "demo-eta", "sweep-eta"],
+             "eta-missing", "arm-pair-short", "arm-pair-range", "demo-eta", "sweep-eta",
+             "script-short", "sweep-script-short", "sweep-seeds", "sweep-horizon",
+             "sweep-environment"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
         raw = dict(SMALL_RUN, **overrides)
         if raw["scenario"] == "sweep":
-            raw = {"scenario": "sweep", "runs": raw["runs"]}
+            raw = overrides
         path = self.write_config(tmp_path, raw)
         with pytest.raises(ConfigError):
             harness.load_config(path)
@@ -645,3 +667,14 @@ class TestCli:
         assert (tmp_path / "s" / "first" / "rounds.csv").exists()
         assert (tmp_path / "s" / "second" / "summary.json").exists()
         assert (tmp_path / "s" / "summary.json").exists()
+
+    def test_nested_sweep_takes_seed_offset(self, tmp_path):
+        inner = {"scenario": "sweep", "runs": [{"name": "run", "config": SMALL_RUN}]}
+        path = self.write_config(
+            tmp_path, {"scenario": "sweep", "runs": [{"name": "inner", "config": inner}]}
+        )
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", path, "--out", str(out), "--seed-offset", "7",
+                     "--quiet"]) == 0
+        summary = json.loads((out / "inner" / "run" / "summary.json").read_text())
+        assert [e["seed"] for e in summary["per_seed"]] == [7]

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     ConfigError,
     FeedbackPacket,
@@ -298,6 +296,12 @@ class ThompsonSampling(BaseAlgorithm):
     selected rounds: the raw loss is recovered from the packet, converted to
     a Bernoulli outcome with success probability equal to the loss (which
     keeps conjugacy and is unbiased), and credited to the played arm.
+
+    The counts are Python floats and each arm's sample is one scalar
+    ``rng.beta(a, b)`` call, in arm order. numpy's array call
+    ``rng.beta(ones, zeros)`` draws the same values from the same stream (one
+    Beta variate per element, in element order) but pays Python-level
+    argument checks on every call; ``tests/test_bases.py`` pins the two.
     """
 
     kind = "thompson"
@@ -317,13 +321,15 @@ class ThompsonSampling(BaseAlgorithm):
 
     def reset(self, range_param: float) -> None:
         self.range_param = _check_range(range_param)
-        self.ones = np.array([a for a, _ in self.prior], dtype=np.float64)
-        self.zeros = np.array([b for _, b in self.prior], dtype=np.float64)
+        self.ones = [a for a, _ in self.prior]
+        self.zeros = [b for _, b in self.prior]
         self._last_arm: int | None = None
 
     def propose(self, context: int) -> int:
-        draws = self.rng.beta(self.ones, self.zeros)
-        arm = int(np.argmin(draws))
+        beta = self.rng.beta
+        draws = [beta(a, b) for a, b in zip(self.ones, self.zeros)]
+        # The first minimum, as np.argmin; Beta draws are never NaN.
+        arm = min(range(self.num_arms), key=draws.__getitem__)
         self._last_arm = arm
         return arm
 

@@ -21,6 +21,7 @@ are not checked again.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,7 +145,7 @@ def validate_simplex(p: Sequence[float]) -> list[float]:
     if not entries:
         raise DegenerateDistributionError("empty probability vector")
     for x in entries:
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise DegenerateDistributionError(f"non-finite entry {x}")
         if x <= 0.0:
             raise DegenerateDistributionError(f"entries must be strictly positive, got {x}")

@@ -35,6 +35,7 @@ Config schema (top-level keys; see the README for worked examples)::
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -353,7 +354,9 @@ def round_log(run_id: str, seed: int, losses, baseline: RegretBaseline, router) 
     )
 
 
-def records_to_csv(logs: list[RoundLog]) -> str:
+def records_to_csv(logs: list[RoundLog], out) -> None:
+    """Write the round logs as CSV rows to the text stream ``out``, one row
+    at a time, so no copy of the whole text is held in memory."""
     if not logs:
         raise IntegrityError("no round logs to write")
     m = logs[0].p_bar.shape[1]
@@ -364,19 +367,21 @@ def records_to_csv(logs: list[RoundLog]) -> str:
         + [f"rho_{i}" for i in range(m)]
         + ["restart_flags"]
     )
-    lines = [",".join(header)]
+    out.write(",".join(header) + "\n")
     for log in logs:
         floats = np.column_stack(
             (log.raw_loss, log.cum_loss, log.cum_regret, log.p_bar, log.eta, log.rho)
         )
+        # "%.17g" % x is format(x, ".17g"): 17 significant digits round-trip
+        # a float64 exactly. A "%" in the run id is escaped, not a field.
+        prefix = f"{log.run_id},{log.seed},".replace("%", "%%")
+        row = prefix + "%d,%d,%d," + ",".join(["%.17g"] * floats.shape[1]) + ",%s\n"
         # Row by row: converting whole columns to Python objects at once
-        # would hold every row's objects in memory beside the CSV text.
+        # would hold every row's objects in memory.
         rows = zip(log.chosen.tolist(), log.decision.tolist(), floats, log.fired)
         for t, (chosen, decision, values, fired) in enumerate(rows, start=1):
-            text = ",".join(format(x, ".17g") for x in values.tolist())
             flags = "".join("1" if f else "0" for f in fired.tolist())
-            lines.append(f"{log.run_id},{log.seed},{t},{chosen},{decision},{text},{flags}")
-    return "\n".join(lines) + "\n"
+            out.write(row % (t, chosen, decision, *values.tolist(), flags))
 
 
 def compute_regret(
@@ -853,28 +858,34 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
 # ---------------------------------------------------------------------------
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, write) -> None:
+    """Call ``write`` on a text stream into ``path.tmp`` and rename that over
+    ``path`` only once ``write`` returns; if anything raises, the temporary
+    file is removed and ``path`` is left as it was."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_outputs(out_dir, summary: dict, logs: list[RoundLog] | None) -> None:
     """Write ``rounds.csv`` (if there are round logs), then ``summary.json``.
 
-    The CSV is formatted before anything is written, and each file appears
-    under its name only once complete, so a failed run never leaves a
-    complete-looking summary beside a missing or truncated CSV.
+    The CSV is streamed into a temporary file, and each file appears under
+    its name only once complete, so a failed run never leaves a
+    complete-looking summary beside a missing or truncated CSV, nor a
+    leftover ``.tmp`` file.
     """
-    csv_text = records_to_csv(logs) if logs else None
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     os.makedirs(out_dir, exist_ok=True)
-    if csv_text is not None:
-        _write_atomic(os.path.join(out_dir, ROUNDS_CSV), csv_text)
-    _write_atomic(
-        os.path.join(out_dir, SUMMARY_JSON),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    if logs:
+        _write_atomic(os.path.join(out_dir, ROUNDS_CSV), lambda out: records_to_csv(logs, out))
+    _write_atomic(os.path.join(out_dir, SUMMARY_JSON), lambda out: out.write(text))
 
 
 def execute(config: ExperimentConfig, out_dir) -> dict:

@@ -230,6 +230,44 @@ class TestThompsonSampling:
         with pytest.raises(ConfigError):
             ThompsonSampling([[1, 0], [1, 1]], 1.0, named_rng(0, "ts"))
 
+    # numpy's Beta sampler takes Joehnk's algorithm when both pseudo-counts
+    # are <= 1 and a ratio of gamma variates otherwise. The Joehnk prior
+    # stays on that path because only unselected packets are fed.
+    @pytest.mark.parametrize(
+        "prior, learns",
+        [([[1, 19], [19, 1], [40, 40]], True), ([[0.5, 0.7], [0.3, 0.9]], False)],
+        ids=["gamma", "joehnk"],
+    )
+    def test_draws_follow_numpy_array_beta_stream(self, prior, learns):
+        class RecordingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.draws = []
+
+            def beta(self, a, b):
+                self.draws.append(self.rng.beta(a, b))
+                return self.draws[-1]
+
+            def random(self):
+                return self.rng.random()
+
+        rng = RecordingRng(named_rng(11, "ts"))
+        twin = named_rng(11, "ts")
+        feed = named_rng(11, "feed")
+        b = ThompsonSampling(prior, 1.0, rng)
+        for _ in range(2000):
+            expected = twin.beta(np.array(b.ones), np.array(b.zeros)).tolist()
+            arm = b.propose(0)
+            assert rng.draws == expected
+            assert arm == int(np.argmin(expected))
+            rng.draws.clear()
+            if learns:
+                b.update(selected(float(feed.random()), 0.5))
+                twin.random()
+            else:
+                b.update(unselected())
+        assert rng.rng.random() == twin.random()
+
 
 class TestUcb1:
     def test_initial_sweep_in_index_order(self):

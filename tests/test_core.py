@@ -107,9 +107,11 @@ class TestValidateSimplex:
         with pytest.raises(NormalizationDriftError):
             validate_simplex([0.6, 0.6])
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(DegenerateDistributionError):
-            validate_simplex([math.inf, 0.5])
+    # NaN passes ``x <= 0.0``: only the finiteness check catches it.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DegenerateDistributionError, match="non-finite"):
+            validate_simplex([bad, 0.5])
 
 
 class TestStabilityCertificate:

@@ -1,5 +1,7 @@
 """Runner: configs, round logs, regret accounting, scenario behavior, CLI."""
 
+import dataclasses
+import io
 import json
 import math
 
@@ -495,8 +497,9 @@ class TestLowerBoundDemoSmoke:
 class TestCsvFormat:
     def test_header_and_precision(self):
         _, logs = run_corral(config(horizon=3, seeds=[0]))
-        text = records_to_csv(logs)
-        lines = text.strip().split("\n")
+        out = io.StringIO()
+        records_to_csv(logs, out)
+        lines = out.getvalue().strip().split("\n")
         assert lines[0] == (
             "run_id,seed,t,chosen_base,decision,raw_loss,cum_loss,cum_regret,"
             "p_bar_0,p_bar_1,eta_0,eta_1,rho_0,rho_1,restart_flags"
@@ -506,14 +509,22 @@ class TestCsvFormat:
         row = lines[1].split(",")
         assert float(row[8]) == logs[0].p_bar[0, 0]
 
+    def test_percent_in_run_id_is_written_as_is(self):
+        _, logs = run_corral(config(horizon=3, seeds=[0]))
+        out = io.StringIO()
+        records_to_csv([dataclasses.replace(logs[0], run_id="50%d")], out)
+        assert out.getvalue().split("\n")[1].startswith("50%d,0,1,")
+
     def test_failed_csv_leaves_no_outputs(self, tmp_path, monkeypatch):
-        def broken(logs):
+        def broken(logs, out):
+            out.write("run_id,seed,t\ncorral-run:0,0,")
             raise IntegrityError("formatting failed")
 
         monkeypatch.setattr(harness, "records_to_csv", broken)
         with pytest.raises(IntegrityError):
             execute(config(horizon=3, seeds=[0]), tmp_path / "out")
         assert not (tmp_path / "out" / "rounds.csv").exists()
+        assert not (tmp_path / "out" / "rounds.csv.tmp").exists()
         assert not (tmp_path / "out" / "summary.json").exists()
 
 

@@ -25,7 +25,6 @@ from .core import (
 )
 from .omd import bregman_log_barrier, omd_step, solve_lambda
 from .master import (
-    Choice,
     MasterState,
     RoundOutcome,
     build_packets,

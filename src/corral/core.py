@@ -13,9 +13,9 @@ Conventions used across the package:
   sum to one within ``1e-9``.
 
 Values are checked once, where they enter: config load, constructors,
-``importance_weight``, ``validate_simplex``, ``omd.omd_step`` and the
-master's ``choose``/``feedback``. Values computed from them inside a round
-are not checked again.
+``importance_weight``, ``validate_simplex``, ``omd.omd_step`` and what
+reaches the master from outside it. Values computed from them inside a
+round, such as the master's own ``p`` and rates, are not checked again.
 """
 
 from __future__ import annotations

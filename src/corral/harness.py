@@ -197,6 +197,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     "lowerbound-demo fixes its own environment and base algorithms"
                 )
+            # Build the two masters a run builds, once, so that bad rates fail here.
+            corral_eta, naive_eta = demo_etas(self.demo, self.horizon)
+            corral_master.init_master(corral_eta, 2, self.horizon)
+            NaiveRouter(2, naive_eta, np.random.default_rng(0))
             return
         if not self.environment:
             raise ConfigError(f"{self.scenario} needs an environment")
@@ -304,6 +308,12 @@ def build_base(
     return PathologicalBase(pair, rng)
 
 
+def demo_etas(demo: dict, horizon: int) -> tuple[float, float]:
+    """The lowerbound demo's corral and naive master rates, with defaults."""
+    default_eta = corral_master.tuned_eta(math.sqrt(horizon), horizon, 2)
+    return float(demo.get("corral_eta", default_eta)), float(demo.get("naive_eta", 1e-4))
+
+
 def master_eta(master_spec: dict, num_bases: int, horizon: int) -> float:
     eta = master_spec.get("eta")
     if eta == "tuned":
@@ -376,11 +386,13 @@ def records_to_csv(logs: list[RoundLog], out) -> None:
         # a float64 exactly. A "%" in the run id is escaped, not a field.
         prefix = f"{log.run_id},{log.seed},".replace("%", "%%")
         row = prefix + "%d,%d,%d," + ",".join(["%.17g"] * floats.shape[1]) + ",%s\n"
+        # ``fired`` as ASCII digits: b"0" or b"1" per base.
+        digits = log.fired.view(np.uint8) + 48
         # Row by row: converting whole columns to Python objects at once
         # would hold every row's objects in memory.
-        rows = zip(log.chosen.tolist(), log.decision.tolist(), floats, log.fired)
+        rows = zip(log.chosen.tolist(), log.decision.tolist(), floats, digits)
         for t, (chosen, decision, values, fired) in enumerate(rows, start=1):
-            flags = "".join("1" if f else "0" for f in fired.tolist())
+            flags = fired.tobytes().decode()
             out.write(row % (t, chosen, decision, *values.tolist(), flags))
 
 
@@ -511,32 +523,31 @@ class CorralRouter:
         self.rng = rng
         self.estimator = estimator
         self.naive_feed = naive_feed
-        self.choice = None
         self.chosen, self.decision, self.p_bar, self.eta, self.rho = [], [], [], [], []
         self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
         self._schedule = list(state.eta), list(state.rho)
 
     def choose(self, proposals: list[int]) -> int:
-        self.choice = corral_master.choose(self.state, proposals, self.rng)
-        return self.choice.base
+        return corral_master.choose(self.state, self.rng)
 
     def feed(self, env, chosen: int, proposals: list[int]):
         state = self.state
-        choice = self.choice
+        decision = proposals[chosen]
         p_bar = state.p_bar
         # ``feedback`` replaces ``p_bar``, and changes ``eta`` and ``rho`` only
         # when a threshold fires, so rounds share one schedule copy until then.
         eta, rho = self._schedule
         self.chosen.append(chosen)
-        self.decision.append(choice.decision)
+        self.decision.append(decision)
         self.p_bar.append(p_bar)
         self.eta.append(eta)
         self.rho.append(rho)
-        raw = env.loss_of(choice.decision)
-        outcome = corral_master.feedback(state, choice, raw, proposals, self.estimator)
-        packets = outcome.packets
+        raw = env.loss_of(decision)
+        outcome = corral_master.feedback(state, chosen, raw)
         if self.naive_feed:
             packets = _naive_packets(state.num_bases, chosen, raw / p_bar[chosen])
+        else:
+            packets = corral_master.build_packets(p_bar, proposals, raw, chosen, self.estimator)
         if outcome.doublings:
             self.fired[len(self.chosen) - 1, outcome.doublings] = True
             self._schedule = list(state.eta), list(state.rho)
@@ -592,6 +603,8 @@ class NaiveRouter:
     demonstration's naive feed to the bases."""
 
     def __init__(self, num_bases: int, rate: float, rng):
+        if not 0.0 < rate < math.inf:
+            raise ConfigError(f"naive learning rate must be finite and > 0, got {rate}")
         self.rate = rate
         self.rng = rng
         self.cum_est = [0.0] * num_bases
@@ -787,9 +800,7 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
     if config.scenario != "lowerbound-demo":
         raise ConfigError(f"expected lowerbound-demo config, got {config.scenario}")
     horizon = config.horizon
-    default_eta = corral_master.tuned_eta(math.sqrt(horizon), horizon, 2)
-    corral_eta = float(config.demo.get("corral_eta", default_eta))
-    naive_eta = float(config.demo.get("naive_eta", 1e-4))
+    corral_eta, naive_eta = demo_etas(config.demo, horizon)
     # (regret at T/2, regret at T) per seed, for each leg.
     legs = {"naive": [], "corral": [], "standalone": []}
     logs: list[RoundLog] = []

@@ -1,11 +1,12 @@
 """The CORRAL master: log-barrier OMD over base algorithms.
 
-Each round the master samples a base algorithm from the smoothed
-distribution ``p_bar``, plays its suggestion, routes importance-weighted
-feedback packets to every base, runs the log-barrier OMD update on its own
-distribution, and maintains a per-base threshold / learning-rate doubling
-schedule: whenever ``1 / p_bar_i`` exceeds the base's threshold, the
-threshold doubles past it and the base's learning rate is multiplied by
+Each round ``choose`` samples a base algorithm from the smoothed
+distribution ``p_bar``, whose suggestion is played; ``build_packets`` makes
+the importance-weighted feedback packet for every base from the
+decision-time ``p_bar``; and ``feedback`` runs the log-barrier OMD update on
+the master's own distribution and a per-base threshold / learning-rate
+doubling schedule: whenever ``1 / p_bar_i`` exceeds the base's threshold,
+the threshold doubles past it and the base's learning rate is multiplied by
 ``beta = e^(1/ln T)``, which caps total inflation at a factor of five over
 any horizon. Under the restart-on-doubling policy the base is also reset
 with the new threshold as its loss-range parameter.
@@ -14,7 +15,7 @@ with the new threshold as its loss-range parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -22,11 +23,11 @@ from .core import (
     ContractError,
     FeedbackPacket,
     InvalidLossError,
-    importance_weight,
+    InvalidProbabilityError,
     normalize,
     sample_index,
 )
-from .omd import omd_step
+from .omd import unchecked_step
 
 RESTART_ON_DOUBLING = "restart-on-doubling"
 NEVER_RESTART = "never-restart"
@@ -54,28 +55,17 @@ class MasterState:
     restart_policy: str = RESTART_ON_DOUBLING
 
 
-@dataclass(frozen=True)
-class Choice:
-    """Sampled base index and the decision it proposed this round."""
-
-    base: int
-    decision: int
-
-
 @dataclass
 class RoundOutcome:
-    """Everything the round produced: packets for each base and any resets.
+    """The schedule events of one round.
 
     ``doublings`` lists the bases whose threshold fired this round;
     ``restarts`` is the subset that must be re-initialized (equal to
     ``doublings`` under restart-on-doubling, empty under never-restart).
     """
 
-    chosen_base: int
-    decision: int
-    packets: list[FeedbackPacket]
-    doublings: list[int] = field(default_factory=list)
-    restarts: list[int] = field(default_factory=list)
+    doublings: list[int]
+    restarts: list[int]
 
 
 def init_master(
@@ -93,8 +83,8 @@ def init_master(
         raise ConfigError(f"need at least 2 base algorithms, got {num_bases}")
     if horizon < 2:
         raise ConfigError(f"horizon must be >= 2, got {horizon}")
-    if not eta0 > 0.0:
-        raise ConfigError(f"learning rate must be > 0, got {eta0}")
+    if not 0.0 < eta0 < math.inf:
+        raise ConfigError(f"learning rate must be finite and > 0, got {eta0}")
     if restart_policy not in RESTART_POLICIES:
         raise ConfigError(f"unknown restart policy {restart_policy!r}")
     uniform = [1.0 / num_bases] * num_bases
@@ -117,16 +107,12 @@ def initial_range(num_bases: int) -> float:
     return 2.0 * num_bases
 
 
-def choose(state: MasterState, proposals: Sequence[int], rng) -> Choice:
-    """Sample a base from ``p_bar`` by exact inverse-CDF and adopt its proposal."""
-    if len(proposals) != state.num_bases:
-        raise ContractError(
-            f"expected {state.num_bases} proposals, got {len(proposals)}"
-        )
+def choose(state: MasterState, rng) -> int:
+    """Sample a base from ``p_bar`` by exact inverse-CDF; the caller plays
+    that base's proposal."""
     if state.t > state.horizon:
         raise ContractError(f"master is past its horizon ({state.horizon})")
-    i = sample_index(rng, state.p_bar)
-    return Choice(base=i, decision=proposals[i])
+    return sample_index(rng, state.p_bar)
 
 
 def build_packets(
@@ -142,58 +128,53 @@ def build_packets(
     weighted by its own sampling probability. Shared estimator: every base
     whose proposal equals the played decision shares the feedback, weighted
     by the total probability of that decision being played; this wastes less
-    information when the decision space is small. Both are unbiased.
+    information when the decision space is small. Both are unbiased. Every
+    packet checks its own probability when it is made.
     """
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}")
-    packets = []
+    if len(proposals) != len(p_bar):
+        raise ContractError(f"expected {len(p_bar)} proposals, got {len(proposals)}")
+    # NaN and +-inf fail the range comparisons themselves.
+    if not 0.0 <= observed_loss <= 1.0:
+        raise InvalidLossError(f"observed loss must be in [0, 1], got {observed_loss}")
     if estimator == ESTIMATOR_STANDARD:
-        for i in range(len(p_bar)):
-            packets.append(
-                importance_weight(observed_loss, p_bar[i], selected=(i == chosen))
-            )
-        return packets
-    played = proposals[chosen]
-    group_prob: dict[int, float] = {}
-    for i, d in enumerate(proposals):
-        group_prob[d] = group_prob.get(d, 0.0) + p_bar[i]
-    for d in group_prob:
+        probs = p_bar
+        selected = [i == chosen for i in range(len(p_bar))]
+    else:
+        played = proposals[chosen]
+        group_prob: dict[int, float] = {}
+        for i, d in enumerate(proposals):
+            group_prob[d] = group_prob.get(d, 0.0) + p_bar[i]
         # Summing a full group can overshoot 1 by an ulp.
-        group_prob[d] = min(1.0, group_prob[d])
-    for i, d in enumerate(proposals):
-        packets.append(
-            importance_weight(observed_loss, group_prob[d], selected=(d == played))
-        )
-    return packets
+        probs = [min(1.0, group_prob[d]) for d in proposals]
+        selected = [d == played for d in proposals]
+    # Checked here because the division below comes before the packet's check.
+    if not probs[chosen] > 0.0:
+        raise InvalidProbabilityError(f"probability must be in (0, 1], got {probs[chosen]}")
+    return [
+        FeedbackPacket(True, observed_loss / prob, prob, observed_loss)
+        if hit
+        else FeedbackPacket(False, 0.0, prob)
+        for prob, hit in zip(probs, selected)
+    ]
 
 
-def feedback(
-    state: MasterState,
-    choice: Choice,
-    observed_loss: float,
-    proposals: Sequence[int],
-    estimator: str = ESTIMATOR_STANDARD,
-) -> RoundOutcome:
-    """Consume the observed loss: packets, OMD update, mixing, schedule.
+def feedback(state: MasterState, chosen: int, observed_loss: float) -> RoundOutcome:
+    """Consume the observed loss of base ``chosen``: OMD update, mixing, schedule.
 
-    Mutates ``state`` in place and returns the round outcome. The master's
-    own OMD loss vector always uses the standard one-hot estimator; the
-    estimator flag changes only what the bases receive. The caller delivers
-    packets to the bases and then resets those listed in ``restarts`` with
-    the base's new threshold as range parameter (a restarted base starts
-    fresh at the next round).
+    Mutates ``state`` in place and returns the round's schedule events. The
+    master's own OMD loss vector always uses the standard one-hot estimator.
+    ``state.p_bar`` is replaced, not mutated, so the decision-time ``p_bar``
+    the caller read for ``build_packets`` stays valid. The caller resets
+    the bases listed in ``restarts`` with the base's new threshold as range
+    parameter (a restarted base starts fresh at the next round).
     """
     if not 0.0 <= observed_loss <= 1.0:
         raise InvalidLossError(f"observed loss must be in [0, 1], got {observed_loss}")
-    if len(proposals) != state.num_bases:
-        raise ContractError(
-            f"expected {state.num_bases} proposals, got {len(proposals)}"
-        )
-    packets = build_packets(state.p_bar, proposals, observed_loss, choice.base, estimator)
-
     master_loss = [0.0] * state.num_bases
-    master_loss[choice.base] = observed_loss / state.p_bar[choice.base]
-    state.p = omd_step(state.p, master_loss, state.eta)
+    master_loss[chosen] = observed_loss / state.p_bar[chosen]
+    state.p = unchecked_step(state.p, master_loss, state.eta)
 
     # A convex mix of the checked q and the uniform vector needs no check.
     mix = state.gamma / state.num_bases
@@ -202,13 +183,7 @@ def feedback(
     doublings = apply_schedule(state)
     restarts = list(doublings) if state.restart_policy == RESTART_ON_DOUBLING else []
     state.t += 1
-    return RoundOutcome(
-        chosen_base=choice.base,
-        decision=choice.decision,
-        packets=packets,
-        doublings=doublings,
-        restarts=restarts,
-    )
+    return RoundOutcome(doublings, restarts)
 
 
 def apply_schedule(state: MasterState) -> list[int]:

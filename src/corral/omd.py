@@ -42,7 +42,8 @@ def solve_lambda(
     the bracket. Returns once ``|F - 1| <= TOLERANCE`` or once the bracket
     collapses to floating-point resolution, where the best-seen lam is exact
     to one ulp and further iterations cannot improve it. The inputs are
-    trusted (``omd_step`` checks them); ``p`` is renormalized unchecked.
+    trusted (``omd_step`` checks them; losses are ``>= 0``); ``p`` is
+    renormalized unchecked.
     """
     p = normalize(p)
     lo = min(losses)
@@ -50,42 +51,41 @@ def solve_lambda(
     if lo == hi:
         # F(c) = sum p_i = 1 exactly for a constant loss vector.
         return float(lo)
-    inv_p = [1.0 / x for x in p]
+    terms = list(zip([1.0 / x for x in p], rates, losses))
     best_lam = lo
     best_err = math.inf
     lam = 0.5 * (lo + hi)
     for _ in range(MAX_ITERATIONS):
-        if hi - lo <= 4e-16 * max(1.0, abs(lo), abs(hi)):
+        # 0 <= lo <= hi, so hi is the larger magnitude.
+        if hi - lo <= 4e-16 * max(1.0, hi):
             return best_lam
-        poles = False
         total = 0.0
         slope = 0.0
-        for ip, r, l in zip(inv_p, rates, losses):
+        for ip, r, l in terms:
             d = ip + r * (l - lam)
             if d <= 0.0:
-                poles = True
+                # Past a pole F = +inf: lam is above the root.
+                hi = lam
                 break
             total += 1.0 / d
             slope += r / (d * d)
-        if poles:
-            hi = lam
-            lam = 0.5 * (lo + hi)
-            continue
-        err = total - 1.0
-        if abs(err) <= TOLERANCE:
-            return lam
-        if abs(err) < best_err:
-            best_err = abs(err)
-            best_lam = lam
-        if err < 0.0:
-            lo = lam
         else:
-            hi = lam
-        newton = lam - err / slope if slope > 0.0 else lam
-        if lo < newton < hi:
-            lam = newton
-        else:
-            lam = 0.5 * (lo + hi)
+            err = total - 1.0
+            abs_err = abs(err)
+            if abs_err <= TOLERANCE:
+                return lam
+            if abs_err < best_err:
+                best_err = abs_err
+                best_lam = lam
+            if err < 0.0:
+                lo = lam
+            else:
+                hi = lam
+            newton = lam - err / slope if slope > 0.0 else lam
+            if lo < newton < hi:
+                lam = newton
+                continue
+        lam = 0.5 * (lo + hi)
     raise SolverConvergenceError(
         f"no lambda with |F-1| <= {TOLERANCE} after {MAX_ITERATIONS} iterations "
         f"(best {best_err})"
@@ -99,11 +99,10 @@ def omd_step(
 ) -> list[float]:
     """One log-barrier OMD update; returns the next distribution.
 
-    Checks its inputs, which ``solve_lambda`` trusts. Equal losses leave the
-    distribution unchanged. The output always passes through simplex
-    validation, which renormalizes line-search drift and guards the solver.
+    Checks its inputs, then takes the master's own step, ``unchecked_step``.
+    Equal losses leave the distribution unchanged.
     """
-    p = validate_simplex(p)
+    validate_simplex(p)
     if not (len(p) == len(losses) == len(rates)):
         raise ValueError(
             f"mismatched lengths: p={len(p)}, losses={len(losses)}, rates={len(rates)}"
@@ -114,6 +113,21 @@ def omd_step(
     for r in rates:
         if not math.isfinite(r) or r <= 0.0:
             raise ValueError(f"rates must be finite and > 0, got {r}")
+    return unchecked_step(p, losses, rates)
+
+
+def unchecked_step(
+    p: Sequence[float],
+    losses: Sequence[float],
+    rates: Sequence[float],
+) -> list[float]:
+    """The log-barrier OMD update on inputs ``omd_step`` would accept.
+
+    ``p`` is renormalized unchecked. The output always passes through
+    simplex validation, which renormalizes line-search drift and guards the
+    solver.
+    """
+    p = normalize(p)
     if min(losses) == max(losses):
         return p
     lam = solve_lambda(p, losses, rates)

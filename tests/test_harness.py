@@ -613,12 +613,27 @@ class TestCli:
             {"scenario": "sweep", "horizon": "7", "runs": [{"name": "a", "config": SMALL_RUN}]},
             {"scenario": "sweep", "environment": {"kind": "nope"},
              "runs": [{"name": "a", "config": SMALL_RUN}]},
+            {"master": {"eta": math.inf}},
+            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
+             "demo": {"naive_eta": -50.0}},
+            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
+             "demo": {"naive_eta": math.nan}},
+            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
+             "demo": {"corral_eta": -1.0}},
+            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
+             "demo": {"corral_eta": math.inf}},
+            {"scenario": "sweep", "runs": [
+                {"name": "first", "config": SMALL_RUN},
+                {"name": "second", "config": {"scenario": "lowerbound-demo", "horizon": 50,
+                                              "seeds": [0], "demo": {"naive_eta": -50.0}}},
+            ]},
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
              "eta-missing", "arm-pair-short", "arm-pair-range", "demo-eta", "sweep-eta",
              "script-short", "sweep-script-short", "sweep-seeds", "sweep-horizon",
-             "sweep-environment"],
+             "sweep-environment", "eta-inf", "demo-naive-eta-negative", "demo-naive-eta-nan",
+             "demo-corral-eta-negative", "demo-corral-eta-inf", "sweep-demo-naive-eta"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
         raw = dict(SMALL_RUN, **overrides)

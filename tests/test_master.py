@@ -9,13 +9,13 @@ from corral.core import (
     ConfigError,
     ContractError,
     InvalidLossError,
+    InvalidProbabilityError,
     named_rng,
 )
 from corral.master import (
     ESTIMATOR_SHARED,
     ESTIMATOR_STANDARD,
     NEVER_RESTART,
-    Choice,
     apply_schedule,
     build_packets,
     choose,
@@ -56,6 +56,9 @@ class TestInitMaster:
             init_master(0.1, 2, 1)
         with pytest.raises(ConfigError):
             init_master(0.0, 2, 100)
+        for eta0 in (math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                init_master(eta0, 2, 100)
         with pytest.raises(ConfigError):
             init_master(0.1, 2, 100, restart_policy="sometimes")
 
@@ -65,25 +68,22 @@ class TestChoose:
         state = init_master(0.01, 2, 100)
         gamma = state.gamma
         state.p_bar = [1.0 - gamma / 2.0, gamma / 2.0]
-        out = choose(state, [5, 7], FakeRng(0.5))
-        assert out == Choice(base=0, decision=5)
+        proposals = [5, 7]
+        out = choose(state, FakeRng(0.5))
+        assert (out, proposals[out]) == (0, 5)
 
     def test_inverse_cdf_uniform_four(self):
         state = init_master(0.01, 4, 100)
-        out = choose(state, [10, 11, 12, 13], FakeRng(0.6))
-        assert out.base == 2
-        assert out.decision == 12
-
-    def test_wrong_proposal_count(self):
-        state = init_master(0.01, 2, 100)
-        with pytest.raises(ContractError):
-            choose(state, [1, 2, 3], FakeRng(0.1))
+        proposals = [10, 11, 12, 13]
+        out = choose(state, FakeRng(0.6))
+        assert out == 2
+        assert proposals[out] == 12
 
     def test_dead_state(self):
         state = init_master(0.01, 2, 100)
         state.t = 101
         with pytest.raises(ContractError):
-            choose(state, [0, 1], FakeRng(0.1))
+            choose(state, FakeRng(0.1))
 
     def test_empirical_frequency(self):
         # 1e5 draws from (0.2, 0.8); binomial concentration keeps the
@@ -91,11 +91,28 @@ class TestChoose:
         state = init_master(0.01, 2, 10**6)
         state.p_bar = [0.2, 0.8]
         rng = named_rng(11, "master")
-        hits = sum(1 for _ in range(100_000) if choose(state, [0, 1], rng).base == 0)
+        hits = sum(1 for _ in range(100_000) if choose(state, rng) == 0)
         assert 0.195 <= hits / 100_000 <= 0.205
 
 
 class TestBuildPackets:
+    def test_wrong_proposal_count(self):
+        with pytest.raises(ContractError):
+            build_packets([0.5, 0.5], [1, 2, 3], 0.5, 0)
+
+    @pytest.mark.parametrize("estimator", [ESTIMATOR_STANDARD, ESTIMATOR_SHARED])
+    @pytest.mark.parametrize("observed", [-0.1, 1.5, math.nan, math.inf])
+    def test_rejects_out_of_range_loss(self, estimator, observed):
+        with pytest.raises(InvalidLossError):
+            build_packets([0.5, 0.5], [1, 2], observed, 0, estimator)
+
+    @pytest.mark.parametrize("estimator", [ESTIMATOR_STANDARD, ESTIMATOR_SHARED])
+    @pytest.mark.parametrize("chosen", [0, 1])
+    def test_rejects_zero_probability(self, estimator, chosen):
+        # Selected or not, a zero probability is a typed error, not a division.
+        with pytest.raises(InvalidProbabilityError):
+            build_packets([0.0, 1.0], [1, 2], 0.5, chosen, estimator)
+
     def test_standard_estimator(self):
         packets = build_packets([0.25, 0.75], [3, 9], 0.5, 0, ESTIMATOR_STANDARD)
         assert packets[0].selected and packets[0].weighted_loss == 2.0
@@ -156,14 +173,13 @@ class TestFeedbackAndSchedule:
     def test_feedback_rejects_out_of_range_loss(self):
         state = init_master(0.01, 2, 100)
         with pytest.raises(InvalidLossError):
-            feedback(state, Choice(0, 0), 1.5, [0, 1])
+            feedback(state, 0, 1.5)
 
     def test_round_advances_and_mixes(self):
         state = init_master(0.01, 2, 100)
-        outcome = feedback(state, Choice(0, 3), 0.8, [3, 4])
+        outcome = feedback(state, 0, 0.8)
         assert state.t == 2
-        assert outcome.chosen_base == 0
-        assert len(outcome.packets) == 2
+        assert outcome.doublings == [] and outcome.restarts == []
         gamma = state.gamma
         for pb, p in zip(state.p_bar, state.p):
             assert pb == pytest.approx((1 - gamma) * p + gamma / 2, abs=1e-15)
@@ -173,7 +189,7 @@ class TestFeedbackAndSchedule:
         state = init_master(0.5, 2, 50, restart_policy=NEVER_RESTART)
         restarted = []
         for t in range(50):
-            out = feedback(state, Choice(0, 0), 1.0, [0, 1])
+            out = feedback(state, 0, 1.0)
             restarted.extend(out.restarts)
             assert out.restarts == []
         del restarted
@@ -187,10 +203,9 @@ class TestFeedbackAndSchedule:
         rng = named_rng(13, "swing")
         doubling_counts = [0, 0]
         for t in range(horizon):
-            proposals = [0, 1]
-            c = choose(state, proposals, rng)
-            loss = 1.0 if (t // 25) % 2 == (c.base) else 0.0
-            out = feedback(state, c, loss, proposals)
+            c = choose(state, rng)
+            loss = 1.0 if (t // 25) % 2 == c else 0.0
+            out = feedback(state, c, loss)
             for i in out.doublings:
                 doubling_counts[i] += 1
             assert sum(state.p) == pytest.approx(1.0, abs=1e-9)
@@ -209,9 +224,9 @@ class TestFeedbackAndSchedule:
             rng = named_rng(21, "master")
             trace = []
             for t in range(200):
-                c = choose(state, [0, 1, 2], rng)
-                out = feedback(state, c, (t % 7) / 7.0, [0, 1, 2])
-                trace.append((c.base, tuple(state.p_bar), tuple(state.eta), tuple(out.restarts)))
+                c = choose(state, rng)
+                out = feedback(state, c, (t % 7) / 7.0)
+                trace.append((c, tuple(state.p_bar), tuple(state.eta), tuple(out.restarts)))
             return trace
 
         assert run() == run()

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corral.core import DegenerateDistributionError, named_rng
-from corral.omd import bregman_log_barrier, omd_step, solve_lambda
+from corral.core import (
+    DegenerateDistributionError,
+    SolverConvergenceError,
+    named_rng,
+    normalize,
+)
+from corral.omd import (
+    MAX_ITERATIONS,
+    TOLERANCE,
+    bregman_log_barrier,
+    omd_step,
+    solve_lambda,
+)
 
 
 def random_instance(rng, max_m=16, loss_scale=100.0, rate_scale=10.0):
@@ -144,6 +155,108 @@ class TestMasterScale:
         assert abs(sum(q) - 1.0) <= 1e-9
         lam = solve_lambda(p, losses, rates)
         assert min(losses) <= lam <= max(losses)
+
+
+def reference_solve_lambda(
+    p,
+    losses,
+    rates,
+) -> float:
+    """The line search as first written, kept verbatim: ``solve_lambda`` must
+    take exactly its iterates."""
+    p = normalize(p)
+    lo = min(losses)
+    hi = max(losses)
+    if lo == hi:
+        # F(c) = sum p_i = 1 exactly for a constant loss vector.
+        return float(lo)
+    inv_p = [1.0 / x for x in p]
+    best_lam = lo
+    best_err = math.inf
+    lam = 0.5 * (lo + hi)
+    for _ in range(MAX_ITERATIONS):
+        if hi - lo <= 4e-16 * max(1.0, abs(lo), abs(hi)):
+            return best_lam
+        poles = False
+        total = 0.0
+        slope = 0.0
+        for ip, r, l in zip(inv_p, rates, losses):
+            d = ip + r * (l - lam)
+            if d <= 0.0:
+                poles = True
+                break
+            total += 1.0 / d
+            slope += r / (d * d)
+        if poles:
+            hi = lam
+            lam = 0.5 * (lo + hi)
+            continue
+        err = total - 1.0
+        if abs(err) <= TOLERANCE:
+            return lam
+        if abs(err) < best_err:
+            best_err = abs(err)
+            best_lam = lam
+        if err < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        newton = lam - err / slope if slope > 0.0 else lam
+        if lo < newton < hi:
+            lam = newton
+        else:
+            lam = 0.5 * (lo + hi)
+    raise SolverConvergenceError(
+        f"no lambda with |F-1| <= {TOLERANCE} after {MAX_ITERATIONS} iterations "
+        f"(best {best_err})"
+    )
+
+
+@st.composite
+def restart_scale_instances(draw):
+    """A step as ``adversarial-restart`` takes it: few bases, a master rate
+    near 1 inflated up to 5x and a one-hot loss far above ``1 / (eta * p_i)``.
+    The other coordinates' poles then sit inside the bracket, so the line
+    search hits poles and its Newton steps leave the bracket."""
+    horizon = draw(st.integers(2, 10**5))
+    m = draw(st.integers(2, 4))
+    floor = 1.0 / (horizon * m)
+    weights = draw(st.lists(st.floats(floor, 1.0), min_size=m, max_size=m))
+    p = [w / sum(weights) for w in weights]
+    losses = [0.0] * m
+    losses[draw(st.integers(0, m - 1))] = draw(st.floats(0.0, float(horizon * m)))
+    eta0 = draw(st.floats(0.1, 1.0))
+    inflation = draw(st.lists(st.floats(1.0, 5.0), min_size=m, max_size=m))
+    return p, losses, [eta0 * x for x in inflation]
+
+
+@st.composite
+def spread_loss_instances(draw):
+    """Any nonnegative loss vector, not only the master's one-hot ones."""
+    m = draw(st.integers(2, 16))
+    weights = draw(st.lists(st.floats(1e-9, 1.0), min_size=m, max_size=m))
+    losses = draw(st.lists(st.floats(0.0, 1e6), min_size=m, max_size=m))
+    rates = draw(st.lists(st.floats(1e-6, 10.0), min_size=m, max_size=m))
+    return [w / sum(weights) for w in weights], losses, rates
+
+
+def solver_outcome(solve, instance):
+    try:
+        return solve(*instance)
+    except (SolverConvergenceError, ArithmeticError) as exc:
+        return type(exc)
+
+
+class TestSolverPinnedToReference:
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(
+        st.one_of(
+            master_scale_instances(), restart_scale_instances(), spread_loss_instances()
+        )
+    )
+    def test_same_lambda_bit_for_bit(self, instance):
+        expected = solver_outcome(reference_solve_lambda, instance)
+        assert solver_outcome(solve_lambda, instance) == expected
 
 
 class TestBregman:

@@ -18,6 +18,7 @@ from .core import (
     NormalizationDriftError,
     SolverConvergenceError,
     StabilityCertificate,
+    UniformStream,
     importance_weight,
     named_rng,
     sample_index,

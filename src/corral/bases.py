@@ -6,9 +6,16 @@ loss so stateful learners can still count rounds), and can be reset with a
 new loss-range parameter ``rho``. ``update`` follows the round's
 ``propose`` and trusts its packet, which ``FeedbackPacket`` and
 ``importance_weight`` have checked. A reset re-initializes all learned state
-and re-tunes internal rates for the new range; the random stream keeps its
-position, exactly as if a fresh handle had been built around the same
-generator.
+and re-tunes internal rates for the new range; the component's random
+stream keeps its position. A base owns the generator it is given: those that
+draw only uniforms serve them from a ``UniformStream``, so the generator
+itself runs up to ``UniformStream.BLOCK - 1`` draws ahead, and nothing else
+may draw from it.
+
+``Exp3`` and ``Exp4`` reuse the distribution ``propose`` samples from until
+their cumulative losses change. ``exp_weights`` depends only on those losses
+and the rate, which changes only in ``reset``, and finite losses that compare
+equal give bit-identical weights.
 
 Range handling: a base expecting importance-weighted losses in ``[0, rho]``
 tunes its internal rate with ``rho`` in the denominator, which is the same
@@ -26,6 +33,7 @@ from .core import (
     ConfigError,
     FeedbackPacket,
     StabilityCertificate,
+    UniformStream,
     sample_index,
 )
 
@@ -106,7 +114,7 @@ class Exp3(BaseAlgorithm):
             raise ConfigError(f"need at least 2 arms, got {num_arms}")
         self.num_arms = num_arms
         self.horizon = horizon
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
@@ -118,12 +126,20 @@ class Exp3(BaseAlgorithm):
         self.cum_loss = [0.0] * self.num_arms
         self._last_arm: int | None = None
         self._last_probs: list[float] | None = None
+        # propose's distribution and a copy of the losses it came from.
+        self._probs: list[float] = []
+        self._probs_of: list[float] | None = None
 
     def distribution(self) -> list[float]:
         return exp_weights(self.cum_loss, self.rate)
 
     def propose(self, context: int) -> int:
-        probs = self.distribution()
+        # Reused while the losses are equal to those it came from (see the
+        # module docstring); keyed on a copy, so direct writes are seen.
+        if self.cum_loss != self._probs_of:
+            self._probs_of = list(self.cum_loss)
+            self._probs = self.distribution()
+        probs = self._probs
         arm = sample_index(self.rng, probs)
         self._last_arm = arm
         self._last_probs = probs
@@ -161,7 +177,7 @@ class Exp4(BaseAlgorithm):
         self.num_arms = num_arms
         self.num_contexts = num_contexts
         self.horizon = horizon
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
@@ -175,15 +191,28 @@ class Exp4(BaseAlgorithm):
         self._last_arm: int | None = None
         self._last_context: int | None = None
         self._last_action_probs: list[float] | None = None
+        # propose's policy weights, its action mixture per context, and a
+        # copy of the losses they came from.
+        self._policy_probs: list[float] = []
+        self._mixtures: dict[int, list[float]] = {}
+        self._mixed_of: list[float] | None = None
 
     def policy_distribution(self) -> list[float]:
         return exp_weights(self.cum_loss, self.rate)
 
     def propose(self, context: int) -> int:
-        policy_probs = self.policy_distribution()
-        action_probs = [0.0] * self.num_arms
-        for pol, w in zip(self.policies, policy_probs):
-            action_probs[pol[context]] += w
+        # Reused while the losses are equal to those they came from, as in
+        # ``Exp3.propose``.
+        if self.cum_loss != self._mixed_of:
+            self._mixed_of = list(self.cum_loss)
+            self._policy_probs = self.policy_distribution()
+            self._mixtures = {}
+        action_probs = self._mixtures.get(context)
+        if action_probs is None:
+            action_probs = [0.0] * self.num_arms
+            for pol, w in zip(self.policies, self._policy_probs):
+                action_probs[pol[context]] += w
+            self._mixtures[context] = action_probs
         arm = sample_index(self.rng, action_probs)
         self._last_arm = arm
         self._last_context = context
@@ -225,7 +254,7 @@ class EpochGreedy(BaseAlgorithm):
         self.num_arms = num_arms
         self.num_contexts = num_contexts
         self.horizon = horizon
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.certificate = StabilityCertificate(alpha=1.0 / 3.0)
         self.reset(range_param)
 
@@ -311,8 +340,11 @@ class ThompsonSampling(BaseAlgorithm):
         if len(prior) < 2:
             raise ConfigError(f"need at least 2 arms, got {len(prior)}")
         for a, b in prior:
-            if a <= 0.0 or b <= 0.0:
-                raise ConfigError(f"prior pseudo-counts must be > 0, got ({a}, {b})")
+            # NaN and +-inf fail the range comparisons themselves.
+            if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+                raise ConfigError(
+                    f"prior pseudo-counts must be finite and > 0, got ({a}, {b})"
+                )
         self.prior = prior
         self.num_arms = len(prior)
         self.rng = rng
@@ -412,7 +444,7 @@ class PathologicalBase(BaseAlgorithm):
 
     def __init__(self, arm_pair: tuple[int, int], rng):
         self.arm_pair = (int(arm_pair[0]), int(arm_pair[1]))
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.certificate = None
         self.reset(1.0)
 
@@ -424,7 +456,7 @@ class PathologicalBase(BaseAlgorithm):
 
     def propose(self, context: int) -> int:
         if self.shattered:
-            return self.arm_pair[0] if float(self.rng.random()) < 0.5 else self.arm_pair[1]
+            return self.arm_pair[0] if self.rng.random() < 0.5 else self.arm_pair[1]
         if self.locked_arm is not None:
             return self.locked_arm
         return self.arm_pair[0]

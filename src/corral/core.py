@@ -11,6 +11,11 @@ Conventions used across the package:
 * Probability vectors are plain ``list[float]`` on the simplex with strictly
   positive entries (the log-barrier map is undefined at zero), normalized to
   sum to one within ``1e-9``.
+* A component owns the generator it is given, and nothing else may draw
+  from it. A component that draws only uniform doubles serves them through
+  ``UniformStream``, which draws them ahead in blocks, so the generator
+  itself can run up to ``UniformStream.BLOCK - 1`` draws ahead of what the
+  component has used.
 
 Values are checked once, where they enter: config load, constructors,
 ``importance_weight``, ``validate_simplex``, ``omd.omd_step`` and what
@@ -21,6 +26,7 @@ round, such as the master's own ``p`` and rates, are not checked again.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -161,9 +167,34 @@ def normalize(p: Sequence[float]) -> list[float]:
     return [x / total for x in p]
 
 
+class UniformStream:
+    """A generator's uniform doubles, served from blocks drawn ahead.
+
+    ``Generator.random(n)`` yields exactly the doubles of ``n`` scalar
+    ``random()`` calls, so ``random()`` returns the generator's own scalar
+    stream. It is the C-level ``__next__`` of a chain over the blocks, which
+    are drawn lazily: a stream that never draws leaves its generator alone.
+    ``take(n)`` returns the next ``n`` doubles as a list.
+    """
+
+    BLOCK = 1024
+
+    def __init__(self, rng):
+        blocks = iter(lambda: rng.random(self.BLOCK).tolist(), None)
+        self._doubles = itertools.chain.from_iterable(blocks)
+        self.random = self._doubles.__next__
+
+    def take(self, n: int) -> list[float]:
+        return list(itertools.islice(self._doubles, n))
+
+
 def sample_index(rng, probs: Sequence[float]) -> int:
-    """Exact inverse-CDF draw of an index from a probability vector."""
-    u = float(rng.random())
+    """Exact inverse-CDF draw of an index from a probability vector.
+
+    ``rng`` is anything with a ``random()`` returning a float in [0, 1), such
+    as a ``UniformStream`` or a numpy ``Generator``.
+    """
+    u = rng.random()
     acc = 0.0
     for i, w in enumerate(probs):
         acc += w

@@ -6,7 +6,9 @@ decision against the realized losses. ``loss_of`` does not check the
 decision: a base's decision space is checked against its environment when
 the base is built. Raw losses are always in [0, 1];
 stochastic losses are Bernoulli so that regret baselines stay analytic and
-the Beta-Bernoulli posterior of Thompson sampling applies directly.
+the Beta-Bernoulli posterior of Thompson sampling applies directly. A
+stochastic environment owns its generator and draws its uniforms through a
+``UniformStream``; an arm's loss is one when its uniform falls below its mean.
 
 The induced-environment wrapper composes an inner environment with random
 selection and importance weighting: with probability ``p`` the learner's
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, sample_index
+from .core import ConfigError, UniformStream, sample_index
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,17 @@ class StochasticMAB(Environment):
             if not 0.0 <= m <= 1.0:
                 raise ConfigError(f"arm mean must be in [0, 1], got {m}")
         self.means = np.array(means)
+        self._means = means
         self.num_arms = len(means)
-        self.rng = rng
-        self._losses: np.ndarray | None = None
+        self.rng = UniformStream(rng)
+        self._uniforms: list[float] = []
 
     def next_context(self) -> int:
-        self._losses = (self.rng.random(self.num_arms) < self.means).astype(np.float64)
+        self._uniforms = self.rng.take(self.num_arms)
         return 0
 
     def loss_of(self, decision: int) -> float:
-        return float(self._losses[decision])
+        return 1.0 if self._uniforms[decision] < self._means[decision] else 0.0
 
     def baseline(self) -> RegretBaseline:
         best = int(np.argmin(self.means))
@@ -130,14 +133,15 @@ class StochasticContextual(Environment):
 
     def __init__(self, context_probs: Sequence[float], cond_means, policies, rng):
         probs = [float(x) for x in context_probs]
-        if not probs or abs(sum(probs) - 1.0) > 1e-9 or any(x <= 0 for x in probs):
+        # NaN fails ``x > 0``; +inf fails the sum check.
+        if not probs or not all(x > 0.0 for x in probs) or abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError("context distribution must be positive and sum to 1")
         cond = np.asarray(cond_means, dtype=np.float64)
         if cond.ndim != 2 or cond.shape[0] != len(probs) or cond.shape[1] < 2:
             raise ConfigError(
                 f"conditional means must be contexts x arms, got shape {cond.shape}"
             )
-        if np.any(cond < 0.0) or np.any(cond > 1.0):
+        if not np.all((cond >= 0.0) & (cond <= 1.0)):
             raise ConfigError("conditional means must lie in [0, 1]")
         self.context_probs = probs
         self.cond_means = cond
@@ -149,19 +153,20 @@ class StochasticContextual(Environment):
                 not 0 <= a < self.num_arms for a in pol
             ):
                 raise ConfigError(f"invalid evaluation policy {pol}")
-        self.rng = rng
+        self._cond_means = cond.tolist()
+        self.rng = UniformStream(rng)
         self._context = 0
-        self._losses: np.ndarray | None = None
+        self._means: list[float] = []
+        self._uniforms: list[float] = []
 
     def next_context(self) -> int:
         self._context = sample_index(self.rng, self.context_probs)
-        self._losses = (
-            self.rng.random(self.num_arms) < self.cond_means[self._context]
-        ).astype(np.float64)
+        self._means = self._cond_means[self._context]
+        self._uniforms = self.rng.take(self.num_arms)
         return self._context
 
     def loss_of(self, decision: int) -> float:
-        return float(self._losses[decision])
+        return 1.0 if self._uniforms[decision] < self._means[decision] else 0.0
 
     def expected_policy_loss(self, policy: Sequence[int]) -> float:
         return float(
@@ -244,7 +249,7 @@ class InducedEnvironment:
             raise ConfigError(f"sampling probability must be in (0, 1], got {prob}")
         self.inner = inner
         self.sampling_prob = prob
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.last_raw_loss: float | None = None
 
     @property
@@ -262,7 +267,7 @@ class InducedEnvironment:
         """Reveal (selected, emitted weighted loss) for the learner's decision."""
         raw = self.inner.loss_of(decision)
         self.last_raw_loss = raw
-        if float(self.rng.random()) < self.sampling_prob:
+        if self.rng.random() < self.sampling_prob:
             return True, raw / self.sampling_prob
         return False, 0.0
 

@@ -60,6 +60,7 @@ from .core import (
     CorralError,
     FeedbackPacket,
     IntegrityError,
+    UniformStream,
     importance_weight,
     named_rng,
     sample_index,
@@ -215,8 +216,9 @@ class ExperimentConfig:
         if self.scenario == "stability-test":
             if len(self.rho_levels) < 2:
                 raise ConfigError("stability-test needs at least 2 rho levels")
-            if any(r < 1.0 for r in self.rho_levels):
-                raise ConfigError("rho levels must be >= 1")
+            # NaN and +inf fail the range comparison itself.
+            if not all(1.0 <= r < math.inf for r in self.rho_levels):
+                raise ConfigError(f"rho levels must be finite and >= 1, got {self.rho_levels}")
         # Build what a run builds, once, so that bad values fail here.
         rng = np.random.default_rng(0)
         env = build_environment(self.environment, rng, self.horizon)
@@ -508,7 +510,8 @@ def per_base_baseline(env: Environment, base: BaseAlgorithm) -> RegretBaseline:
 # the round charges, one packet per base, and the ``(base, range)`` resets
 # to apply after every base has updated. A router whose rounds are logged
 # keeps their choices and schedule, and ``columns()`` returns them as the
-# matching ``RoundLog`` fields.
+# matching ``RoundLog`` fields. A router that samples owns the generator it
+# is given and serves its uniforms through a ``UniformStream``.
 
 
 class CorralRouter:
@@ -520,7 +523,7 @@ class CorralRouter:
 
     def __init__(self, state, rng, estimator: str, naive_feed: bool = False):
         self.state = state
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.estimator = estimator
         self.naive_feed = naive_feed
         self.chosen, self.decision, self.p_bar, self.eta, self.rho = [], [], [], [], []
@@ -606,7 +609,7 @@ class NaiveRouter:
         if not 0.0 < rate < math.inf:
             raise ConfigError(f"naive learning rate must be finite and > 0, got {rate}")
         self.rate = rate
-        self.rng = rng
+        self.rng = UniformStream(rng)
         self.cum_est = [0.0] * num_bases
         self.probs: list[float] = []
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corral.bases import (
     EpochGreedy,
@@ -12,6 +14,7 @@ from corral.bases import (
     PathologicalBase,
     ThompsonSampling,
     Ucb1,
+    exp_weights,
     explore_budget,
 )
 from corral.core import ConfigError, FeedbackPacket, importance_weight, named_rng
@@ -123,6 +126,58 @@ class TestExp4:
             Exp4([(0, 1), (1, 0)], 4, 3, 100, 1.0, named_rng(0, "b"))
 
 
+# One step of a base's life between two proposals: a packet for the last
+# proposal, a reset, or a direct write to ``cum_loss`` (in place or a new list).
+_CACHE_STEPS = st.one_of(
+    st.tuples(st.just("packet"), st.booleans(), st.sampled_from([0.0, 0.3, 1.0]),
+              st.sampled_from([1.0, 0.5, 0.125])),
+    st.tuples(st.just("reset"), st.sampled_from([1.0, 2.0, 16.0])),
+    st.tuples(st.just("write"), st.integers(0, 7), st.sampled_from([0.0, 0.5, 7.25])),
+    st.tuples(st.just("replace"), st.sampled_from([0.0, 1.5])),
+)
+
+
+class TestProposalCache:
+    """``propose`` reuses its distribution while ``cum_loss`` is unchanged.
+    Whatever changes the losses, the probabilities it samples from equal a
+    fresh ``exp_weights`` bit for bit."""
+
+    @staticmethod
+    def apply(base, step):
+        kind = step[0]
+        if kind == "packet":
+            _, chosen, raw, prob = step
+            base.update(importance_weight(raw, prob, chosen))
+        elif kind == "reset":
+            base.reset(step[1])
+        elif kind == "write":
+            _, index, value = step
+            base.cum_loss[index % len(base.cum_loss)] = value
+        else:
+            base.cum_loss = [step[1]] * len(base.cum_loss)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.lists(_CACHE_STEPS, max_size=40))
+    def test_exp3_samples_from_fresh_weights(self, steps):
+        b = Exp3(5, 1000, 1.0, named_rng(0, "b"))
+        for step in [("reset", 1.0)] + steps:
+            self.apply(b, step)
+            b.propose(0)
+            assert b._last_probs == exp_weights(b.cum_loss, b.rate)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.tuples(_CACHE_STEPS, st.integers(0, 1)), max_size=40))
+    def test_exp4_samples_from_fresh_mixture(self, steps):
+        b = Exp4(POLICIES_8, 4, 2, 1000, 1.0, named_rng(0, "b"))
+        for step, context in [(("reset", 1.0), 0)] + steps:
+            self.apply(b, step)
+            b.propose(context)
+            mixture = [0.0] * 4
+            for pol, w in zip(POLICIES_8, exp_weights(b.cum_loss, b.rate)):
+                mixture[pol[context]] += w
+            assert b._last_action_probs == mixture
+
+
 class TestEpochGreedy:
     def test_explore_budget_worked_value(self):
         assert explore_budget(10_000, 1.0, 4, 8) == 3120
@@ -229,6 +284,13 @@ class TestThompsonSampling:
     def test_nonpositive_prior_rejected(self):
         with pytest.raises(ConfigError):
             ThompsonSampling([[1, 0], [1, 1]], 1.0, named_rng(0, "ts"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            ThompsonSampling([[bad, 1.0], [1.0, 1.0]], 1.0, named_rng(0, "ts"))
+        with pytest.raises(ConfigError):
+            ThompsonSampling([[1.0, 1.0], [1.0, bad]], 1.0, named_rng(0, "ts"))
 
     # numpy's Beta sampler takes Joehnk's algorithm when both pseudo-counts
     # are <= 1 and a ratio of gamma variates otherwise. The Joehnk prior

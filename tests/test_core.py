@@ -1,6 +1,7 @@
 """Domain types: packets, importance weighting, simplex validation, streams."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from corral.core import (
     InvalidProbabilityError,
     NormalizationDriftError,
     StabilityCertificate,
+    UniformStream,
     importance_weight,
     named_rng,
     sample_index,
@@ -156,3 +158,50 @@ class TestSampleIndex:
         assert sample_index(FakeRng(0.24), [0.25, 0.75]) == 0
         assert sample_index(FakeRng(0.25), [0.25, 0.75]) == 1
         assert sample_index(FakeRng(0.999999), [0.25, 0.75]) == 1
+
+    @staticmethod
+    def draw(u, probs):
+        return sample_index(SimpleNamespace(random=lambda: u), probs)
+
+    def test_shortfall_returns_last_index_with_mass(self):
+        # The entries sum to 1 - 1e-12 in floats; a u past that sum falls in
+        # the shortfall and goes to the last entry, not past the end.
+        probs = [0.5, 0.25, 0.25 - 1e-12]
+        total = probs[0] + probs[1] + probs[2]  # accumulated as sample_index does
+        assert total < 1.0
+        for u in (total, 1.0 - 1e-13, math.nextafter(1.0, 0.0)):
+            assert u >= total
+            assert self.draw(u, probs) == 2
+
+    def test_trailing_zero_mass_never_returned(self):
+        probs = [0.5, 0.5 - 1e-12, 0.0, 0.0]
+        # Below the sum, at a partial sum, and in the shortfall past it.
+        for u in (0.0, 0.5, 0.75, 1.0 - 2e-12, 1.0 - 1e-13, math.nextafter(1.0, 0.0)):
+            assert self.draw(u, probs) == (0 if u < 0.5 else 1)
+        # Exact mass 1 followed by zeros: the largest u still lands on mass.
+        assert self.draw(math.nextafter(1.0, 0.0), [0.25, 0.75, 0.0]) == 1
+        assert self.draw(0.25, [0.25, 0.75, 0.0]) == 1
+
+
+class TestUniformStream:
+    def test_matches_scalar_generator_stream(self):
+        # Draws across several block boundaries equal the twin generator's
+        # scalar calls, bit for bit; ``take`` continues the same stream.
+        twin = named_rng(5, "stream")
+        stream = UniformStream(named_rng(5, "stream"))
+        n = 3 * UniformStream.BLOCK + 7
+        assert [stream.random() for _ in range(n)] == [twin.random() for _ in range(n)]
+        assert stream.take(UniformStream.BLOCK + 3) == [
+            twin.random() for _ in range(UniformStream.BLOCK + 3)
+        ]
+        assert stream.random() == twin.random()
+
+    def test_draws_lazily(self):
+        rng = named_rng(5, "stream")
+        UniformStream(rng)
+        assert rng.random() == named_rng(5, "stream").random()
+
+    def test_serves_python_floats(self):
+        stream = UniformStream(named_rng(6, "stream"))
+        assert type(stream.random()) is float
+        assert all(type(u) is float for u in stream.take(4))

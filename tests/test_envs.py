@@ -1,9 +1,11 @@
 """Environments: losses, baselines, the hard instance, the induced wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 
-from corral.core import ConfigError, named_rng
+from corral.core import ConfigError, named_rng, sample_index
 from corral.envs import (
     AdversarialMAB,
     InducedEnvironment,
@@ -133,6 +135,49 @@ class TestStochasticContextual:
         )
         for _ in range(500):
             assert env.next_context() in (0, 1)
+
+    @pytest.mark.parametrize(
+        "probs, cond",
+        [
+            ([0.5, 0.5], [[0.2, math.nan], [0.5, 0.5]]),
+            ([0.5, 0.5], [[0.2, math.inf], [0.5, 0.5]]),
+            ([math.nan, 1.0], [[0.2, 0.4], [0.5, 0.5]]),
+            ([math.inf, 1.0], [[0.2, 0.4], [0.5, 0.5]]),
+        ],
+        ids=["cond-nan", "cond-inf", "probs-nan", "probs-inf"],
+    )
+    def test_non_finite_spec_rejected(self, probs, cond):
+        with pytest.raises(ConfigError):
+            StochasticContextual(probs, cond, [(0, 1)], named_rng(0, "env"))
+
+
+class TestBlockStreamLosses:
+    """The environments draw their uniforms in blocks, yet every realized
+    loss equals the one-call-per-round numpy formula on a twin generator."""
+
+    ROUNDS = 5_000
+
+    def test_mab_matches_array_draws(self):
+        means = [0.0, 0.2, 0.5, 0.8, 1.0]
+        env = StochasticMAB(means, named_rng(21, "env"))
+        twin = named_rng(21, "env")
+        for _ in range(self.ROUNDS):
+            assert env.next_context() == 0
+            expected = (twin.random(len(means)) < np.array(means)).astype(np.float64)
+            assert [env.loss_of(d) for d in range(len(means))] == expected.tolist()
+        assert env.rng.random() == twin.random()
+
+    def test_contextual_matches_array_draws(self):
+        probs = [0.2, 0.5, 0.3]
+        cond = np.array([[0.2, 0.5, 0.65, 0.8], [0.7, 0.25, 0.0, 1.0], [0.5] * 4])
+        env = StochasticContextual(probs, cond, [(0, 1, 2)], named_rng(22, "env"))
+        twin = named_rng(22, "env")
+        for _ in range(self.ROUNDS):
+            context = sample_index(twin, probs)
+            assert env.next_context() == context
+            expected = (twin.random(4) < cond[context]).astype(np.float64)
+            assert [env.loss_of(d) for d in range(4)] == expected.tolist()
+        assert env.rng.random() == twin.random()
 
 
 class TestLowerBoundEnv:

@@ -35,6 +35,20 @@ SMALL_RUN = {
     "bases": [{"kind": "exp3"}, {"kind": "ucb1"}],
     "master": {"eta": 0.05},
 }
+SMALL_STABILITY = {
+    "scenario": "stability-test",
+    "horizon": 50,
+    "seeds": [0],
+    "environment": MAB_ENV,
+    "bases": [{"kind": "exp3"}],
+    "rho_levels": [1.0, 4.0],
+}
+CONTEXTUAL_ENV = {
+    "kind": "stochastic-contextual",
+    "context_probs": [0.5, 0.5],
+    "cond_means": [[0.2, 0.7], [0.6, 0.3]],
+    "policies": [[0, 1], [1, 0]],
+}
 
 
 def config(**overrides):
@@ -627,13 +641,27 @@ class TestCli:
                 {"name": "second", "config": {"scenario": "lowerbound-demo", "horizon": 50,
                                               "seeds": [0], "demo": {"naive_eta": -50.0}}},
             ]},
+            {"bases": [{"kind": "thompson", "prior": [[math.nan, 1.0], [1.0, 1.0]]},
+                       {"kind": "exp3"}]},
+            {"bases": [{"kind": "thompson", "prior": [[math.inf, 1.0], [1.0, 1.0]]},
+                       {"kind": "exp3"}]},
+            {"environment": dict(CONTEXTUAL_ENV, cond_means=[[0.2, math.nan], [0.5, 0.5]])},
+            {"environment": dict(CONTEXTUAL_ENV, context_probs=[math.nan, 1.0])},
+            {"scenario": "sweep", "runs": [
+                {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, math.nan])},
+            ]},
+            {"scenario": "sweep", "runs": [
+                {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, math.inf])},
+            ]},
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
              "eta-missing", "arm-pair-short", "arm-pair-range", "demo-eta", "sweep-eta",
              "script-short", "sweep-script-short", "sweep-seeds", "sweep-horizon",
              "sweep-environment", "eta-inf", "demo-naive-eta-negative", "demo-naive-eta-nan",
-             "demo-corral-eta-negative", "demo-corral-eta-inf", "sweep-demo-naive-eta"],
+             "demo-corral-eta-negative", "demo-corral-eta-inf", "sweep-demo-naive-eta",
+             "thompson-prior-nan", "thompson-prior-inf", "cond-means-nan",
+             "context-probs-nan", "rho-level-nan", "rho-level-inf"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
         raw = dict(SMALL_RUN, **overrides)

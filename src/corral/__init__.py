@@ -17,7 +17,6 @@ from .core import (
     InvalidProbabilityError,
     NormalizationDriftError,
     SolverConvergenceError,
-    StabilityCertificate,
     UniformStream,
     importance_weight,
     named_rng,

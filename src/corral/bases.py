@@ -1,9 +1,9 @@
 """Base bandit algorithms behind a uniform propose / update / reset contract.
 
 Every base proposes a decision for the current context, consumes one
-``FeedbackPacket`` per round (selected or not; unselected rounds carry zero
-loss so stateful learners can still count rounds), and can be reset with a
-new loss-range parameter ``rho``. ``update`` follows the round's
+``FeedbackPacket`` per round (a selected one, or the shared ``UNSELECTED``
+packet, which carries nothing but still marks a round), and can be reset
+with a new loss-range parameter ``rho``. ``update`` follows the round's
 ``propose`` and trusts its packet, which ``FeedbackPacket`` and
 ``importance_weight`` have checked. A reset re-initializes all learned state
 and re-tunes internal rates for the new range; the component's random
@@ -22,6 +22,10 @@ tunes its internal rate with ``rho`` in the denominator, which is the same
 update as rescaling incoming losses into ``[0, 1]`` and tuning for unit
 range. Policies are explicit context-to-arm tables (tuples of arm ids), so
 empirical risk minimization is exact exhaustive search.
+
+A base's class attribute ``alpha`` is its stability exponent: fed
+importance-weighted losses with range bound ``rho``, its regret degrades as
+``rho ** alpha`` times its nominal bound. ``None`` means no such promise.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from .core import (
     ConfigError,
     FeedbackPacket,
-    StabilityCertificate,
     UniformStream,
     sample_index,
 )
@@ -87,7 +90,7 @@ class BaseAlgorithm:
     """Uniform contract all base learners implement."""
 
     kind: str = "base"
-    certificate: StabilityCertificate | None = None
+    alpha: float | None = None
 
     def propose(self, context: int) -> int:
         raise NotImplementedError
@@ -108,6 +111,7 @@ class Exp3(BaseAlgorithm):
     """
 
     kind = "exp3"
+    alpha = 0.5
 
     def __init__(self, num_arms: int, horizon: int, range_param: float, rng):
         if num_arms < 2:
@@ -115,7 +119,6 @@ class Exp3(BaseAlgorithm):
         self.num_arms = num_arms
         self.horizon = horizon
         self.rng = UniformStream(rng)
-        self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -163,6 +166,7 @@ class Exp4(BaseAlgorithm):
     """
 
     kind = "exp4"
+    alpha = 0.5
 
     def __init__(
         self,
@@ -178,7 +182,6 @@ class Exp4(BaseAlgorithm):
         self.num_contexts = num_contexts
         self.horizon = horizon
         self.rng = UniformStream(rng)
-        self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -240,6 +243,7 @@ class EpochGreedy(BaseAlgorithm):
     """
 
     kind = "epoch-greedy"
+    alpha = 1.0 / 3.0
 
     def __init__(
         self,
@@ -255,7 +259,6 @@ class EpochGreedy(BaseAlgorithm):
         self.num_contexts = num_contexts
         self.horizon = horizon
         self.rng = UniformStream(rng)
-        self.certificate = StabilityCertificate(alpha=1.0 / 3.0)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -334,6 +337,7 @@ class ThompsonSampling(BaseAlgorithm):
     """
 
     kind = "thompson"
+    alpha = 0.5
 
     def __init__(self, prior, range_param: float, rng):
         prior = [(float(a), float(b)) for a, b in prior]
@@ -348,7 +352,6 @@ class ThompsonSampling(BaseAlgorithm):
         self.prior = prior
         self.num_arms = len(prior)
         self.rng = rng
-        self.certificate = StabilityCertificate(alpha=0.5)
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -378,7 +381,7 @@ class Ucb1(BaseAlgorithm):
 
     Pulls each arm once in index order, then plays the arm minimizing
     ``mean_loss + sqrt(2 ln t / n)`` over its selected rounds, ties to the
-    lowest index. Ships without a stability certificate and is used only in
+    lowest index. Promises no stability exponent and is used only in
     demonstration scenarios.
     """
 
@@ -445,7 +448,6 @@ class PathologicalBase(BaseAlgorithm):
     def __init__(self, arm_pair: tuple[int, int], rng):
         self.arm_pair = (int(arm_pair[0]), int(arm_pair[1]))
         self.rng = UniformStream(rng)
-        self.certificate = None
         self.reset(1.0)
 
     def reset(self, range_param: float) -> None:

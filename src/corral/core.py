@@ -11,6 +11,9 @@ Conventions used across the package:
 * Probability vectors are plain ``list[float]`` on the simplex with strictly
   positive entries (the log-barrier map is undefined at zero), normalized to
   sum to one within ``1e-9``.
+* A round informs only the bases it selects. Every other base receives the
+  one immutable ``UNSELECTED`` packet, which carries no loss and no
+  probability.
 * A component owns the generator it is given, and nothing else may draw
   from it. A component that draws only uniform doubles serves them through
   ``UniformStream``, which draws them ahead in blocks, so the generator
@@ -78,56 +81,47 @@ class IntegrityError(CorralError, RuntimeError):
 class FeedbackPacket:
     """What a base algorithm receives each round.
 
-    ``weighted_loss`` is the importance-weighted loss (zero when not
-    selected), ``sampling_prob`` the probability of the selection event for
-    this base, and ``raw_loss`` recovers ``weighted_loss * sampling_prob``;
-    it is present iff ``selected``.
+    A selected packet carries the raw loss, the probability
+    ``sampling_prob`` of the selection event for this base, and the
+    importance-weighted loss ``raw_loss / sampling_prob``. An unselected
+    round carries no information: zero weighted loss and neither a raw loss
+    nor a probability, so every unselected round is the one ``UNSELECTED``.
     """
 
     selected: bool
     weighted_loss: float
-    sampling_prob: float
+    sampling_prob: float | None = None
     raw_loss: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.selected:
+            if (self.weighted_loss, self.sampling_prob, self.raw_loss) != (0.0, None, None):
+                raise ContractError(
+                    "unselected packet must carry zero loss, no raw loss and no probability"
+                )
+            return
+        if self.raw_loss is None or self.sampling_prob is None:
+            raise ContractError("selected packet must carry its raw loss and probability")
         if not 0.0 < self.sampling_prob <= 1.0:
             raise InvalidProbabilityError(
                 f"sampling_prob must be in (0, 1], got {self.sampling_prob}"
             )
-        if self.selected:
-            if self.raw_loss is None:
-                raise ContractError("selected packet must carry a recoverable raw loss")
-            if self.weighted_loss != self.raw_loss / self.sampling_prob:
-                raise ContractError(
-                    "selected packet must satisfy weighted_loss == raw_loss / sampling_prob"
-                )
-        else:
-            if self.weighted_loss != 0.0:
-                raise ContractError("unselected packet must carry zero weighted loss")
-            if self.raw_loss is not None:
-                raise ContractError("unselected packet cannot carry a recoverable raw loss")
+        if self.weighted_loss != self.raw_loss / self.sampling_prob:
+            raise ContractError(
+                "selected packet must satisfy weighted_loss == raw_loss / sampling_prob"
+            )
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """Promised regret degradation under importance-weighted feedback.
-
-    Regret under a wrapped range bound ``rho`` degrades as ``rho ** alpha``
-    times the algorithm's nominal regret bound.
-    """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
+# Packets are immutable, so every unselected round shares this one.
+UNSELECTED = FeedbackPacket(False, 0.0)
 
 
 def importance_weight(raw: float, prob: float, selected: bool) -> FeedbackPacket:
     """Build the importance-weighted feedback packet for one round.
 
-    On selected rounds the weighted loss is ``raw / prob``; unselected
-    rounds carry zero loss (the round still happened, with no information).
+    On selected rounds the weighted loss is ``raw / prob``; an unselected
+    round is ``UNSELECTED`` (the round still happened, with no information).
+    Both arguments are checked either way.
     """
     # NaN and +-inf fail the range comparisons themselves.
     if not 0.0 <= raw <= 1.0:
@@ -136,7 +130,7 @@ def importance_weight(raw: float, prob: float, selected: bool) -> FeedbackPacket
         raise InvalidProbabilityError(f"probability must be in (0, 1], got {prob}")
     if selected:
         return FeedbackPacket(True, raw / prob, prob, raw)
-    return FeedbackPacket(False, 0.0, prob, None)
+    return UNSELECTED
 
 
 def validate_simplex(p: Sequence[float]) -> list[float]:

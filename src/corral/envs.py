@@ -185,11 +185,6 @@ class StochasticContextual(Environment):
                 best = j
         return RegretBaseline(best_decision=best, per_round=values[best])
 
-    def arm_baseline(self) -> RegretBaseline:
-        """Baseline over constant (context-blind) policies, i.e. fixed arms."""
-        constant = [(a,) * self.num_contexts for a in range(self.num_arms)]
-        return self.baseline(policies=constant)
-
 
 class LowerBoundEnv(Environment):
     """Four deterministic actions split into a cheap pair and a dear pair.

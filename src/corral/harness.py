@@ -39,6 +39,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -60,6 +61,7 @@ from .core import (
     CorralError,
     FeedbackPacket,
     IntegrityError,
+    UNSELECTED,
     UniformStream,
     importance_weight,
     named_rng,
@@ -118,6 +120,14 @@ def _check_spec(spec: dict, table: dict, what: str) -> None:
             raise ConfigError(f"{kind} needs exactly one of {list(group)}")
 
 
+def _integer(value, what: str) -> int:
+    """An integer config value; ``int`` would truncate 10.9, and read
+    ``true`` (a ``bool``) as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -140,14 +150,14 @@ class ExperimentConfig:
         scenario = raw.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}")
-        for key in ("seeds", "rho_levels"):
-            if isinstance(raw.get(key), str):
-                raise ConfigError(f"{key} must be a list, got a string")
+        # Seeds are integers, so a seeds string fails on its first character.
+        if isinstance(raw.get("rho_levels"), str):
+            raise ConfigError("rho_levels must be a list, got a string")
         try:
             cfg = cls(
                 scenario=scenario,
-                horizon=int(raw.get("horizon", 0)),
-                seeds=[int(s) for s in raw.get("seeds", [])],
+                horizon=_integer(raw.get("horizon", 0), "horizon"),
+                seeds=[_integer(s, "seed") for s in raw.get("seeds", [])],
                 environment=dict(raw.get("environment", {})),
                 bases=[dict(b) for b in raw.get("bases", [])],
                 master=dict(raw.get("master", {})),
@@ -490,16 +500,6 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
     return env.baseline()
 
 
-def per_base_baseline(env: Environment, base: BaseAlgorithm) -> RegretBaseline:
-    """Baseline over one base's own decision space."""
-    if isinstance(env, StochasticContextual):
-        policies = getattr(base, "policies", None)
-        if policies is not None:
-            return env.baseline(policies=policies)
-        return env.arm_baseline()
-    return env.baseline()
-
-
 # ---------------------------------------------------------------------------
 # The round loop and its feedback routers
 # ---------------------------------------------------------------------------
@@ -597,8 +597,10 @@ class InducedRouter(StandaloneRouter):
 
     def feed(self, env: InducedEnvironment, chosen: int, proposals: list[int]):
         selected, emitted = env.observe(proposals[0])
-        raw = env.last_raw_loss if selected else None
-        return emitted, (FeedbackPacket(selected, emitted, env.sampling_prob, raw),), ()
+        if not selected:
+            return emitted, (UNSELECTED,), ()
+        packet = FeedbackPacket(True, emitted, env.sampling_prob, env.last_raw_loss)
+        return emitted, (packet,), ()
 
 
 class NaiveRouter:
@@ -624,15 +626,11 @@ class NaiveRouter:
         return raw, _naive_packets(len(proposals), chosen, weighted), ()
 
 
-# Packets are immutable, so every naive zero round can share one.
-_NAIVE_ZERO_ROUND = FeedbackPacket(False, 0.0, 1.0)
-
-
 def _naive_packets(num_bases: int, chosen: int, weighted: float) -> list[FeedbackPacket]:
     """Feedback as a naive master would send it: the importance-weighted
     number is presented to the sampled base as if it were a genuinely
-    observed loss, and everyone else gets a zero round."""
-    packets = [_NAIVE_ZERO_ROUND] * num_bases
+    observed loss, and everyone else gets ``UNSELECTED``."""
+    packets = [UNSELECTED] * num_bases
     packets[chosen] = FeedbackPacket(True, weighted, 1.0, weighted)
     return packets
 
@@ -687,7 +685,7 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
         logs.append(round_log(f"corral-run:{seed}", seed, losses, baseline, router))
         cum_loss = float(logs[-1].cum_loss[-1])
         per_base_regrets.append(
-            [cum_loss - per_base_baseline(env, b).cumulative(horizon) for b in bases]
+            [cum_loss - union_baseline(env, [b]).cumulative(horizon) for b in bases]
         )
     summary = compute_regret(logs, baselines, horizon)
     for entry, regs in zip(summary["per_seed"], per_base_regrets):
@@ -718,7 +716,7 @@ def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     for seed in sorted(config.seeds):
         env = build_environment(config.environment, named_rng(seed, "env"), horizon)
         base = build_base(config.bases[0], env, horizon, 1.0, named_rng(seed, "base.0"))
-        baselines[seed] = baseline = per_base_baseline(env, base)
+        baselines[seed] = baseline = union_baseline(env, [base])
         router = StandaloneRouter(base)
         losses = play(env, [base], router, horizon)
         logs.append(round_log(f"standalone-run:{seed}", seed, losses, baseline, router))
@@ -742,7 +740,6 @@ def run_stability_test(config: ExperimentConfig) -> dict:
         raise ConfigError(f"expected stability-test config, got {config.scenario}")
     horizon = config.horizon
     per_rho = []
-    certificate_alpha = None
     for rho in config.rho_levels:
         regrets = []
         for seed in sorted(config.seeds):
@@ -751,10 +748,8 @@ def run_stability_test(config: ExperimentConfig) -> dict:
             base = build_base(
                 config.bases[0], env, horizon, rho, named_rng(seed, "base.0")
             )
-            if base.certificate is not None:
-                certificate_alpha = base.certificate.alpha
             cum_weighted = np.cumsum(play(wrapped, [base], InducedRouter(base), horizon))
-            baseline = per_base_baseline(env, base)
+            baseline = union_baseline(env, [base])
             regrets.append(float(cum_weighted[-1]) - baseline.cumulative(horizon))
         mean = float(np.mean(regrets))
         if mean <= 0.0:
@@ -774,7 +769,8 @@ def run_stability_test(config: ExperimentConfig) -> dict:
         "base_kind": config.bases[0]["kind"],
         "per_rho": per_rho,
         "alpha_hat": slope,
-        "certificate_alpha": certificate_alpha,
+        # A class attribute, so the last base built speaks for every one.
+        "certificate_alpha": base.alpha,
     }
 
 
@@ -810,19 +806,20 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
     baselines: dict[int, RegretBaseline] = {}
 
     for seed in sorted(config.seeds):
-        # Naive exponential-weights master.
+        # The environment draws only when it is built, so the legs share it.
         env = LowerBoundEnv(named_rng(seed, "env"))
+        baselines[seed] = baseline = env.baseline()
+
+        # Naive exponential-weights master.
         bases = [
             PathologicalBase((0, 1), named_rng(seed, "naive.base.0")),
             PathologicalBase((2, 3), named_rng(seed, "naive.base.1")),
         ]
         router = NaiveRouter(2, naive_eta, named_rng(seed, "naive.master"))
         cum_loss = np.cumsum(play(env, bases, router, horizon))
-        legs["naive"].append(_half_and_full_regret(env.baseline(), cum_loss, horizon))
+        legs["naive"].append(_half_and_full_regret(baseline, cum_loss, horizon))
 
         # Corral master, same naive feeding of the bases.
-        env = LowerBoundEnv(named_rng(seed, "env"))
-        baselines[seed] = baseline = env.baseline()
         bases = [
             PathologicalBase((0, 1), named_rng(seed, "corral.base.0")),
             PathologicalBase((2, 3), named_rng(seed, "corral.base.1")),
@@ -835,10 +832,9 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
         legs["corral"].append(_half_and_full_regret(baseline, logs[-1].cum_loss, horizon))
 
         # Matched standalone: the base whose pair carries the cheap losses.
-        env = LowerBoundEnv(named_rng(seed, "env"))
         base = PathologicalBase(env.cheap_pair, named_rng(seed, "standalone.base"))
         cum_loss = np.cumsum(play(env, [base], StandaloneRouter(base), horizon))
-        legs["standalone"].append(_half_and_full_regret(env.baseline(), cum_loss, horizon))
+        legs["standalone"].append(_half_and_full_regret(baseline, cum_loss, horizon))
 
     masters = {}
     for name in ("naive", "corral"):

@@ -24,6 +24,7 @@ from .core import (
     FeedbackPacket,
     InvalidLossError,
     InvalidProbabilityError,
+    UNSELECTED,
     normalize,
     sample_index,
 )
@@ -128,8 +129,9 @@ def build_packets(
     weighted by its own sampling probability. Shared estimator: every base
     whose proposal equals the played decision shares the feedback, weighted
     by the total probability of that decision being played; this wastes less
-    information when the decision space is small. Both are unbiased. Every
-    packet checks its own probability when it is made.
+    information when the decision space is small. Both are unbiased. The
+    selected bases share one packet and every other base gets
+    ``UNSELECTED``; every ``p_bar`` entry is checked once.
     """
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}")
@@ -138,26 +140,23 @@ def build_packets(
     # NaN and +-inf fail the range comparisons themselves.
     if not 0.0 <= observed_loss <= 1.0:
         raise InvalidLossError(f"observed loss must be in [0, 1], got {observed_loss}")
+    for x in p_bar:
+        if not 0.0 < x <= 1.0:
+            raise InvalidProbabilityError(f"probability must be in (0, 1], got {x}")
     if estimator == ESTIMATOR_STANDARD:
-        probs = p_bar
-        selected = [i == chosen for i in range(len(p_bar))]
-    else:
-        played = proposals[chosen]
-        group_prob: dict[int, float] = {}
-        for i, d in enumerate(proposals):
-            group_prob[d] = group_prob.get(d, 0.0) + p_bar[i]
-        # Summing a full group can overshoot 1 by an ulp.
-        probs = [min(1.0, group_prob[d]) for d in proposals]
-        selected = [d == played for d in proposals]
-    # Checked here because the division below comes before the packet's check.
-    if not probs[chosen] > 0.0:
-        raise InvalidProbabilityError(f"probability must be in (0, 1], got {probs[chosen]}")
-    return [
-        FeedbackPacket(True, observed_loss / prob, prob, observed_loss)
-        if hit
-        else FeedbackPacket(False, 0.0, prob)
-        for prob, hit in zip(probs, selected)
-    ]
+        prob = p_bar[chosen]
+        packets = [UNSELECTED] * len(p_bar)
+        packets[chosen] = FeedbackPacket(True, observed_loss / prob, prob, observed_loss)
+        return packets
+    played = proposals[chosen]
+    # Summed in index order; a full group can overshoot 1 by an ulp.
+    prob = 0.0
+    for x, d in zip(p_bar, proposals):
+        if d == played:
+            prob += x
+    prob = min(1.0, prob)
+    shared = FeedbackPacket(True, observed_loss / prob, prob, observed_loss)
+    return [shared if d == played else UNSELECTED for d in proposals]
 
 
 def feedback(state: MasterState, chosen: int, observed_loss: float) -> RoundOutcome:

@@ -32,6 +32,14 @@ def unselected(prob=0.5):
     return importance_weight(0.3, prob, False)
 
 
+BASE_CLASSES = [Exp3, Exp4, EpochGreedy, ThompsonSampling, Ucb1, PathologicalBase]
+
+
+@pytest.mark.parametrize("cls", BASE_CLASSES, ids=[cls.kind for cls in BASE_CLASSES])
+def test_stability_exponent_is_none_or_in_unit_interval(cls):
+    assert cls.alpha is None or 0.0 < cls.alpha <= 1.0
+
+
 class TestExp3:
     def test_uniform_before_updates(self):
         b = Exp3(4, 1000, 1.0, named_rng(0, "b"))
@@ -420,7 +428,6 @@ class TestStabilityExponentPower:
         # retuning for the range destroys its own feedback signal; its
         # fitted exponent sits far above the properly rescaled one
         # (pilot: 0.76 vs 0.49 at this configuration).
-        from corral.core import FeedbackPacket
         from corral.envs import InducedEnvironment, StochasticMAB
 
         class ClippingExp3(Exp3):
@@ -450,9 +457,8 @@ class TestStabilityExponentPower:
                         ctx = wrapped.next_context()
                         arm = base.propose(ctx)
                         sel, emitted = wrapped.observe(arm)
-                        raw = wrapped.last_raw_loss if sel else None
                         base.update(
-                            FeedbackPacket(sel, emitted, wrapped.sampling_prob, raw)
+                            importance_weight(wrapped.last_raw_loss, wrapped.sampling_prob, sel)
                         )
                         cum += emitted
                     regs.append(cum - env.baseline().cumulative(horizon))

@@ -8,13 +8,12 @@ import pytest
 
 from corral.core import (
     ContractError,
-    ConfigError,
     DegenerateDistributionError,
     FeedbackPacket,
     InvalidLossError,
     InvalidProbabilityError,
     NormalizationDriftError,
-    StabilityCertificate,
+    UNSELECTED,
     UniformStream,
     importance_weight,
     named_rng,
@@ -37,9 +36,10 @@ class TestImportanceWeight:
 
     def test_unselected_round_carries_zero_loss(self):
         packet = importance_weight(0.9, 0.3, False)
+        assert packet is UNSELECTED
         assert not packet.selected
         assert packet.weighted_loss == 0.0
-        assert packet.raw_loss is None
+        assert packet.raw_loss is None and packet.sampling_prob is None
 
     @pytest.mark.parametrize("prob", [0.0, -0.1, 1.2, math.nan])
     def test_invalid_probability(self, prob):
@@ -75,17 +75,29 @@ class TestFeedbackPacket:
         with pytest.raises(ContractError):
             FeedbackPacket(True, 2.0, 0.25, raw_loss=0.4)
 
+    @pytest.mark.parametrize("missing", ["sampling_prob", "raw_loss"])
+    def test_selected_carries_raw_and_probability(self, missing):
+        fields = {"sampling_prob": 0.5, "raw_loss": 0.5, missing: None}
+        with pytest.raises(ContractError):
+            FeedbackPacket(True, 1.0, **fields)
+
     def test_unselected_requires_zero_loss(self):
         with pytest.raises(ContractError):
-            FeedbackPacket(False, 0.5, 0.5)
+            FeedbackPacket(False, 0.5)
 
     def test_unselected_cannot_recover_raw(self):
         with pytest.raises(ContractError):
-            FeedbackPacket(False, 0.0, 0.5, raw_loss=0.1)
+            FeedbackPacket(False, 0.0, raw_loss=0.1)
+
+    # No base reads an unselected round's probability, so it carries none.
+    @pytest.mark.parametrize("prob", [0.5, 1.0])
+    def test_unselected_carries_no_probability(self, prob):
+        with pytest.raises(ContractError):
+            FeedbackPacket(False, 0.0, prob)
 
     def test_probability_range_enforced(self):
         with pytest.raises(InvalidProbabilityError):
-            FeedbackPacket(False, 0.0, 0.0)
+            FeedbackPacket(True, 0.0, 0.0, raw_loss=0.0)
 
 
 class TestValidateSimplex:
@@ -114,18 +126,6 @@ class TestValidateSimplex:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DegenerateDistributionError, match="non-finite"):
             validate_simplex([bad, 0.5])
-
-
-class TestStabilityCertificate:
-    def test_valid_certificate(self):
-        cert = StabilityCertificate(0.5)
-        assert cert.alpha == 0.5
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ConfigError):
-            StabilityCertificate(0.0)
-        with pytest.raises(ConfigError):
-            StabilityCertificate(1.5)
 
 
 class TestNamedRng:

@@ -13,7 +13,8 @@ from corral.envs import (
     StochasticContextual,
     StochasticMAB,
 )
-from corral.harness import build_environment
+from corral.bases import Exp3
+from corral.harness import build_environment, union_baseline
 
 
 class TestStochasticMAB:
@@ -125,7 +126,8 @@ class TestStochasticContextual:
             [(0, 1)],
             named_rng(5, "env"),
         )
-        arm = env.arm_baseline()
+        # An arm-space base contributes every constant policy, and only those.
+        arm = union_baseline(env, [Exp3(2, 10, 1.0, named_rng(5, "base"))])
         # Constant arms cost 0.45 and 0.55 in expectation.
         assert arm.per_round == pytest.approx(0.45)
 

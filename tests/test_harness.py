@@ -653,6 +653,9 @@ class TestCli:
             {"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, math.inf])},
             ]},
+            {"horizon": 10.9},
+            {"seeds": [1.7]},
+            {"seeds": [True]},
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -661,7 +664,8 @@ class TestCli:
              "sweep-environment", "eta-inf", "demo-naive-eta-negative", "demo-naive-eta-nan",
              "demo-corral-eta-negative", "demo-corral-eta-inf", "sweep-demo-naive-eta",
              "thompson-prior-nan", "thompson-prior-inf", "cond-means-nan",
-             "context-probs-nan", "rho-level-nan", "rho-level-inf"],
+             "context-probs-nan", "rho-level-nan", "rho-level-inf", "horizon-fraction",
+             "seed-fraction", "seed-bool"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
         raw = dict(SMALL_RUN, **overrides)

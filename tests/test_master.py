@@ -10,6 +10,7 @@ from corral.core import (
     ContractError,
     InvalidLossError,
     InvalidProbabilityError,
+    UNSELECTED,
     named_rng,
 )
 from corral.master import (
@@ -126,8 +127,25 @@ class TestBuildPackets:
         # Bases 0 and 1 proposed the played decision; they share probability 0.5.
         assert packets[0].selected and packets[0].weighted_loss == pytest.approx(1.2)
         assert packets[1].selected and packets[1].weighted_loss == pytest.approx(1.2)
-        assert not packets[2].selected
-        assert packets[2].sampling_prob == 0.5
+        assert packets[0].sampling_prob == 0.5 and packets[1].sampling_prob == 0.5
+        assert packets[2] is UNSELECTED
+
+    @pytest.mark.parametrize("estimator", [ESTIMATOR_STANDARD, ESTIMATOR_SHARED])
+    def test_unselected_entries_are_the_shared_packet(self, estimator):
+        rng = named_rng(13, "unselected")
+        for _ in range(50):
+            m = int(rng.integers(2, 6))
+            p_bar = rng.dirichlet(np.ones(m)).tolist()
+            proposals = [int(rng.integers(3)) for _ in range(m)]
+            chosen = int(rng.integers(m))
+            packets = build_packets(p_bar, proposals, 0.5, chosen, estimator)
+            if estimator == ESTIMATOR_STANDARD:
+                hits = [i == chosen for i in range(m)]
+            else:
+                hits = [d == proposals[chosen] for d in proposals]
+            assert [packet.selected for packet in packets] == hits
+            for packet, hit in zip(packets, hits):
+                assert packet is (packets[chosen] if hit else UNSELECTED)
 
     def test_all_identical_proposals_have_unit_probability(self):
         packets = build_packets([0.4, 0.35, 0.25], [2, 2, 2], 0.8, 1, ESTIMATOR_SHARED)

@@ -12,10 +12,11 @@ draw only uniforms serve them from a ``UniformStream``, so the generator
 itself runs up to ``UniformStream.BLOCK - 1`` draws ahead, and nothing else
 may draw from it.
 
-``Exp3`` and ``Exp4`` reuse the distribution ``propose`` samples from until
-their cumulative losses change. ``exp_weights`` depends only on those losses
-and the rate, which changes only in ``reset``, and finite losses that compare
-equal give bit-identical weights.
+``Exp4`` (and so ``Exp3``, which is ``Exp4`` over the constant policies)
+reuses the action mixture ``propose`` samples from until its cumulative
+losses change. ``exp_weights`` depends only on those losses and the rate,
+which changes only in ``reset``, and finite losses that compare equal give
+bit-identical weights.
 
 Range handling: a base expecting importance-weighted losses in ``[0, rho]``
 tunes its internal rate with ``rho`` in the denominator, which is the same
@@ -102,67 +103,13 @@ class BaseAlgorithm:
         raise NotImplementedError
 
 
-class Exp3(BaseAlgorithm):
-    """Exponential weights over arms with importance-weighted internal losses.
-
-    The internal rate is ``sqrt(ln K / (K * T * rho))``; incoming weighted
-    losses are divided once more by the algorithm's own arm probability on
-    selected rounds, keeping the per-arm estimate unbiased.
-    """
-
-    kind = "exp3"
-    alpha = 0.5
-
-    def __init__(self, num_arms: int, horizon: int, range_param: float, rng):
-        if num_arms < 2:
-            raise ConfigError(f"need at least 2 arms, got {num_arms}")
-        self.num_arms = num_arms
-        self.horizon = horizon
-        self.rng = UniformStream(rng)
-        self.reset(range_param)
-
-    def reset(self, range_param: float) -> None:
-        self.range_param = _check_range(range_param)
-        self.rate = math.sqrt(
-            math.log(self.num_arms) / (self.num_arms * self.horizon * self.range_param)
-        )
-        self.cum_loss = [0.0] * self.num_arms
-        self._last_arm: int | None = None
-        self._last_probs: list[float] | None = None
-        # propose's distribution and a copy of the losses it came from.
-        self._probs: list[float] = []
-        self._probs_of: list[float] | None = None
-
-    def distribution(self) -> list[float]:
-        return exp_weights(self.cum_loss, self.rate)
-
-    def propose(self, context: int) -> int:
-        # Reused while the losses are equal to those it came from (see the
-        # module docstring); keyed on a copy, so direct writes are seen.
-        if self.cum_loss != self._probs_of:
-            self._probs_of = list(self.cum_loss)
-            self._probs = self.distribution()
-        probs = self._probs
-        arm = sample_index(self.rng, probs)
-        self._last_arm = arm
-        self._last_probs = probs
-        return arm
-
-    def update(self, packet: FeedbackPacket) -> None:
-        if not packet.selected:
-            return
-        self.cum_loss[self._last_arm] += (
-            packet.weighted_loss / self._last_probs[self._last_arm]
-        )
-
-
 class Exp4(BaseAlgorithm):
     """Exponential weights over a finite policy class (contextual).
 
     The action distribution is the policy-weight mixture pushed through the
     current context; the internal rate is ``sqrt(ln |policies| / (K*T*rho))``.
-    With a single context and one policy per arm this reduces exactly to
-    ``Exp3`` on the same random stream.
+    A selected round charges its weighted loss over the played arm's
+    probability, an unbiased estimate, to every policy playing that arm.
     """
 
     kind = "exp4"
@@ -179,7 +126,6 @@ class Exp4(BaseAlgorithm):
     ):
         self.policies = validate_policies(policies, num_arms, num_contexts)
         self.num_arms = num_arms
-        self.num_contexts = num_contexts
         self.horizon = horizon
         self.rng = UniformStream(rng)
         self.reset(range_param)
@@ -200,15 +146,15 @@ class Exp4(BaseAlgorithm):
         self._mixtures: dict[int, list[float]] = {}
         self._mixed_of: list[float] | None = None
 
-    def policy_distribution(self) -> list[float]:
+    def distribution(self) -> list[float]:
         return exp_weights(self.cum_loss, self.rate)
 
     def propose(self, context: int) -> int:
-        # Reused while the losses are equal to those they came from, as in
-        # ``Exp3.propose``.
+        # Reused while the losses are equal to those they came from (see the
+        # module docstring); keyed on a copy, so direct writes are seen.
         if self.cum_loss != self._mixed_of:
             self._mixed_of = list(self.cum_loss)
-            self._policy_probs = self.policy_distribution()
+            self._policy_probs = self.distribution()
             self._mixtures = {}
         action_probs = self._mixtures.get(context)
         if action_probs is None:
@@ -229,6 +175,22 @@ class Exp4(BaseAlgorithm):
         for j, pol in enumerate(self.policies):
             if pol[self._last_context] == self._last_arm:
                 self.cum_loss[j] += estimate
+
+
+class Exp3(Exp4):
+    """EXP4 over the constant policies (Auer et al. 2002): policy ``a`` plays
+    arm ``a`` in every context, so the action distribution is the policy
+    distribution and the rate is ``sqrt(ln K / (K*T*rho))``. ``num_contexts``
+    sizes the policy tables that a contextual baseline compares against.
+    """
+
+    kind = "exp3"
+
+    def __init__(
+        self, num_arms: int, horizon: int, range_param: float, rng, num_contexts: int = 1
+    ):
+        constants = [(a,) * num_contexts for a in range(num_arms)]
+        super().__init__(constants, num_arms, num_contexts, horizon, range_param, rng)
 
 
 class EpochGreedy(BaseAlgorithm):
@@ -256,7 +218,6 @@ class EpochGreedy(BaseAlgorithm):
     ):
         self.policies = validate_policies(policies, num_arms, num_contexts)
         self.num_arms = num_arms
-        self.num_contexts = num_contexts
         self.horizon = horizon
         self.rng = UniformStream(rng)
         self.reset(range_param)

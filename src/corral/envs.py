@@ -236,8 +236,6 @@ class InducedEnvironment:
     visible to the experimenter only.
     """
 
-    kind = "induced"
-
     def __init__(self, inner: Environment, sampling_prob: float, rng):
         prob = float(sampling_prob)
         if not 0.0 < prob <= 1.0:
@@ -246,14 +244,6 @@ class InducedEnvironment:
         self.sampling_prob = prob
         self.rng = UniformStream(rng)
         self.last_raw_loss: float | None = None
-
-    @property
-    def num_arms(self) -> int:
-        return self.inner.num_arms
-
-    @property
-    def num_contexts(self) -> int:
-        return self.inner.num_contexts
 
     def next_context(self) -> int:
         return self.inner.next_context()
@@ -265,6 +255,3 @@ class InducedEnvironment:
         if self.rng.random() < self.sampling_prob:
             return True, raw / self.sampling_prob
         return False, 0.0
-
-    def baseline(self) -> RegretBaseline:
-        return self.inner.baseline()

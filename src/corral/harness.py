@@ -120,12 +120,34 @@ def _check_spec(spec: dict, table: dict, what: str) -> None:
             raise ConfigError(f"{kind} needs exactly one of {list(group)}")
 
 
-def _integer(value, what: str) -> int:
-    """An integer config value; ``int`` would truncate 10.9, and read
-    ``true`` (a ``bool``) as 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+# The only keys that take strings ("eta" takes "tuned"), and the integer keys.
+_STRING_KEYS = {"scenario", "kind", "restart_policy", "estimator", "script_csv", "name"}
+_INTEGER_KEYS = {"horizon", "seeds", "policies", "arm_pair"}
+
+
+def _check_values(value, key=None, integer=False) -> None:
+    """Reject a raw config value not of its key's JSON type: Python would read
+    ``true`` as 1 and ``"0.5"`` as 0.5, and ``int`` truncates 1.9 to 1."""
+    integer = integer or key in _INTEGER_KEYS
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_values(v, k, integer)
+    elif isinstance(value, (list, tuple)):
+        # One set of types per list, and a table's cells as one list: a long
+        # script costs no call per cell or row.
+        kinds = set(map(type, value))
+        if value and kinds <= {list, tuple}:
+            _check_values([x for row in value for x in row], key, integer)
+        elif not kinds <= ({int} if integer else {int, float}):
+            for v in value:
+                _check_values(v, key, integer)
+    elif isinstance(value, str):
+        if key not in _STRING_KEYS and (key, value) != ("eta", "tuned"):
+            raise ConfigError(f"{key} takes no string, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ):
+        raise ConfigError(f"{key} takes {'integers' if integer else 'numbers'}, got {value!r}")
 
 
 @dataclass
@@ -150,14 +172,12 @@ class ExperimentConfig:
         scenario = raw.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}")
-        # Seeds are integers, so a seeds string fails on its first character.
-        if isinstance(raw.get("rho_levels"), str):
-            raise ConfigError("rho_levels must be a list, got a string")
+        _check_values(raw)
         try:
             cfg = cls(
                 scenario=scenario,
-                horizon=_integer(raw.get("horizon", 0), "horizon"),
-                seeds=[_integer(s, "seed") for s in raw.get("seeds", [])],
+                horizon=int(raw.get("horizon", 0)),
+                seeds=[int(s) for s in raw.get("seeds", [])],
                 environment=dict(raw.get("environment", {})),
                 bases=[dict(b) for b in raw.get("bases", [])],
                 master=dict(raw.get("master", {})),
@@ -181,7 +201,15 @@ class ExperimentConfig:
             for entry in self.runs:
                 if set(entry) != {"name", "config"}:
                     raise ConfigError("each sweep run needs exactly 'name' and 'config'")
+                # Each run writes to the subdirectory of its name.
+                name = entry["name"]
+                if (not isinstance(name, str) or name in ("", ".", "..")
+                        or set(name) & {"/", "\0", os.sep, os.altsep}):
+                    raise ConfigError(f"sweep run name must be one path component, got {name!r}")
                 ExperimentConfig.from_dict(entry["config"])
+            names = [entry["name"] for entry in self.runs]
+            if len(set(names)) != len(names):
+                raise ConfigError(f"sweep run names must be distinct, got {names}")
             return
         if self.runs:
             raise ConfigError("'runs' is only valid for the sweep scenario")
@@ -296,7 +324,7 @@ def build_base(
     """Base learner for a spec whose keys ``ExperimentConfig`` has checked."""
     kind = spec["kind"]
     if kind == "exp3":
-        return Exp3(env.num_arms, horizon, range_param, rng)
+        return Exp3(env.num_arms, horizon, range_param, rng, env.num_contexts)
     if kind == "exp4":
         return Exp4(
             spec["policies"], env.num_arms, env.num_contexts, horizon, range_param, rng
@@ -483,35 +511,30 @@ def _stderr(values) -> float:
 def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseline:
     """Baseline over the union of the base algorithms' decision spaces.
 
-    Policy bases contribute their policy tables; arm-space bases contribute
-    every constant (context-blind) policy.
+    A base with a policy table (EXP3's is the constant policies) contributes
+    it; any other base contributes every constant (context-blind) policy.
+    Each policy enters once, in order of first appearance.
     """
-    if isinstance(env, StochasticContextual):
-        union: list[tuple[int, ...]] = []
-        constants_added = False
-        for base in bases:
-            policies = getattr(base, "policies", None)
-            if policies is not None:
-                union.extend(policies)
-            elif not constants_added:
-                union.extend((a,) * env.num_contexts for a in range(env.num_arms))
-                constants_added = True
-        return env.baseline(policies=union)
-    return env.baseline()
+    if not isinstance(env, StochasticContextual):
+        return env.baseline()
+    constants = [(a,) * env.num_contexts for a in range(env.num_arms)]
+    union = dict.fromkeys(
+        policy for base in bases for policy in getattr(base, "policies", constants)
+    )
+    return env.baseline(policies=list(union))
 
 
 # ---------------------------------------------------------------------------
 # The round loop and its feedback routers
 # ---------------------------------------------------------------------------
 #
-# A router picks whose proposal is played and feeds the round back:
-# ``choose(proposals)`` returns the chosen base's index, and
-# ``feed(env, chosen, proposals)`` plays its proposal and returns the loss
-# the round charges, one packet per base, and the ``(base, range)`` resets
-# to apply after every base has updated. A router whose rounds are logged
-# keeps their choices and schedule, and ``columns()`` returns them as the
-# matching ``RoundLog`` fields. A router that samples owns the generator it
-# is given and serves its uniforms through a ``UniformStream``.
+# A router plays one round from the bases' proposals: ``step(env,
+# proposals)`` picks whose proposal is played, plays it, and returns the
+# loss the round charges, one packet per base, and the ``(base, range)``
+# resets to apply after every base has updated. A router whose rounds are
+# logged keeps their choices and schedule, and ``columns()`` returns them as
+# the matching ``RoundLog`` fields. A router that samples owns the generator
+# it is given and serves its uniforms through a ``UniformStream``.
 
 
 class CorralRouter:
@@ -530,11 +553,9 @@ class CorralRouter:
         self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
         self._schedule = list(state.eta), list(state.rho)
 
-    def choose(self, proposals: list[int]) -> int:
-        return corral_master.choose(self.state, self.rng)
-
-    def feed(self, env, chosen: int, proposals: list[int]):
+    def step(self, env, proposals: list[int]):
         state = self.state
+        chosen = corral_master.choose(state, self.rng)
         decision = proposals[chosen]
         p_bar = state.p_bar
         # ``feedback`` replaces ``p_bar``, and changes ``eta`` and ``rho`` only
@@ -570,10 +591,7 @@ class StandaloneRouter:
         self.range_param = base.range_param
         self.decision: list[int] = []
 
-    def choose(self, proposals: list[int]) -> int:
-        return 0
-
-    def feed(self, env: Environment, chosen: int, proposals: list[int]):
+    def step(self, env: Environment, proposals: list[int]):
         decision = proposals[0]
         self.decision.append(decision)
         raw = env.loss_of(decision)
@@ -591,11 +609,11 @@ class StandaloneRouter:
         }
 
 
-class InducedRouter(StandaloneRouter):
+class InducedRouter:
     """One base inside ``InducedEnvironment``; the round charges the emitted
     importance-weighted loss."""
 
-    def feed(self, env: InducedEnvironment, chosen: int, proposals: list[int]):
+    def step(self, env: InducedEnvironment, proposals: list[int]):
         selected, emitted = env.observe(proposals[0])
         if not selected:
             return emitted, (UNSELECTED,), ()
@@ -613,15 +631,12 @@ class NaiveRouter:
         self.rate = rate
         self.rng = UniformStream(rng)
         self.cum_est = [0.0] * num_bases
-        self.probs: list[float] = []
 
-    def choose(self, proposals: list[int]) -> int:
-        self.probs = exp_weights(self.cum_est, self.rate)
-        return sample_index(self.rng, self.probs)
-
-    def feed(self, env: Environment, chosen: int, proposals: list[int]):
+    def step(self, env: Environment, proposals: list[int]):
+        probs = exp_weights(self.cum_est, self.rate)
+        chosen = sample_index(self.rng, probs)
         raw = env.loss_of(proposals[chosen])
-        weighted = raw / self.probs[chosen]
+        weighted = raw / probs[chosen]
         self.cum_est[chosen] += weighted
         return raw, _naive_packets(len(proposals), chosen, weighted), ()
 
@@ -637,15 +652,12 @@ def _naive_packets(num_bases: int, chosen: int, weighted: float) -> list[Feedbac
 
 def play(env, bases, router, horizon) -> np.ndarray:
     """Play ``horizon`` rounds; return the loss each round charged."""
-    choose = router.choose
-    feed = router.feed
+    step = router.step
     losses: list[float] = []
     charge = losses.append
     for _ in range(horizon):
         ctx = env.next_context()
-        proposals = [b.propose(ctx) for b in bases]
-        chosen = choose(proposals)
-        raw, packets, resets = feed(env, chosen, proposals)
+        raw, packets, resets = step(env, [b.propose(ctx) for b in bases])
         for base, packet in zip(bases, packets):
             base.update(packet)
         for i, range_param in resets:
@@ -748,7 +760,7 @@ def run_stability_test(config: ExperimentConfig) -> dict:
             base = build_base(
                 config.bases[0], env, horizon, rho, named_rng(seed, "base.0")
             )
-            cum_weighted = np.cumsum(play(wrapped, [base], InducedRouter(base), horizon))
+            cum_weighted = np.cumsum(play(wrapped, [base], InducedRouter(), horizon))
             baseline = union_baseline(env, [base])
             regrets.append(float(cum_weighted[-1]) - baseline.cumulative(horizon))
         mean = float(np.mean(regrets))

@@ -8,16 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corral.bases import (
+    BaseAlgorithm,
     EpochGreedy,
     Exp3,
     Exp4,
     PathologicalBase,
     ThompsonSampling,
     Ucb1,
+    _check_range,
     exp_weights,
     explore_budget,
 )
-from corral.core import ConfigError, FeedbackPacket, importance_weight, named_rng
+from corral.core import (
+    ConfigError,
+    FeedbackPacket,
+    UniformStream,
+    importance_weight,
+    named_rng,
+    sample_index,
+)
 
 POLICIES_8 = [
     (0, 1), (0, 0), (1, 1), (2, 3), (3, 2), (1, 0), (2, 2), (3, 3),
@@ -30,6 +39,88 @@ def selected(raw, prob=1.0):
 
 def unselected(prob=0.5):
     return importance_weight(0.3, prob, False)
+
+
+class ReferenceExp3(BaseAlgorithm):
+    """``Exp3`` as it was before it became ``Exp4`` over the constant
+    policies, kept verbatim below this docstring: the folded class must
+    propose exactly its arms and keep exactly its losses.
+
+    Exponential weights over arms with importance-weighted internal losses.
+
+    The internal rate is ``sqrt(ln K / (K * T * rho))``; incoming weighted
+    losses are divided once more by the algorithm's own arm probability on
+    selected rounds, keeping the per-arm estimate unbiased.
+    """
+
+    kind = "exp3"
+    alpha = 0.5
+
+    def __init__(self, num_arms: int, horizon: int, range_param: float, rng):
+        if num_arms < 2:
+            raise ConfigError(f"need at least 2 arms, got {num_arms}")
+        self.num_arms = num_arms
+        self.horizon = horizon
+        self.rng = UniformStream(rng)
+        self.reset(range_param)
+
+    def reset(self, range_param: float) -> None:
+        self.range_param = _check_range(range_param)
+        self.rate = math.sqrt(
+            math.log(self.num_arms) / (self.num_arms * self.horizon * self.range_param)
+        )
+        self.cum_loss = [0.0] * self.num_arms
+        self._last_arm: int | None = None
+        self._last_probs: list[float] | None = None
+        # propose's distribution and a copy of the losses it came from.
+        self._probs: list[float] = []
+        self._probs_of: list[float] | None = None
+
+    def distribution(self) -> list[float]:
+        return exp_weights(self.cum_loss, self.rate)
+
+    def propose(self, context: int) -> int:
+        # Reused while the losses are equal to those it came from (see the
+        # module docstring); keyed on a copy, so direct writes are seen.
+        if self.cum_loss != self._probs_of:
+            self._probs_of = list(self.cum_loss)
+            self._probs = self.distribution()
+        probs = self._probs
+        arm = sample_index(self.rng, probs)
+        self._last_arm = arm
+        self._last_probs = probs
+        return arm
+
+    def update(self, packet: FeedbackPacket) -> None:
+        if not packet.selected:
+            return
+        self.cum_loss[self._last_arm] += (
+            packet.weighted_loss / self._last_probs[self._last_arm]
+        )
+
+
+@st.composite
+def reference_runs(draw):
+    """An EXP3 run: arms, contexts, horizon, range and per round a context,
+    a selected or unselected packet and an optional reset. Small horizons
+    give large rates, so the weights drift far from uniform."""
+    num_arms = draw(st.integers(2, 6))
+    num_contexts = draw(st.integers(1, 3))
+    horizon = draw(st.integers(2, 5000))
+    range_param = draw(st.floats(1.0, 64.0))
+    rounds = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_contexts - 1),
+                st.booleans(),
+                st.floats(0.0, 1.0),
+                st.floats(0.05, 1.0),
+                st.none() | st.floats(1.0, 64.0),
+            ),
+            max_size=80,
+        )
+    )
+    return num_arms, num_contexts, horizon, range_param, rounds
 
 
 BASE_CLASSES = [Exp3, Exp4, EpochGreedy, ThompsonSampling, Ucb1, PathologicalBase]
@@ -91,11 +182,31 @@ class TestExp3:
         assert b.range_param == fresh.range_param
         assert b.rate == fresh.rate
         assert b.cum_loss == fresh.cum_loss
-        assert b._last_arm is None and b._last_probs is None
+        assert b._last_arm is None and b._last_action_probs is None
 
     def test_needs_two_arms(self):
         with pytest.raises(ConfigError):
             Exp3(1, 100, 1.0, named_rng(0, "b"))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(reference_runs())
+    def test_matches_reference_bit_for_bit(self, run):
+        # Same stream, contexts and packets: EXP4 over the constant policies
+        # proposes the same arms and keeps the same losses as the standalone
+        # EXP3 it replaced, in any number of contexts.
+        num_arms, num_contexts, horizon, range_param, rounds = run
+        folded = Exp3(num_arms, horizon, range_param, named_rng(4, "twin"), num_contexts)
+        reference = ReferenceExp3(num_arms, horizon, range_param, named_rng(4, "twin"))
+        for context, chosen, raw, prob, reset in rounds:
+            assert folded.propose(context) == reference.propose(context)
+            packet = importance_weight(raw, prob, chosen)
+            folded.update(packet)
+            reference.update(packet)
+            if reset is not None:
+                folded.reset(reset)
+                reference.reset(reset)
+            assert folded.cum_loss == reference.cum_loss
+        assert folded.rng.random() == reference.rng.random()
 
 
 class TestExp4:
@@ -110,22 +221,7 @@ class TestExp4:
             b.propose(t % 2)
             b.update(selected(0.8, 0.5))
         assert b.cum_loss[0] == b.cum_loss[1]
-        assert b.policy_distribution() == pytest.approx([0.5, 0.5])
-
-    def test_degenerates_to_exp3(self):
-        # One context, one policy per arm, same stream and feedback: the two
-        # algorithms follow bit-identical trajectories.
-        exp4 = Exp4([(0,), (1,), (2,)], 3, 1, 400, 2.0, named_rng(4, "twin"))
-        exp3 = Exp3(3, 400, 2.0, named_rng(4, "twin"))
-        feed = named_rng(4, "feed")
-        for _ in range(400):
-            a4 = exp4.propose(0)
-            a3 = exp3.propose(0)
-            assert a4 == a3
-            packet = selected(float(feed.random()), 0.5)
-            exp4.update(packet)
-            exp3.update(packet)
-            assert exp4.cum_loss == exp3.cum_loss
+        assert b.distribution() == pytest.approx([0.5, 0.5])
 
     def test_invalid_policy_table(self):
         with pytest.raises(ConfigError):
@@ -171,7 +267,7 @@ class TestProposalCache:
         for step in [("reset", 1.0)] + steps:
             self.apply(b, step)
             b.propose(0)
-            assert b._last_probs == exp_weights(b.cum_loss, b.rate)
+            assert b._last_action_probs == exp_weights(b.cum_loss, b.rate)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.lists(st.tuples(_CACHE_STEPS, st.integers(0, 1)), max_size=40))
@@ -440,7 +536,7 @@ class TestStabilityExponentPower:
             def update(self, packet):
                 if not packet.selected:
                     return
-                est = min(1.0, packet.weighted_loss) / self._last_probs[self._last_arm]
+                est = min(1.0, packet.weighted_loss) / self._last_action_probs[self._last_arm]
                 self.cum_loss[self._last_arm] += est
 
         def exponent(base_cls):

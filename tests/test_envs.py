@@ -126,8 +126,9 @@ class TestStochasticContextual:
             [(0, 1)],
             named_rng(5, "env"),
         )
-        # An arm-space base contributes every constant policy, and only those.
-        arm = union_baseline(env, [Exp3(2, 10, 1.0, named_rng(5, "base"))])
+        # An arm-space base contributes every constant policy, and only those;
+        # EXP3 is built for the environment's contexts, as ``build_base`` does.
+        arm = union_baseline(env, [Exp3(2, 10, 1.0, named_rng(5, "base"), 2)])
         # Constant arms cost 0.45 and 0.55 in expectation.
         assert arm.per_round == pytest.approx(0.45)
 

@@ -114,6 +114,54 @@ class TestConfigValidation:
         cfg = config(seeds=[0, 1]).with_seed_offset(100)
         assert cfg.seeds == [100, 101]
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"scenario": "stability-test", "bases": [{"kind": "exp3"}],
+             "rho_levels": [True, "4"]},
+            {"scenario": "stability-test", "bases": [{"kind": "exp3"}],
+             "rho_levels": [1.0, "4"]},
+            {"master": {"eta": True}},
+            {"master": {"eta": "0.5"}},
+            {"master": {"eta": "tuned", "regret_target": "2"}},
+            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
+             "demo": {"naive_eta": "1e-3"}},
+            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
+             "demo": {"corral_eta": True}},
+            {"environment": {"kind": "stochastic-mab", "means": [True, "0.5"]}},
+            {"environment": {"kind": "stochastic-mab", "means": [0.1, "0.5"]}},
+            {"bases": [{"kind": "thompson", "prior": [[True, "2"], [1, 1]]},
+                       {"kind": "ucb1"}]},
+            {"environment": dict(CONTEXTUAL_ENV, context_probs=[0.5, "0.5"])},
+            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0.9, True]}]},
+            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 1.0]}]},
+            {"environment": dict(CONTEXTUAL_ENV, policies=[[0.2, 1.9], [True, 0]])},
+            {"environment": CONTEXTUAL_ENV,
+             "bases": [{"kind": "exp3"}, {"kind": "exp4", "policies": [[0.2, 1.9], [1, 0]]}]},
+            {"environment": {"kind": "adversarial-mab", "script": [[0.0, 1.0]] * 99 + [[0, True]]}},
+        ],
+        ids=["rho-levels", "rho-level-string", "eta-bool", "eta-string",
+             "regret-target-string", "demo-naive-eta-string", "demo-corral-eta-bool",
+             "means", "mean-string", "thompson-prior", "context-probs-string",
+             "arm-pair", "arm-pair-fraction", "env-policies", "exp4-policies",
+             "script-bool"],
+    )
+    def test_non_json_numbers_rejected(self, overrides):
+        # Each of these loaded with the value read as a number (or truncated).
+        with pytest.raises(ConfigError):
+            config(**overrides)
+
+    @pytest.mark.parametrize(
+        "names",
+        [["a", "a"], ["../escaped"], [7], [""], ["."], [".."], ["a/b"], ["a", "a\0b"]],
+        ids=["duplicate", "parent-escape", "number", "empty", "dot", "dot-dot", "slash",
+             "nul"],
+    )
+    def test_sweep_run_names_are_distinct_path_components(self, names):
+        runs = [{"name": name, "config": SMALL_RUN} for name in names]
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"scenario": "sweep", "runs": runs})
+
 
 class TestRunCorral:
     def test_smoke_two_rounds(self):
@@ -679,6 +727,17 @@ class TestCli:
         assert main([command[raw["scenario"]], "--config", path, "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "names", [["a", "a"], ["../escaped"], [7]], ids=["duplicate", "parent-escape", "number"]
+    )
+    def test_bad_sweep_run_name_writes_nothing(self, tmp_path, capsys, names):
+        runs = [{"name": name, "config": SMALL_RUN} for name in names]
+        path = self.write_config(tmp_path, {"scenario": "sweep", "runs": runs})
+        out_dir = tmp_path / "out" / "sweep"
+        assert main(["sweep", "--config", path, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_config_reports_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"scenario": "corral-run", "bogus": 1})

@@ -128,6 +128,11 @@ class Exp4(BaseAlgorithm):
         self.num_arms = num_arms
         self.horizon = horizon
         self.rng = UniformStream(rng)
+        # players[context][arm]: the indices of the policies playing arm in context.
+        self._players = [
+            [[j for j, pol in enumerate(self.policies) if pol[c] == a] for a in range(num_arms)]
+            for c in range(num_contexts)
+        ]
         self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
@@ -172,9 +177,8 @@ class Exp4(BaseAlgorithm):
         if not packet.selected:
             return
         estimate = packet.weighted_loss / self._last_action_probs[self._last_arm]
-        for j, pol in enumerate(self.policies):
-            if pol[self._last_context] == self._last_arm:
-                self.cum_loss[j] += estimate
+        for j in self._players[self._last_context][self._last_arm]:
+            self.cum_loss[j] += estimate
 
 
 class Exp3(Exp4):

@@ -81,6 +81,8 @@ SCENARIOS = ("corral-run", "standalone-run", "stability-test", "lowerbound-demo"
 
 ROUNDS_CSV = "rounds.csv"
 SUMMARY_JSON = "summary.json"
+# Most rows ``records_to_csv`` formats with one call and writes at once.
+CSV_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ class ExperimentConfig:
                 master=dict(raw.get("master", {})),
                 rho_levels=[float(r) for r in raw.get("rho_levels", [])],
                 demo={k: float(v) for k, v in dict(raw.get("demo", {})).items()},
-                runs=[dict(r) for r in raw.get("runs", [])],
+                runs=[_sweep_run(r) for r in raw.get("runs", [])],
             )
             cfg.validate()
         except CorralError:
@@ -198,15 +200,6 @@ class ExperimentConfig:
                 raise ConfigError("a sweep config sets only 'scenario' and 'runs'")
             if not self.runs:
                 raise ConfigError("sweep needs a nonempty 'runs' list")
-            for entry in self.runs:
-                if set(entry) != {"name", "config"}:
-                    raise ConfigError("each sweep run needs exactly 'name' and 'config'")
-                # Each run writes to the subdirectory of its name.
-                name = entry["name"]
-                if (not isinstance(name, str) or name in ("", ".", "..")
-                        or set(name) & {"/", "\0", os.sep, os.altsep}):
-                    raise ConfigError(f"sweep run name must be one path component, got {name!r}")
-                ExperimentConfig.from_dict(entry["config"])
             names = [entry["name"] for entry in self.runs]
             if len(set(names)) != len(names):
                 raise ConfigError(f"sweep run names must be distinct, got {names}")
@@ -267,18 +260,26 @@ class ExperimentConfig:
             corral_master.init_master(eta0, len(self.bases), self.horizon)
 
     def with_seed_offset(self, offset: int) -> "ExperimentConfig":
-        cfg = dataclasses.replace(self, seeds=[s + offset for s in self.seeds])
-        if self.scenario == "sweep":
-            cfg.runs = [
-                {
-                    "name": entry["name"],
-                    "config": dataclasses.asdict(
-                        ExperimentConfig.from_dict(entry["config"]).with_seed_offset(offset)
-                    ),
-                }
-                for entry in self.runs
-            ]
-        return cfg
+        return dataclasses.replace(
+            self,
+            seeds=[s + offset for s in self.seeds],
+            runs=[dict(entry, config=entry["config"].with_seed_offset(offset))
+                  for entry in self.runs],
+        )
+
+
+def _sweep_run(entry) -> dict:
+    """A sweep's ``{"name", "config"}`` entry with its config parsed and
+    checked, once: ``with_seed_offset`` and ``execute`` use the result."""
+    entry = dict(entry)
+    if set(entry) != {"name", "config"}:
+        raise ConfigError("each sweep run needs exactly 'name' and 'config'")
+    # Each run writes to the subdirectory of its name.
+    name = entry["name"]
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or set(name) & {"/", "\0", os.sep, os.altsep}):
+        raise ConfigError(f"sweep run name must be one path component, got {name!r}")
+    return {"name": name, "config": ExperimentConfig.from_dict(entry["config"])}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -405,8 +406,15 @@ def round_log(run_id: str, seed: int, losses, baseline: RegretBaseline, router) 
 
 
 def records_to_csv(logs: list[RoundLog], out) -> None:
-    """Write the round logs as CSV rows to the text stream ``out``, one row
-    at a time, so no copy of the whole text is held in memory."""
+    """Write the round logs as CSV rows to the text stream ``out``.
+
+    A log's ``eta``, ``rho`` and ``fired`` change only at the schedule's
+    doublings, so its rows split into a few segments over which all three
+    are equal; each segment's schedule text is formatted once, into a row
+    template. The segment's rows are then formatted in blocks of at most
+    ``CSV_BLOCK`` rows, one ``%`` call and one ``write`` per block, so no
+    more than one block of text is held in memory.
+    """
     if not logs:
         raise IntegrityError("no round logs to write")
     m = logs[0].p_bar.shape[1]
@@ -419,21 +427,35 @@ def records_to_csv(logs: list[RoundLog], out) -> None:
     )
     out.write(",".join(header) + "\n")
     for log in logs:
-        floats = np.column_stack(
-            (log.raw_loss, log.cum_loss, log.cum_regret, log.p_bar, log.eta, log.rho)
-        )
+        rounds = len(log.chosen)
+        # The columns after ``t`` and before the schedule's, in row order.
+        front = [log.chosen, log.decision, log.raw_loss, log.cum_loss, log.cum_regret, *log.p_bar.T]
+        width = 1 + len(front)
+        # A segment starts at row 0 and wherever a schedule column changes;
+        # the last bound is ``rounds``. Rates compare as bits: -0.0 == 0.0,
+        # but the two format differently.
+        columns = (log.eta.view(np.uint64), log.rho.view(np.uint64), log.fired)
+        starts = np.ones(rounds + 1, dtype=bool)
+        starts[1:rounds] = np.logical_or.reduce([(c[1:] != c[:-1]).any(axis=1) for c in columns])
+        bounds = np.flatnonzero(starts).tolist()
         # "%.17g" % x is format(x, ".17g"): 17 significant digits round-trip
-        # a float64 exactly. A "%" in the run id is escaped, not a field.
+        # a float64 exactly. A "%" in the run id is escaped, not a field;
+        # the formatted rates and flags hold none.
         prefix = f"{log.run_id},{log.seed},".replace("%", "%%")
-        row = prefix + "%d,%d,%d," + ",".join(["%.17g"] * floats.shape[1]) + ",%s\n"
-        # ``fired`` as ASCII digits: b"0" or b"1" per base.
-        digits = log.fired.view(np.uint8) + 48
-        # Row by row: converting whole columns to Python objects at once
-        # would hold every row's objects in memory.
-        rows = zip(log.chosen.tolist(), log.decision.tolist(), floats, digits)
-        for t, (chosen, decision, values, fired) in enumerate(rows, start=1):
-            flags = fired.tobytes().decode()
-            out.write(row % (t, chosen, decision, *values.tolist(), flags))
+        head = prefix + "%d,%d,%d" + ",%.17g" * (len(front) - 2) + ","
+        for start, stop in zip(bounds, bounds[1:]):
+            rates = log.eta[start].tolist() + log.rho[start].tolist()
+            flags = "".join("01"[f] for f in log.fired[start].tolist())
+            row = head + ("%.17g," * len(rates)) % tuple(rates) + flags + "\n"
+            for first in range(start, stop, CSV_BLOCK):
+                last = min(first + CSV_BLOCK, stop)
+                # The block's fields in row order: field j of each row is
+                # every ``width``-th value from value j.
+                values = [None] * (width * (last - first))
+                values[0::width] = range(first + 1, last + 1)
+                for j, column in enumerate(front, start=1):
+                    values[j::width] = column[first:last].tolist()
+                out.write((row * (last - first)) % tuple(values))
 
 
 def compute_regret(
@@ -923,7 +945,7 @@ def execute(config: ExperimentConfig, out_dir) -> dict:
     else:
         summary = {"scenario": "sweep", "runs": []}
         for entry in config.runs:
-            sub = ExperimentConfig.from_dict(entry["config"])
+            sub = entry["config"]
             execute(sub, os.path.join(out_dir, entry["name"]))
             summary["runs"].append({"name": entry["name"], "scenario": sub.scenario})
         write_outputs(out_dir, summary, None)

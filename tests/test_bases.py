@@ -123,6 +123,30 @@ def reference_runs(draw):
     return num_arms, num_contexts, horizon, range_param, rounds
 
 
+class ScanExp4(Exp4):
+    """``Exp4`` with the update that scanned every policy, kept verbatim
+    below this docstring: the indexed update must add the same estimate
+    to the same entries."""
+
+    def update(self, packet: FeedbackPacket) -> None:
+        if not packet.selected:
+            return
+        estimate = packet.weighted_loss / self._last_action_probs[self._last_arm]
+        for j, pol in enumerate(self.policies):
+            if pol[self._last_context] == self._last_arm:
+                self.cum_loss[j] += estimate
+
+
+@st.composite
+def policy_runs(draw):
+    """An EXP4 run over a random policy table, which may repeat a policy or
+    leave an arm unplayed in a context, and its rounds as in ``reference_runs``."""
+    num_arms, num_contexts, horizon, range_param, rounds = draw(reference_runs())
+    policy = st.tuples(*[st.integers(0, num_arms - 1)] * num_contexts)
+    policies = draw(st.lists(policy, min_size=2, max_size=8))
+    return policies, num_arms, num_contexts, horizon, range_param, rounds
+
+
 BASE_CLASSES = [Exp3, Exp4, EpochGreedy, ThompsonSampling, Ucb1, PathologicalBase]
 
 
@@ -222,6 +246,23 @@ class TestExp4:
             b.update(selected(0.8, 0.5))
         assert b.cum_loss[0] == b.cum_loss[1]
         assert b.distribution() == pytest.approx([0.5, 0.5])
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(policy_runs())
+    def test_indexed_update_matches_scan_bit_for_bit(self, run):
+        policies, num_arms, num_contexts, horizon, range_param, rounds = run
+        indexed = Exp4(policies, num_arms, num_contexts, horizon, range_param, named_rng(5, "twin"))
+        scan = ScanExp4(policies, num_arms, num_contexts, horizon, range_param, named_rng(5, "twin"))
+        for context, chosen, raw, prob, reset in rounds:
+            assert indexed.propose(context) == scan.propose(context)
+            packet = importance_weight(raw, prob, chosen)
+            indexed.update(packet)
+            scan.update(packet)
+            if reset is not None:
+                indexed.reset(reset)
+                scan.reset(reset)
+            assert indexed.cum_loss == scan.cum_loss
+        assert indexed.rng.random() == scan.rng.random()
 
     def test_invalid_policy_table(self):
         with pytest.raises(ConfigError):

@@ -4,9 +4,14 @@ import dataclasses
 import io
 import json
 import math
+import operator
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from corral import harness
 from corral.cli import main
@@ -161,6 +166,26 @@ class TestConfigValidation:
         runs = [{"name": name, "config": SMALL_RUN} for name in names]
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"scenario": "sweep", "runs": runs})
+
+    def test_sweep_checks_each_run_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = harness.build_environment
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(harness, "build_environment", counting)
+        runs = [{"name": "one", "config": SMALL_RUN},
+                {"name": "two", "config": dict(SMALL_RUN, seeds=[0, 1])}]
+        cfg = ExperimentConfig.from_dict({"scenario": "sweep", "runs": runs})
+        assert len(builds) == 2
+        shifted = cfg.with_seed_offset(5)
+        assert len(builds) == 2
+        assert [entry["config"].seeds for entry in shifted.runs] == [[5], [5, 6]]
+        execute(shifted, tmp_path / "out")
+        # Only the per-seed builds: one seed in the first run, two in the second.
+        assert len(builds) == 2 + 3
 
 
 class TestRunCorral:
@@ -556,7 +581,119 @@ class TestLowerBoundDemoSmoke:
         assert summary["standalone_matched"]["max_regret_step"] <= 1.0
 
 
+def reference_records_to_csv(logs: list[RoundLog], out) -> None:
+    """The row-by-row writer, kept verbatim below this docstring:
+    ``records_to_csv`` must write exactly its text.
+
+    Write the round logs as CSV rows to the text stream ``out``, one row
+    at a time, so no copy of the whole text is held in memory."""
+    if not logs:
+        raise IntegrityError("no round logs to write")
+    m = logs[0].p_bar.shape[1]
+    header = (
+        ["run_id", "seed", "t", "chosen_base", "decision", "raw_loss", "cum_loss", "cum_regret"]
+        + [f"p_bar_{i}" for i in range(m)]
+        + [f"eta_{i}" for i in range(m)]
+        + [f"rho_{i}" for i in range(m)]
+        + ["restart_flags"]
+    )
+    out.write(",".join(header) + "\n")
+    for log in logs:
+        floats = np.column_stack(
+            (log.raw_loss, log.cum_loss, log.cum_regret, log.p_bar, log.eta, log.rho)
+        )
+        # "%.17g" % x is format(x, ".17g"): 17 significant digits round-trip
+        # a float64 exactly. A "%" in the run id is escaped, not a field.
+        prefix = f"{log.run_id},{log.seed},".replace("%", "%%")
+        row = prefix + "%d,%d,%d," + ",".join(["%.17g"] * floats.shape[1]) + ",%s\n"
+        # ``fired`` as ASCII digits: b"0" or b"1" per base.
+        digits = log.fired.view(np.uint8) + 48
+        # Row by row: converting whole columns to Python objects at once
+        # would hold every row's objects in memory.
+        rows = zip(log.chosen.tolist(), log.decision.tolist(), floats, digits)
+        for t, (chosen, decision, values, fired) in enumerate(rows, start=1):
+            flags = fired.tobytes().decode()
+            out.write(row % (t, chosen, decision, *values.tolist(), flags))
+
+
+# Rates equal under == but not in bits or text (0.0, -0.0), equal in text
+# but not in bits (nan, -nan), and the extremes a hostile log could hold.
+_RATES = st.sampled_from(
+    [0.0, -0.0, 1.0, 0.1, 5e-324, 1e308, math.inf, -math.inf, math.nan, -math.nan]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _runs_of(draw, rows, m, elements, flip, dtype):
+    """A rows x m column drawn from a palette of 1-3 rows, so that equal
+    rows come in runs. Each palette row after the first is the one before
+    with one entry flipped (``-0.0`` beside ``0.0``, ``-inf`` beside
+    ``inf``) or redrawn."""
+    palette = [draw(st.lists(elements, min_size=m, max_size=m))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = list(palette[-1])
+        i = draw(st.integers(0, m - 1))
+        row[i] = flip(row[i]) if draw(st.booleans()) else draw(elements)
+        palette.append(row)
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        picks.sort()
+    return np.array([palette[i] for i in picks], dtype=dtype).reshape(rows, m)
+
+
+@st.composite
+def round_logs(draw):
+    """1-3 random round logs over the same 1-4 bases, with schedule runs."""
+    m = draw(st.integers(1, 4))
+    logs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 24))
+        values = draw(arrays(np.float64, (n, 3 + m), elements=_RATES))
+        logs.append(RoundLog(
+            run_id=draw(st.text(alphabet="ab%d,:", max_size=6)),
+            seed=draw(st.integers(-5, 10**12)),
+            chosen=draw(arrays(np.int64, n, elements=st.integers(0, m - 1))),
+            decision=draw(arrays(np.int64, n, elements=st.integers(0, 9))),
+            raw_loss=values[:, 0],
+            cum_loss=values[:, 1],
+            cum_regret=values[:, 2],
+            p_bar=values[:, 3:],
+            eta=draw(_runs_of(n, m, _RATES, operator.neg, np.float64)),
+            rho=draw(_runs_of(n, m, _RATES, operator.neg, np.float64)),
+            fired=draw(_runs_of(n, m, st.booleans(), operator.not_, bool)),
+        ))
+    return logs
+
+
+def csv_text(write, logs) -> str:
+    out = io.StringIO()
+    write(logs, out)
+    return out.getvalue()
+
+
 class TestCsvFormat:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(round_logs(), st.integers(1, 7))
+    def test_matches_reference_byte_for_byte(self, logs, block):
+        # Small blocks end inside segments and segments end inside blocks.
+        with mock.patch.object(harness, "CSV_BLOCK", block):
+            assert csv_text(records_to_csv, logs) == csv_text(reference_records_to_csv, logs)
+
+    def test_real_run_with_doublings_matches_reference(self):
+        # 2 seeds x 2,500 rows cross blocks of CSV_BLOCK rows, and the master's
+        # doublings split each log into segments.
+        cfg = config(
+            horizon=2500,
+            environment={"kind": "stochastic-mab", "means": [0.3, 0.7, 0.5]},
+            bases=[{"kind": "exp3"}, {"kind": "ucb1"},
+                   {"kind": "thompson", "prior": [[1, 1]] * 3}],
+            master={"eta": 0.3},
+        )
+        _, logs = run_corral(cfg)
+        assert all(log.fired.any() for log in logs)
+        assert len(logs[0].chosen) > 2 * harness.CSV_BLOCK
+        assert csv_text(records_to_csv, logs) == csv_text(reference_records_to_csv, logs)
+
     def test_header_and_precision(self):
         _, logs = run_corral(config(horizon=3, seeds=[0]))
         out = io.StringIO()

@@ -32,7 +32,6 @@ importance-weighted losses with range bound ``rho``, its regret degrades as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     ConfigError,
@@ -42,30 +41,6 @@ from .core import (
 )
 
 Policy = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """One exploration-round observation: a single nonzero action estimate."""
-
-    context: int
-    action: int
-    weighted_loss: float
-
-
-def validate_policies(policies, num_arms: int, num_contexts: int) -> list[Policy]:
-    table = [tuple(int(a) for a in pol) for pol in policies]
-    if len(table) < 2:
-        raise ConfigError(f"need at least 2 policies, got {len(table)}")
-    for pol in table:
-        if len(pol) != num_contexts:
-            raise ConfigError(
-                f"policy {pol} does not cover {num_contexts} contexts"
-            )
-        for a in pol:
-            if not 0 <= a < num_arms:
-                raise ConfigError(f"policy action {a} out of range [0, {num_arms})")
-    return table
 
 
 def exp_weights(cum_loss, rate: float) -> list[float]:
@@ -103,17 +78,13 @@ class BaseAlgorithm:
         raise NotImplementedError
 
 
-class Exp4(BaseAlgorithm):
-    """Exponential weights over a finite policy class (contextual).
+class PolicyLearner(BaseAlgorithm):
+    """A learner over a finite policy class of context-to-arm tables.
 
-    The action distribution is the policy-weight mixture pushed through the
-    current context; the internal rate is ``sqrt(ln |policies| / (K*T*rho))``.
-    A selected round charges its weighted loss over the played arm's
-    probability, an unbiased estimate, to every policy playing that arm.
+    The constructor checks the table and indexes it: ``_players[c][a]`` lists,
+    in table order, the policies that play arm ``a`` in context ``c``, which
+    are the policies a selected round's estimate is charged to.
     """
-
-    kind = "exp4"
-    alpha = 0.5
 
     def __init__(
         self,
@@ -124,16 +95,38 @@ class Exp4(BaseAlgorithm):
         range_param: float,
         rng,
     ):
-        self.policies = validate_policies(policies, num_arms, num_contexts)
+        self.policies = [tuple(int(a) for a in pol) for pol in policies]
+        if len(self.policies) < 2:
+            raise ConfigError(f"need at least 2 policies, got {len(self.policies)}")
+        for pol in self.policies:
+            if len(pol) != num_contexts:
+                raise ConfigError(
+                    f"policy {pol} does not cover {num_contexts} contexts"
+                )
+            for a in pol:
+                if not 0 <= a < num_arms:
+                    raise ConfigError(f"policy action {a} out of range [0, {num_arms})")
         self.num_arms = num_arms
         self.horizon = horizon
         self.rng = UniformStream(rng)
-        # players[context][arm]: the indices of the policies playing arm in context.
         self._players = [
             [[j for j, pol in enumerate(self.policies) if pol[c] == a] for a in range(num_arms)]
             for c in range(num_contexts)
         ]
         self.reset(range_param)
+
+
+class Exp4(PolicyLearner):
+    """Exponential weights over a finite policy class (contextual).
+
+    The action distribution is the policy-weight mixture pushed through the
+    current context; the internal rate is ``sqrt(ln |policies| / (K*T*rho))``.
+    A selected round charges its weighted loss over the played arm's
+    probability, an unbiased estimate, to every policy playing that arm.
+    """
+
+    kind = "exp4"
+    alpha = 0.5
 
     def reset(self, range_param: float) -> None:
         self.range_param = _check_range(range_param)
@@ -197,41 +190,28 @@ class Exp3(Exp4):
         super().__init__(constants, num_arms, num_contexts, horizon, range_param, rng)
 
 
-class EpochGreedy(BaseAlgorithm):
+class EpochGreedy(PolicyLearner):
     """Explore-first contextual learner with an exact ERM exploit phase.
 
     Explores uniformly over arms for the first ``T0`` selected rounds, where
     ``T0 = ceil(T^(2/3) * rho^(1/3) * sqrt(K * ln(T * |policies|)))`` clamped
-    to ``[1, T]``, storing doubly importance-weighted samples (the packet's
-    weight times its own uniform 1/K). It then plays the empirically best
-    policy for the rest of the run, ties to the lowest index. Only selected
-    rounds count toward T0; unselected rounds carry no information.
+    to ``[1, T]``. Each explored round's doubly importance-weighted loss (the
+    packet's weight times its own uniform 1/K) is added, in round order, to
+    the running total of every policy that plays the explored arm in its
+    context. It then plays the policy of least total for the rest of the
+    run, ties to the lowest index. Only selected rounds count toward T0;
+    unselected rounds carry no information.
     """
 
     kind = "epoch-greedy"
     alpha = 1.0 / 3.0
-
-    def __init__(
-        self,
-        policies,
-        num_arms: int,
-        num_contexts: int,
-        horizon: int,
-        range_param: float,
-        rng,
-    ):
-        self.policies = validate_policies(policies, num_arms, num_contexts)
-        self.num_arms = num_arms
-        self.horizon = horizon
-        self.rng = UniformStream(rng)
-        self.reset(range_param)
 
     def reset(self, range_param: float) -> None:
         self.range_param = _check_range(range_param)
         self.explore_rounds = explore_budget(
             self.horizon, self.range_param, self.num_arms, len(self.policies)
         )
-        self.samples: list[WeightedSample] = []
+        self.totals = [0.0] * len(self.policies)
         self.selected_count = 0
         self.erm_policy: Policy | None = None
         self._last_arm: int | None = None
@@ -249,28 +229,14 @@ class EpochGreedy(BaseAlgorithm):
     def update(self, packet: FeedbackPacket) -> None:
         if self.erm_policy is not None or not packet.selected:
             return
-        self.samples.append(
-            WeightedSample(
-                context=self._last_context,
-                action=self._last_arm,
-                weighted_loss=self.num_arms * packet.weighted_loss,
-            )
-        )
+        weighted = self.num_arms * packet.weighted_loss
+        for j in self._players[self._last_context][self._last_arm]:
+            self.totals[j] += weighted
         self.selected_count += 1
         if self.selected_count >= self.explore_rounds:
-            self.erm_policy = self.policies[self.erm_index()]
-
-    def erm_index(self) -> int:
-        totals = [0.0] * len(self.policies)
-        for sample in self.samples:
-            for j, pol in enumerate(self.policies):
-                if pol[sample.context] == sample.action:
-                    totals[j] += sample.weighted_loss
-        best = 0
-        for j in range(1, len(totals)):
-            if totals[j] < totals[best]:
-                best = j
-        return best
+            # The first minimum; totals are sums of finite losses, never NaN.
+            best = min(range(len(self.totals)), key=self.totals.__getitem__)
+            self.erm_policy = self.policies[best]
 
 
 def explore_budget(horizon: int, range_param: float, num_arms: int, num_policies: int) -> int:

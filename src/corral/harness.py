@@ -6,9 +6,11 @@ round of every seed, floats at 17 significant digits so files are
 byte-stable) and one ``summary.json`` per run. Seeds are independent: every
 component draws from its own named stream, so identical configs and seeds
 reproduce output byte for byte and aggregation is order-independent. Every
-scenario plays its rounds through one loop, ``play``, parameterized by a
-feedback router. A run that writes rows keeps them as one ``RoundLog`` of
-columns per seed; the CSV, regret and schedule invariants come from those.
+scenario builds a seed's ``(env, bases, router)`` legs with ``build_legs``
+(a standalone leg is an induced leg at sampling probability one) and plays
+each through one loop, ``play``. A run that writes rows keeps them as one
+``RoundLog`` of columns per seed; the CSV, regret and schedule invariants
+come from those.
 
 Config schema (top-level keys; see the README for worked examples)::
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -63,7 +66,6 @@ from .core import (
     IntegrityError,
     UNSELECTED,
     UniformStream,
-    importance_weight,
     named_rng,
     sample_index,
 )
@@ -174,8 +176,9 @@ class ExperimentConfig:
         scenario = raw.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}")
-        _check_values(raw)
         try:
+            # A sweep's runs are walked by their own ``from_dict``.
+            _check_values({k: v for k, v in raw.items() if k != "runs"})
             cfg = cls(
                 scenario=scenario,
                 horizon=int(raw.get("horizon", 0)),
@@ -190,7 +193,7 @@ class ExperimentConfig:
             cfg.validate()
         except CorralError:
             raise
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, RecursionError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         return cfg
 
@@ -208,10 +211,7 @@ class ExperimentConfig:
             raise ConfigError("'runs' is only valid for the sweep scenario")
         if self.horizon < 2:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        _check_seeds(self.seeds)
         unknown = set(self.master) - _MASTER_KEYS
         if unknown:
             raise ConfigError(f"unknown master keys: {sorted(unknown)}")
@@ -229,43 +229,49 @@ class ExperimentConfig:
                 raise ConfigError(
                     "lowerbound-demo fixes its own environment and base algorithms"
                 )
-            # Build the two masters a run builds, once, so that bad rates fail here.
-            corral_eta, naive_eta = demo_etas(self.demo, self.horizon)
-            corral_master.init_master(corral_eta, 2, self.horizon)
-            NaiveRouter(2, naive_eta, np.random.default_rng(0))
-            return
-        if not self.environment:
-            raise ConfigError(f"{self.scenario} needs an environment")
-        _check_spec(self.environment, _ENV_KEYS, "environment")
-        for spec in self.bases:
-            _check_spec(spec, _BASE_KEYS, "base")
-        if self.scenario == "corral-run":
-            if len(self.bases) < 2:
-                raise ConfigError("corral-run needs at least 2 base algorithms")
-        elif len(self.bases) != 1:
-            raise ConfigError(f"{self.scenario} needs exactly 1 base algorithm")
+        else:
+            if not self.environment:
+                raise ConfigError(f"{self.scenario} needs an environment")
+            _check_spec(self.environment, _ENV_KEYS, "environment")
+            for spec in self.bases:
+                _check_spec(spec, _BASE_KEYS, "base")
+            if self.scenario == "corral-run":
+                if len(self.bases) < 2:
+                    raise ConfigError("corral-run needs at least 2 base algorithms")
+            elif len(self.bases) != 1:
+                raise ConfigError(f"{self.scenario} needs exactly 1 base algorithm")
         if self.scenario == "stability-test":
             if len(self.rho_levels) < 2:
                 raise ConfigError("stability-test needs at least 2 rho levels")
             # NaN and +inf fail the range comparison itself.
             if not all(1.0 <= r < math.inf for r in self.rho_levels):
                 raise ConfigError(f"rho levels must be finite and >= 1, got {self.rho_levels}")
-        # Build what a run builds, once, so that bad values fail here.
-        rng = np.random.default_rng(0)
-        env = build_environment(self.environment, rng, self.horizon)
-        for spec in self.bases:
-            build_base(spec, env, self.horizon, 1.0, rng)
-        if self.scenario == "corral-run":
-            eta0 = master_eta(self.master, len(self.bases), self.horizon)
-            corral_master.init_master(eta0, len(self.bases), self.horizon)
+        # Build the first seed's legs, once, so that bad values fail here.
+        try:
+            build_legs(self, self.seeds[0])
+        except MemoryError as exc:
+            raise ConfigError(f"a horizon of {self.horizon} does not fit in memory") from exc
 
     def with_seed_offset(self, offset: int) -> "ExperimentConfig":
+        seeds = [s + offset for s in self.seeds]
+        if self.scenario != "sweep":
+            _check_seeds(seeds)
         return dataclasses.replace(
             self,
-            seeds=[s + offset for s in self.seeds],
+            seeds=seeds,
             runs=[dict(entry, config=entry["config"].with_seed_offset(offset))
                   for entry in self.runs],
         )
+
+
+def _check_seeds(seeds: list[int]) -> None:
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
+    # ``named_rng`` keys streams on 64-bit seeds; any other seed aliases one.
+    if not all(0 <= s < 2**64 for s in seeds):
+        raise ConfigError(f"seeds must lie in [0, 2**64), got {seeds}")
 
 
 def _sweep_run(entry) -> dict:
@@ -284,7 +290,11 @@ def _sweep_run(entry) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except RecursionError as exc:
+            raise ConfigError("config nests too deeply") from exc
+    return ExperimentConfig.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +336,9 @@ def build_base(
     kind = spec["kind"]
     if kind == "exp3":
         return Exp3(env.num_arms, horizon, range_param, rng, env.num_contexts)
-    if kind == "exp4":
-        return Exp4(
-            spec["policies"], env.num_arms, env.num_contexts, horizon, range_param, rng
-        )
-    if kind == "epoch-greedy":
-        return EpochGreedy(
+    if kind in ("exp4", "epoch-greedy"):
+        learner = Exp4 if kind == "exp4" else EpochGreedy
+        return learner(
             spec["policies"], env.num_arms, env.num_contexts, horizon, range_param, rng
         )
     if kind == "thompson":
@@ -365,6 +372,53 @@ def master_eta(master_spec: dict, num_bases: int, horizon: int) -> float:
     if eta is None:
         raise ConfigError("master config needs an 'eta'")
     return float(eta)
+
+
+def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
+    """The ``(env, bases, router)`` legs ``seed`` plays, in order, from its
+    named streams: one for a corral run; an induced leg at probability one for
+    a standalone run, and at 1/rho for each rho level of a stability test; and
+    the demo's naive, corral and matched standalone legs, which share one
+    environment (it draws only when built)."""
+    horizon = config.horizon
+    if config.scenario == "lowerbound-demo":
+        corral_eta, naive_eta = demo_etas(config.demo, horizon)
+        env = LowerBoundEnv(named_rng(seed, "env"))
+        state = corral_master.init_master(corral_eta, 2, horizon)
+        masters = {
+            "naive": NaiveRouter(2, naive_eta, named_rng(seed, "naive.master")),
+            "corral": CorralRouter(state, named_rng(seed, "corral.master"), naive_packets),
+        }
+        legs = [
+            (env, [PathologicalBase(pair, named_rng(seed, f"{name}.base.{i}"))
+                   for i, pair in enumerate([(0, 1), (2, 3)])], router)
+            for name, router in masters.items()
+        ]
+        # Matched standalone: the base whose pair carries the cheap losses.
+        base = PathologicalBase(env.cheap_pair, named_rng(seed, "standalone.base"))
+        wrapped = InducedEnvironment(env, 1.0, named_rng(seed, "standalone.wrapper"))
+        return legs + [(wrapped, [base], InducedRouter(1.0))]
+    if config.scenario == "corral-run":
+        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
+        num_bases = len(config.bases)
+        eta0 = master_eta(config.master, num_bases, horizon)
+        restart_policy = config.master.get("restart_policy", corral_master.RESTART_ON_DOUBLING)
+        estimator = config.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
+        state = corral_master.init_master(eta0, num_bases, horizon, restart_policy)
+        # Each base's first range is its threshold at the master's start.
+        bases = [
+            build_base(spec, env, horizon, state.rho[i], named_rng(seed, f"base.{i}"))
+            for i, spec in enumerate(config.bases)
+        ]
+        packets = functools.partial(corral_master.build_packets, estimator=estimator)
+        return [(env, bases, CorralRouter(state, named_rng(seed, "master"), packets))]
+    legs = []
+    for rho in config.rho_levels if config.scenario == "stability-test" else [1.0]:
+        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
+        base = build_base(config.bases[0], env, horizon, rho, named_rng(seed, "base.0"))
+        wrapped = InducedEnvironment(env, 1.0 / rho, named_rng(seed, "wrapper"))
+        legs.append((wrapped, [base], InducedRouter(rho)))
+    return legs
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +589,11 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
 
     A base with a policy table (EXP3's is the constant policies) contributes
     it; any other base contributes every constant (context-blind) policy.
-    Each policy enters once, in order of first appearance.
+    Each policy enters once, in order of first appearance. An induced
+    environment's baseline is its inner environment's.
     """
+    if isinstance(env, InducedEnvironment):
+        env = env.inner
     if not isinstance(env, StochasticContextual):
         return env.baseline()
     constants = [(a,) * env.num_contexts for a in range(env.num_arms)]
@@ -560,17 +617,14 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
 
 
 class CorralRouter:
-    """The CORRAL master samples the base and routes its feedback packets.
+    """The CORRAL master samples the base; ``packets(p_bar, proposals, raw,
+    chosen)`` makes the bases' feedback from the decision-time ``p_bar``:
+    ``build_packets`` with the run's estimator, or the demo's ``naive_packets``."""
 
-    With ``naive_feed`` the bases get the demonstration's naive packets
-    instead (see ``_naive_packets``); the master's own update is unchanged.
-    """
-
-    def __init__(self, state, rng, estimator: str, naive_feed: bool = False):
+    def __init__(self, state, rng, packets):
         self.state = state
         self.rng = UniformStream(rng)
-        self.estimator = estimator
-        self.naive_feed = naive_feed
+        self.packets = packets
         self.chosen, self.decision, self.p_bar, self.eta, self.rho = [], [], [], [], []
         self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
         self._schedule = list(state.eta), list(state.rho)
@@ -590,57 +644,45 @@ class CorralRouter:
         self.rho.append(rho)
         raw = env.loss_of(decision)
         outcome = corral_master.feedback(state, chosen, raw)
-        if self.naive_feed:
-            packets = _naive_packets(state.num_bases, chosen, raw / p_bar[chosen])
-        else:
-            packets = corral_master.build_packets(p_bar, proposals, raw, chosen, self.estimator)
         if outcome.doublings:
             self.fired[len(self.chosen) - 1, outcome.doublings] = True
             self._schedule = list(state.eta), list(state.rho)
         resets = [(i, state.rho[i]) for i in outcome.restarts] if outcome.restarts else ()
-        return raw, packets, resets
+        return raw, self.packets(p_bar, proposals, raw, chosen), resets
 
     def columns(self) -> dict:
         names = ("chosen", "decision", "p_bar", "eta", "rho")
         return {name: np.array(getattr(self, name)) for name in names} | {"fired": self.fired}
 
 
-class StandaloneRouter:
-    """One base drives every decision and sees its loss with probability one,
-    exactly what it would see running on its own."""
+class InducedRouter:
+    """One base with range ``rho`` inside ``InducedEnvironment`` at sampling
+    probability 1/rho; the round charges the emitted importance-weighted
+    loss. At rho = 1 the base sees exactly what it would see on its own."""
 
-    def __init__(self, base: BaseAlgorithm):
-        self.range_param = base.range_param
+    def __init__(self, rho: float):
+        self.range_param = rho
         self.decision: list[int] = []
 
-    def step(self, env: Environment, proposals: list[int]):
+    def step(self, env: InducedEnvironment, proposals: list[int]):
         decision = proposals[0]
         self.decision.append(decision)
-        raw = env.loss_of(decision)
-        return raw, (importance_weight(raw, 1.0, True),), ()
+        selected, emitted = env.observe(decision)
+        if not selected:
+            return emitted, (UNSELECTED,), ()
+        packet = FeedbackPacket(True, emitted, env.sampling_prob, env.last_raw_loss)
+        return emitted, (packet,), ()
 
     def columns(self) -> dict:
         rounds = len(self.decision)
         return {
             "chosen": np.zeros(rounds, dtype=np.int64),
             "decision": np.array(self.decision),
-            "p_bar": np.ones((rounds, 1)),
+            "p_bar": np.full((rounds, 1), 1.0 / self.range_param),
             "eta": np.zeros((rounds, 1)),
             "rho": np.full((rounds, 1), self.range_param),
             "fired": np.zeros((rounds, 1), dtype=bool),
         }
-
-
-class InducedRouter:
-    """One base inside ``InducedEnvironment``; the round charges the emitted
-    importance-weighted loss."""
-
-    def step(self, env: InducedEnvironment, proposals: list[int]):
-        selected, emitted = env.observe(proposals[0])
-        if not selected:
-            return emitted, (UNSELECTED,), ()
-        packet = FeedbackPacket(True, emitted, env.sampling_prob, env.last_raw_loss)
-        return emitted, (packet,), ()
 
 
 class NaiveRouter:
@@ -658,16 +700,16 @@ class NaiveRouter:
         probs = exp_weights(self.cum_est, self.rate)
         chosen = sample_index(self.rng, probs)
         raw = env.loss_of(proposals[chosen])
-        weighted = raw / probs[chosen]
-        self.cum_est[chosen] += weighted
-        return raw, _naive_packets(len(proposals), chosen, weighted), ()
+        self.cum_est[chosen] += raw / probs[chosen]
+        return raw, naive_packets(probs, proposals, raw, chosen), ()
 
 
-def _naive_packets(num_bases: int, chosen: int, weighted: float) -> list[FeedbackPacket]:
+def naive_packets(probs, proposals, raw: float, chosen: int) -> list[FeedbackPacket]:
     """Feedback as a naive master would send it: the importance-weighted
-    number is presented to the sampled base as if it were a genuinely
-    observed loss, and everyone else gets ``UNSELECTED``."""
-    packets = [UNSELECTED] * num_bases
+    number ``raw / probs[chosen]`` is presented to the sampled base as if it
+    were a genuinely observed loss, and everyone else gets ``UNSELECTED``."""
+    weighted = raw / probs[chosen]
+    packets = [UNSELECTED] * len(proposals)
     packets[chosen] = FeedbackPacket(True, weighted, 1.0, weighted)
     return packets
 
@@ -698,22 +740,11 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     if config.scenario != "corral-run":
         raise ConfigError(f"expected corral-run config, got {config.scenario}")
     horizon = config.horizon
-    num_bases = len(config.bases)
-    eta0 = master_eta(config.master, num_bases, horizon)
-    restart_policy = config.master.get("restart_policy", corral_master.RESTART_ON_DOUBLING)
-    estimator = config.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
     logs: list[RoundLog] = []
     baselines: dict[int, RegretBaseline] = {}
     per_base_regrets: list[list[float]] = []
     for seed in sorted(config.seeds):
-        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
-        state = corral_master.init_master(eta0, num_bases, horizon, restart_policy)
-        range0 = corral_master.initial_range(num_bases)
-        bases = [
-            build_base(spec, env, horizon, range0, named_rng(seed, f"base.{i}"))
-            for i, spec in enumerate(config.bases)
-        ]
-        router = CorralRouter(state, named_rng(seed, "master"), estimator)
+        [(env, bases, router)] = build_legs(config, seed)
         baselines[seed] = baseline = union_baseline(env, bases)
         losses = play(env, bases, router, horizon)
         logs.append(round_log(f"corral-run:{seed}", seed, losses, baseline, router))
@@ -726,13 +757,13 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
         entry["per_base_regret"] = regs
     summary["per_base_regret_mean"] = [
         float(np.mean([regs[i] for regs in per_base_regrets]))
-        for i in range(num_bases)
+        for i in range(len(config.bases))
     ]
     summary["scenario"] = "corral-run"
     summary["horizon"] = horizon
-    summary["eta"] = eta0
-    summary["estimator"] = estimator
-    summary["restart_policy"] = restart_policy
+    summary["eta"] = router.state.eta0
+    summary["estimator"] = config.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
+    summary["restart_policy"] = router.state.restart_policy
     return summary, logs
 
 
@@ -748,11 +779,9 @@ def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     logs: list[RoundLog] = []
     baselines: dict[int, RegretBaseline] = {}
     for seed in sorted(config.seeds):
-        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
-        base = build_base(config.bases[0], env, horizon, 1.0, named_rng(seed, "base.0"))
-        baselines[seed] = baseline = union_baseline(env, [base])
-        router = StandaloneRouter(base)
-        losses = play(env, [base], router, horizon)
+        [(env, bases, router)] = build_legs(config, seed)
+        baselines[seed] = baseline = union_baseline(env, bases)
+        losses = play(env, bases, router, horizon)
         logs.append(round_log(f"standalone-run:{seed}", seed, losses, baseline, router))
     summary = compute_regret(logs, baselines, horizon)
     summary["scenario"] = "standalone-run"
@@ -773,26 +802,23 @@ def run_stability_test(config: ExperimentConfig) -> dict:
     if config.scenario != "stability-test":
         raise ConfigError(f"expected stability-test config, got {config.scenario}")
     horizon = config.horizon
+    # regrets[k]: the regret at rho level k of each seed, in seed order.
+    regrets = [[] for _ in config.rho_levels]
+    for seed in sorted(config.seeds):
+        for rho_regrets, (env, bases, router) in zip(regrets, build_legs(config, seed)):
+            cum_weighted = np.cumsum(play(env, bases, router, horizon))
+            baseline = union_baseline(env, bases)
+            rho_regrets.append(float(cum_weighted[-1]) - baseline.cumulative(horizon))
     per_rho = []
-    for rho in config.rho_levels:
-        regrets = []
-        for seed in sorted(config.seeds):
-            env = build_environment(config.environment, named_rng(seed, "env"), horizon)
-            wrapped = InducedEnvironment(env, 1.0 / rho, named_rng(seed, "wrapper"))
-            base = build_base(
-                config.bases[0], env, horizon, rho, named_rng(seed, "base.0")
-            )
-            cum_weighted = np.cumsum(play(wrapped, [base], InducedRouter(), horizon))
-            baseline = union_baseline(env, [base])
-            regrets.append(float(cum_weighted[-1]) - baseline.cumulative(horizon))
-        mean = float(np.mean(regrets))
+    for rho, rho_regrets in zip(config.rho_levels, regrets):
+        mean = float(np.mean(rho_regrets))
         if mean <= 0.0:
             raise IntegrityError(
                 f"mean weighted regret {mean} at rho={rho} is not positive; "
                 "the exponent fit needs a harder environment or longer horizon"
             )
         per_rho.append(
-            {"rho": rho, "mean_regret": mean, "stderr_regret": _stderr(regrets)}
+            {"rho": rho, "mean_regret": mean, "stderr_regret": _stderr(rho_regrets)}
         )
     log_rho = np.log([e["rho"] for e in per_rho])
     log_reg = np.log([e["mean_regret"] for e in per_rho])
@@ -804,16 +830,8 @@ def run_stability_test(config: ExperimentConfig) -> dict:
         "per_rho": per_rho,
         "alpha_hat": slope,
         # A class attribute, so the last base built speaks for every one.
-        "certificate_alpha": base.alpha,
+        "certificate_alpha": bases[0].alpha,
     }
-
-
-def _half_and_full_regret(baseline: RegretBaseline, cum_loss, horizon: int):
-    half = horizon // 2
-    return (
-        float(cum_loss[half - 1]) - baseline.cumulative(half),
-        float(cum_loss[-1]) - baseline.cumulative(horizon),
-    )
 
 
 def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
@@ -833,6 +851,7 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
     if config.scenario != "lowerbound-demo":
         raise ConfigError(f"expected lowerbound-demo config, got {config.scenario}")
     horizon = config.horizon
+    half = horizon // 2
     corral_eta, naive_eta = demo_etas(config.demo, horizon)
     # (regret at T/2, regret at T) per seed, for each leg.
     legs = {"naive": [], "corral": [], "standalone": []}
@@ -840,35 +859,16 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
     baselines: dict[int, RegretBaseline] = {}
 
     for seed in sorted(config.seeds):
-        # The environment draws only when it is built, so the legs share it.
-        env = LowerBoundEnv(named_rng(seed, "env"))
-        baselines[seed] = baseline = env.baseline()
-
-        # Naive exponential-weights master.
-        bases = [
-            PathologicalBase((0, 1), named_rng(seed, "naive.base.0")),
-            PathologicalBase((2, 3), named_rng(seed, "naive.base.1")),
-        ]
-        router = NaiveRouter(2, naive_eta, named_rng(seed, "naive.master"))
-        cum_loss = np.cumsum(play(env, bases, router, horizon))
-        legs["naive"].append(_half_and_full_regret(baseline, cum_loss, horizon))
-
-        # Corral master, same naive feeding of the bases.
-        bases = [
-            PathologicalBase((0, 1), named_rng(seed, "corral.base.0")),
-            PathologicalBase((2, 3), named_rng(seed, "corral.base.1")),
-        ]
-        state = corral_master.init_master(corral_eta, 2, horizon)
-        rng = named_rng(seed, "corral.master")
-        router = CorralRouter(state, rng, corral_master.ESTIMATOR_STANDARD, naive_feed=True)
-        losses = play(env, bases, router, horizon)
-        logs.append(round_log(f"lowerbound-demo:{seed}", seed, losses, baseline, router))
-        legs["corral"].append(_half_and_full_regret(baseline, logs[-1].cum_loss, horizon))
-
-        # Matched standalone: the base whose pair carries the cheap losses.
-        base = PathologicalBase(env.cheap_pair, named_rng(seed, "standalone.base"))
-        cum_loss = np.cumsum(play(env, [base], StandaloneRouter(base), horizon))
-        legs["standalone"].append(_half_and_full_regret(baseline, cum_loss, horizon))
+        for name, (env, bases, router) in zip(legs, build_legs(config, seed)):
+            baselines[seed] = baseline = union_baseline(env, bases)
+            losses = play(env, bases, router, horizon)
+            cum_loss = np.cumsum(losses)
+            legs[name].append((
+                float(cum_loss[half - 1]) - baseline.cumulative(half),
+                float(cum_loss[-1]) - baseline.cumulative(horizon),
+            ))
+            if name == "corral":
+                logs.append(round_log(f"lowerbound-demo:{seed}", seed, losses, baseline, router))
 
     masters = {}
     for name in ("naive", "corral"):

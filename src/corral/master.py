@@ -103,11 +103,6 @@ def init_master(
     )
 
 
-def initial_range(num_bases: int) -> float:
-    """Loss-range parameter handed to freshly initialized bases (2M)."""
-    return 2.0 * num_bases
-
-
 def choose(state: MasterState, rng) -> int:
     """Sample a base from ``p_bar`` by exact inverse-CDF; the caller plays
     that base's proposal."""

@@ -347,34 +347,85 @@ class TestEpochGreedy:
             b.propose(0)
             b.update(unselected())
         assert b.selected_count == 0
-        assert len(b.samples) == 0
+        assert b.totals == [0.0] * len(POLICIES_8)
+
+    @staticmethod
+    def explore(b, rounds):
+        """Feed ``(context, arm, packet)`` rounds to ``b``'s update as if it
+        had proposed ``arm`` in ``context``."""
+        for context, arm, packet in rounds:
+            b._last_context, b._last_arm = context, arm
+            b.update(packet)
 
     def test_erm_picks_smallest_weighted_loss_with_ties_low(self):
         b = EpochGreedy([(0, 0), (1, 1), (0, 1)], 2, 2, 100, 1.0, named_rng(7, "b"))
-        b.samples = []
-        from corral.bases import WeightedSample
-
-        b.samples.append(WeightedSample(0, 0, 4.0))  # hits policies 0 and 2
-        b.samples.append(WeightedSample(1, 1, 1.0))  # hits policies 1 and 2
-        assert b.erm_index() == 1  # totals: 4.0, 1.0, 5.0
-        b.samples = [WeightedSample(0, 0, 2.0), WeightedSample(0, 1, 2.0)]
-        assert b.erm_index() == 0  # totals tie at 2.0; lowest index wins
+        b.explore_rounds = 2
+        # Weighted losses 2 * 2.0 and 2 * 0.5: the first hits policies 0 and
+        # 2, the second policies 1 and 2, so the totals are 4.0, 1.0, 5.0.
+        self.explore(b, [(0, 0, selected(1.0, 0.5)), (1, 1, selected(0.5))])
+        assert b.totals == [4.0, 1.0, 5.0]
+        assert b.erm_policy == (1, 1)
+        b.reset(1.0)
+        b.explore_rounds = 2
+        self.explore(b, [(0, 0, selected(1.0)), (0, 1, selected(1.0))])
+        assert b.totals == [2.0, 2.0, 2.0]
+        assert b.erm_policy == (0, 0)  # totals tie at 2.0; lowest index wins
 
     def test_erm_matches_bruteforce(self):
         rng = named_rng(8, "erm")
         b = EpochGreedy(POLICIES_8, 4, 2, 4000, 1.0, named_rng(8, "b"))
-        horizon_used = b.explore_rounds
-        for _ in range(horizon_used):
+        samples = []
+        for _ in range(b.explore_rounds):
             ctx = int(rng.integers(2))
-            b.propose(ctx)
-            b.update(selected(float(rng.random()), 0.5))
+            arm = b.propose(ctx)
+            packet = selected(float(rng.random()), 0.5)
+            b.update(packet)
+            samples.append((ctx, arm, 4 * packet.weighted_loss))
         assert b.erm_policy is not None
         totals = []
         for pol in POLICIES_8:
-            totals.append(
-                sum(s.weighted_loss for s in b.samples if pol[s.context] == s.action)
-            )
+            totals.append(sum(loss for c, a, loss in samples if pol[c] == a))
         assert b.erm_policy == POLICIES_8[int(np.argmin(totals))]
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_running_totals_match_reference_rescan(self, data):
+        # The exploit policy as the rescan over stored samples chose it: for
+        # each policy, its samples' weighted losses summed in sample order,
+        # then the first policy whose total no later one undercuts.
+        num_arms = data.draw(st.integers(2, 4))
+        num_contexts = data.draw(st.integers(1, 3))
+        policy = st.tuples(*[st.integers(0, num_arms - 1)] * num_contexts)
+        policies = data.draw(st.lists(policy, min_size=2, max_size=8))
+        b = EpochGreedy(policies, num_arms, num_contexts, 50, 1.0, named_rng(0, "b"))
+        b.explore_rounds = data.draw(st.integers(1, 12))
+        losses = st.sampled_from([0.0, 0.1, 0.3, 1.0])
+        rounds = data.draw(st.lists(
+            st.tuples(st.integers(0, num_contexts - 1), st.integers(0, num_arms - 1),
+                      st.one_of(st.none(), st.tuples(losses, st.sampled_from([1.0, 0.7, 0.3])))),
+            max_size=16,
+        ))
+        samples = []
+        for context, arm, feed in rounds:
+            packet = unselected() if feed is None else selected(*feed)
+            exploring = b.erm_policy is None
+            self.explore(b, [(context, arm, packet)])
+            if exploring and packet.selected:
+                samples.append((context, arm, num_arms * packet.weighted_loss))
+        reference = [0.0] * len(policies)
+        for context, arm, loss in samples:
+            for j, pol in enumerate(b.policies):
+                if pol[context] == arm:
+                    reference[j] += loss
+        assert b.totals == reference
+        best = 0
+        for j in range(1, len(reference)):
+            if reference[j] < reference[best]:
+                best = j
+        if len(samples) >= b.explore_rounds:
+            assert b.erm_policy == b.policies[best]
+        else:
+            assert b.erm_policy is None
 
     def test_exploit_phase_plays_erm_policy(self):
         b = EpochGreedy([(0, 1), (1, 0)], 2, 2, 100, 1.0, named_rng(9, "b"))

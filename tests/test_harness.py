@@ -119,6 +119,41 @@ class TestConfigValidation:
         cfg = config(seeds=[0, 1]).with_seed_offset(100)
         assert cfg.seeds == [100, 101]
 
+    def test_seeds_must_fit_in_64_bits(self):
+        # Streams are keyed on 64-bit seeds: 2**64 would replay seed 0, and
+        # -1 would replay 2**64 - 1.
+        top = config(seeds=[2**64 - 1])
+        for seeds in ([0, 2**64], [-1]):
+            with pytest.raises(ConfigError):
+                config(seeds=seeds)
+        with pytest.raises(ConfigError):
+            config(seeds=[0]).with_seed_offset(-1)
+        with pytest.raises(ConfigError):
+            top.with_seed_offset(1)
+
+    def test_deep_nesting_is_a_config_error(self):
+        means = [0.5]
+        for _ in range(100_000):
+            means = [means]
+        with pytest.raises(ConfigError):
+            config(environment={"kind": "stochastic-mab", "means": means})
+
+    def test_sweep_walks_each_run_config_once(self, monkeypatch):
+        walked = []
+        check = harness._check_values
+
+        def recording(value, *args):
+            walked.append(value)
+            return check(value, *args)
+
+        monkeypatch.setattr(harness, "_check_values", recording)
+        runs = [{"name": "one", "config": dict(SMALL_RUN, environment=dict(MAB_ENV))},
+                {"name": "two", "config": dict(SMALL_RUN, environment=dict(MAB_ENV))}]
+        ExperimentConfig.from_dict({"scenario": "sweep", "runs": runs})
+        for entry in runs:
+            env = entry["config"]["environment"]
+            assert sum(value is env for value in walked) == 1
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -841,6 +876,8 @@ class TestCli:
             {"horizon": 10.9},
             {"seeds": [1.7]},
             {"seeds": [True]},
+            {"seeds": [0, 2**64]},
+            {"seeds": [-1]},
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -850,7 +887,7 @@ class TestCli:
              "demo-corral-eta-negative", "demo-corral-eta-inf", "sweep-demo-naive-eta",
              "thompson-prior-nan", "thompson-prior-inf", "cond-means-nan",
              "context-probs-nan", "rho-level-nan", "rho-level-inf", "horizon-fraction",
-             "seed-fraction", "seed-bool"],
+             "seed-fraction", "seed-bool", "seed-past-64-bits", "seed-negative"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
         raw = dict(SMALL_RUN, **overrides)
@@ -875,6 +912,39 @@ class TestCli:
         assert main(["sweep", "--config", path, "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
+
+    def assert_fails_before_output(self, capsys, argv, out_dir):
+        assert main(argv + ["--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_negative_seed_offset_fails_before_output(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        argv = ["run", "--config", path, "--seed-offset", "-1"]
+        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+
+    def test_deep_nesting_fails_before_output(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["run", "--config", str(path)]
+        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+
+    def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys, monkeypatch):
+        # The master's per-round columns are allocated when the config is
+        # checked. Fail that allocation as a machine without the memory
+        # would, rather than count on it failing here.
+        zeros = np.zeros
+
+        def short_of_memory(shape, *args, **kwargs):
+            if np.prod(shape) >= 10**11:
+                raise MemoryError("cannot allocate")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", short_of_memory)
+        path = self.write_config(tmp_path, dict(SMALL_RUN, horizon=10**11))
+        argv = ["run", "--config", path]
+        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
 
     def test_invalid_config_reports_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"scenario": "corral-run", "bogus": 1})

@@ -18,7 +18,6 @@ from .core import (
     NormalizationDriftError,
     SolverConvergenceError,
     UniformStream,
-    importance_weight,
     named_rng,
     sample_index,
     validate_simplex,
@@ -54,11 +53,13 @@ from .envs import (
 from .harness import (
     ExperimentConfig,
     RoundLog,
+    SeedResult,
     compute_regret,
     execute,
     load_config,
     run_corral,
     run_lowerbound_demo,
+    run_seed,
     run_stability_test,
     run_standalone,
 )

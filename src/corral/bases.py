@@ -4,10 +4,9 @@ Every base proposes a decision for the current context, consumes one
 ``FeedbackPacket`` per round (a selected one, or the shared ``UNSELECTED``
 packet, which carries nothing but still marks a round), and can be reset
 with a new loss-range parameter ``rho``. ``update`` follows the round's
-``propose`` and trusts its packet, which ``FeedbackPacket`` and
-``importance_weight`` have checked. A reset re-initializes all learned state
-and re-tunes internal rates for the new range; the component's random
-stream keeps its position. A base owns the generator it is given: those that
+``propose`` and trusts its packet, which ``FeedbackPacket`` has checked. A
+reset re-initializes all learned state and re-tunes internal rates for the
+new range; the component's random stream keeps its position. A base owns the generator it is given: those that
 draw only uniforms serve them from a ``UniformStream``, so the generator
 itself runs up to ``UniformStream.BLOCK - 1`` draws ahead, and nothing else
 may draw from it.

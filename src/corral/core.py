@@ -20,9 +20,9 @@ Conventions used across the package:
   itself can run up to ``UniformStream.BLOCK - 1`` draws ahead of what the
   component has used.
 
-Values are checked once, where they enter: config load, constructors,
-``importance_weight``, ``validate_simplex``, ``omd.omd_step`` and what
-reaches the master from outside it. Values computed from them inside a
+Values are checked once, where they enter: config load, constructors
+(``FeedbackPacket`` among them), ``validate_simplex``, ``omd.omd_step`` and
+what reaches the master from outside it. Values computed from them inside a
 round, such as the master's own ``p`` and rates, are not checked again.
 """
 
@@ -114,23 +114,6 @@ class FeedbackPacket:
 
 # Packets are immutable, so every unselected round shares this one.
 UNSELECTED = FeedbackPacket(False, 0.0)
-
-
-def importance_weight(raw: float, prob: float, selected: bool) -> FeedbackPacket:
-    """Build the importance-weighted feedback packet for one round.
-
-    On selected rounds the weighted loss is ``raw / prob``; an unselected
-    round is ``UNSELECTED`` (the round still happened, with no information).
-    Both arguments are checked either way.
-    """
-    # NaN and +-inf fail the range comparisons themselves.
-    if not 0.0 <= raw <= 1.0:
-        raise InvalidLossError(f"raw loss must be in [0, 1], got {raw}")
-    if not 0.0 < prob <= 1.0:
-        raise InvalidProbabilityError(f"probability must be in (0, 1], got {prob}")
-    if selected:
-        return FeedbackPacket(True, raw / prob, prob, raw)
-    return UNSELECTED
 
 
 def validate_simplex(p: Sequence[float]) -> list[float]:

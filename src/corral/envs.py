@@ -124,9 +124,10 @@ class AdversarialMAB(Environment):
 class StochasticContextual(Environment):
     """I.i.d. contexts with Bernoulli losses conditioned on the context.
 
-    Decisions exchanged at play time are arms; regret baselines are
-    computed exactly over a finite policy class (context-to-arm tables),
-    by default the evaluation class handed to the constructor.
+    Decisions exchanged at play time are arms; ``baseline(policies)`` is
+    exact over a finite policy class (context-to-arm tables). The
+    constructor's ``policies`` are only that call's default: the harness
+    always passes the union of its bases' classes (``union_baseline``).
     """
 
     kind = "stochastic-contextual"

@@ -5,12 +5,12 @@ sweep typos fail loudly. The runner writes one ``rounds.csv`` (one row per
 round of every seed, floats at 17 significant digits so files are
 byte-stable) and one ``summary.json`` per run. Seeds are independent: every
 component draws from its own named stream, so identical configs and seeds
-reproduce output byte for byte and aggregation is order-independent. Every
-scenario builds a seed's ``(env, bases, router)`` legs with ``build_legs``
-(a standalone leg is an induced leg at sampling probability one) and plays
-each through one loop, ``play``. A run that writes rows keeps them as one
-``RoundLog`` of columns per seed; the CSV, regret and schedule invariants
-come from those.
+reproduce output byte for byte and aggregation is order-independent. One
+function, ``run_seed``, plays a seed of any scenario: it builds the seed's
+``(env, bases, router)`` legs with ``build_legs`` (a standalone leg is an
+induced leg at sampling probability one), plays each through ``play`` and
+returns a picklable ``SeedResult`` of leg regrets and, for a run that writes
+rows, one ``RoundLog`` of columns. Each scenario runner summarizes those.
 
 Config schema (top-level keys; see the README for worked examples)::
 
@@ -108,6 +108,10 @@ _BASE_KEYS = {
     "thompson": [("prior",)],
     "ucb1": [],
     "pathological": [("arm_pair",)],
+}
+# Each base kind's class; its ``alpha`` is every such base's exponent.
+_BASE_CLASSES = {
+    b.kind: b for b in (Exp3, Exp4, EpochGreedy, ThompsonSampling, Ucb1, PathologicalBase)
 }
 
 
@@ -280,11 +284,14 @@ def _sweep_run(entry) -> dict:
     entry = dict(entry)
     if set(entry) != {"name", "config"}:
         raise ConfigError("each sweep run needs exactly 'name' and 'config'")
-    # Each run writes to the subdirectory of its name.
+    # Each run writes to the subdirectory of its name, beside the sweep's
+    # own summary file and that file's temporary twin.
     name = entry["name"]
-    if (not isinstance(name, str) or name in ("", ".", "..")
+    reserved = ("", ".", "..", SUMMARY_JSON, SUMMARY_JSON + ".tmp")
+    if (not isinstance(name, str) or name in reserved
             or set(name) & {"/", "\0", os.sep, os.altsep}):
-        raise ConfigError(f"sweep run name must be one path component, got {name!r}")
+        raise ConfigError(f"sweep run name must be one path component not in {reserved}, "
+                          f"got {name!r}")
     return {"name": name, "config": ExperimentConfig.from_dict(entry["config"])}
 
 
@@ -337,8 +344,7 @@ def build_base(
     if kind == "exp3":
         return Exp3(env.num_arms, horizon, range_param, rng, env.num_contexts)
     if kind in ("exp4", "epoch-greedy"):
-        learner = Exp4 if kind == "exp4" else EpochGreedy
-        return learner(
+        return _BASE_CLASSES[kind](
             spec["policies"], env.num_arms, env.num_contexts, horizon, range_param, rng
         )
     if kind == "thompson":
@@ -362,16 +368,19 @@ def demo_etas(demo: dict, horizon: int) -> tuple[float, float]:
     return float(demo.get("corral_eta", default_eta)), float(demo.get("naive_eta", 1e-4))
 
 
-def master_eta(master_spec: dict, num_bases: int, horizon: int) -> float:
-    eta = master_spec.get("eta")
+def master_settings(config: ExperimentConfig) -> tuple[float, str, str]:
+    """A corral run's master rate, estimator and restart policy, with defaults."""
+    spec = config.master
+    eta = spec.get("eta")
     if eta == "tuned":
-        target = master_spec.get("regret_target")
+        target = spec.get("regret_target")
         if target is None:
             raise ConfigError("eta 'tuned' needs a 'regret_target'")
-        return corral_master.tuned_eta(float(target), horizon, num_bases)
-    if eta is None:
+        eta = corral_master.tuned_eta(float(target), config.horizon, len(config.bases))
+    elif eta is None:
         raise ConfigError("master config needs an 'eta'")
-    return float(eta)
+    return (float(eta), spec.get("estimator", corral_master.ESTIMATOR_STANDARD),
+            spec.get("restart_policy", corral_master.RESTART_ON_DOUBLING))
 
 
 def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
@@ -400,11 +409,8 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
         return legs + [(wrapped, [base], InducedRouter(1.0))]
     if config.scenario == "corral-run":
         env = build_environment(config.environment, named_rng(seed, "env"), horizon)
-        num_bases = len(config.bases)
-        eta0 = master_eta(config.master, num_bases, horizon)
-        restart_policy = config.master.get("restart_policy", corral_master.RESTART_ON_DOUBLING)
-        estimator = config.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
-        state = corral_master.init_master(eta0, num_bases, horizon, restart_policy)
+        eta0, estimator, restart_policy = master_settings(config)
+        state = corral_master.init_master(eta0, len(config.bases), horizon, restart_policy)
         # Each base's first range is its threshold at the master's start.
         bases = [
             build_base(spec, env, horizon, state.rho[i], named_rng(seed, f"base.{i}"))
@@ -448,15 +454,18 @@ class RoundLog:
     fired: np.ndarray
 
 
-def round_log(run_id: str, seed: int, losses, baseline: RegretBaseline, router) -> RoundLog:
-    """Log of a run ``play`` charged ``losses``, with its router's columns.
-    ``np.cumsum`` adds in round order: the bits of a running total."""
-    cum_loss = np.cumsum(losses)
-    baseline_cum = np.cumsum(np.broadcast_to(baseline.per_round, losses.shape))
-    return RoundLog(
-        run_id, seed, raw_loss=losses, cum_loss=cum_loss,
-        cum_regret=cum_loss - baseline_cum, **router.columns(),
-    )
+@dataclass
+class SeedResult:
+    """One seed's play of a scenario as plain data, which pickles: each leg's
+    ``(regret at T/2, regret at T)`` in leg order, the logged leg's round log
+    and baseline (leg 0 of a corral or standalone run, the demo's corral
+    leg), and a corral run's regret against each base's own class."""
+
+    seed: int
+    regrets: list[tuple[float, float]] = field(default_factory=list)
+    log: RoundLog | None = None
+    baseline: RegretBaseline | None = None
+    per_base_regret: list[float] = field(default_factory=list)
 
 
 def records_to_csv(logs: list[RoundLog], out) -> None:
@@ -512,24 +521,22 @@ def records_to_csv(logs: list[RoundLog], out) -> None:
                 out.write((row * (last - first)) % tuple(values))
 
 
-def compute_regret(
-    logs: list[RoundLog],
-    baselines: dict[int, RegretBaseline],
-    horizon: int,
-) -> dict:
-    """Aggregate per-seed regret and re-assert schedule invariants from logs.
+def compute_regret(results: list[SeedResult], horizon: int) -> dict:
+    """Aggregate per-seed regret and re-assert schedule invariants from the
+    seeds' logged legs.
 
-    Works purely from the round logs, independent of any master internals:
-    checks that every log holds ``horizon`` rounds and measures the final
-    regret against the seed's baseline. Also extracts per-base doubling
-    counts, the max learning-rate ratio (over bases whose first rate is
-    positive) and the threshold-times-probability floor, counting
+    Works purely from each round log and its baseline, independent of any
+    master internals: checks that every log holds ``horizon`` rounds and
+    measures the final regret against the baseline. Also extracts per-base
+    doubling counts, the max learning-rate ratio (over bases whose first
+    rate is positive) and the threshold-times-probability floor, counting
     violations of each schedule invariant.
     """
     per_seed = []
     violations = {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 0}
     doubling_cap = math.ceil(math.log2(horizon))
-    for log in logs:
+    for result in results:
+        log = result.log
         if len(log.raw_loss) != horizon:
             raise IntegrityError(
                 f"seed {log.seed}: expected {horizon} rounds, got {len(log.raw_loss)}"
@@ -548,7 +555,7 @@ def compute_regret(
         per_seed.append(
             {
                 "seed": log.seed,
-                "final_regret": float(log.cum_loss[-1]) - baselines[log.seed].cumulative(horizon),
+                "final_regret": float(log.cum_loss[-1]) - result.baseline.cumulative(horizon),
                 "doubling_counts": doubling,
                 "max_eta_ratio": max_ratio,
                 "min_rho_pbar": float((log.rho * log.p_bar).min()),
@@ -735,36 +742,54 @@ def play(env, bases, router, horizon) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
+    """Play each of ``seed``'s legs and score it against the union of its
+    bases' classes. ``np.cumsum`` adds in round order: the bits of a
+    running total."""
+    horizon, half = config.horizon, config.horizon // 2
+    logged = {"corral-run": 0, "standalone-run": 0, "lowerbound-demo": 1}.get(config.scenario)
+    result = SeedResult(seed)
+    for leg, (env, bases, router) in enumerate(build_legs(config, seed)):
+        baseline = union_baseline(env, bases)
+        losses = play(env, bases, router, horizon)
+        cum_loss = np.cumsum(losses)
+        result.regrets.append((
+            float(cum_loss[half - 1]) - baseline.cumulative(half),
+            float(cum_loss[-1]) - baseline.cumulative(horizon),
+        ))
+        if leg == logged:
+            baseline_cum = np.cumsum(np.broadcast_to(baseline.per_round, losses.shape))
+            result.log = RoundLog(
+                f"{config.scenario}:{seed}", seed, raw_loss=losses, cum_loss=cum_loss,
+                cum_regret=cum_loss - baseline_cum, **router.columns(),
+            )
+            result.baseline = baseline
+        if config.scenario == "corral-run":
+            result.per_base_regret = [
+                float(cum_loss[-1]) - union_baseline(env, [b]).cumulative(horizon) for b in bases
+            ]
+    return result
+
+
+def _run_seeds(config: ExperimentConfig, scenario: str) -> list[SeedResult]:
+    if config.scenario != scenario:
+        raise ConfigError(f"expected {scenario} config, got {config.scenario}")
+    return [run_seed(config, seed) for seed in sorted(config.seeds)]
+
+
 def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     """Full master-plus-bases loop for every seed; see the module docstring."""
-    if config.scenario != "corral-run":
-        raise ConfigError(f"expected corral-run config, got {config.scenario}")
-    horizon = config.horizon
-    logs: list[RoundLog] = []
-    baselines: dict[int, RegretBaseline] = {}
-    per_base_regrets: list[list[float]] = []
-    for seed in sorted(config.seeds):
-        [(env, bases, router)] = build_legs(config, seed)
-        baselines[seed] = baseline = union_baseline(env, bases)
-        losses = play(env, bases, router, horizon)
-        logs.append(round_log(f"corral-run:{seed}", seed, losses, baseline, router))
-        cum_loss = float(logs[-1].cum_loss[-1])
-        per_base_regrets.append(
-            [cum_loss - union_baseline(env, [b]).cumulative(horizon) for b in bases]
-        )
-    summary = compute_regret(logs, baselines, horizon)
-    for entry, regs in zip(summary["per_seed"], per_base_regrets):
-        entry["per_base_regret"] = regs
+    results = _run_seeds(config, "corral-run")
+    summary = compute_regret(results, config.horizon)
+    for entry, result in zip(summary["per_seed"], results):
+        entry["per_base_regret"] = result.per_base_regret
     summary["per_base_regret_mean"] = [
-        float(np.mean([regs[i] for regs in per_base_regrets]))
-        for i in range(len(config.bases))
+        float(np.mean(regs)) for regs in zip(*(r.per_base_regret for r in results))
     ]
     summary["scenario"] = "corral-run"
-    summary["horizon"] = horizon
-    summary["eta"] = router.state.eta0
-    summary["estimator"] = config.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
-    summary["restart_policy"] = router.state.restart_policy
-    return summary, logs
+    summary["horizon"] = config.horizon
+    summary["eta"], summary["estimator"], summary["restart_policy"] = master_settings(config)
+    return summary, [r.log for r in results]
 
 
 def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
@@ -773,21 +798,12 @@ def run_standalone(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     The base receives a selected packet with sampling probability one every
     round, exactly what it would see running on its own.
     """
-    if config.scenario != "standalone-run":
-        raise ConfigError(f"expected standalone-run config, got {config.scenario}")
-    horizon = config.horizon
-    logs: list[RoundLog] = []
-    baselines: dict[int, RegretBaseline] = {}
-    for seed in sorted(config.seeds):
-        [(env, bases, router)] = build_legs(config, seed)
-        baselines[seed] = baseline = union_baseline(env, bases)
-        losses = play(env, bases, router, horizon)
-        logs.append(round_log(f"standalone-run:{seed}", seed, losses, baseline, router))
-    summary = compute_regret(logs, baselines, horizon)
+    results = _run_seeds(config, "standalone-run")
+    summary = compute_regret(results, config.horizon)
     summary["scenario"] = "standalone-run"
-    summary["horizon"] = horizon
+    summary["horizon"] = config.horizon
     summary["base_kind"] = config.bases[0]["kind"]
-    return summary, logs
+    return summary, [r.log for r in results]
 
 
 def run_stability_test(config: ExperimentConfig) -> dict:
@@ -799,38 +815,27 @@ def run_stability_test(config: ExperimentConfig) -> dict:
     inner environment's baseline. The exponent is the least-squares slope
     of log mean regret against log rho at fixed horizon.
     """
-    if config.scenario != "stability-test":
-        raise ConfigError(f"expected stability-test config, got {config.scenario}")
-    horizon = config.horizon
-    # regrets[k]: the regret at rho level k of each seed, in seed order.
-    regrets = [[] for _ in config.rho_levels]
-    for seed in sorted(config.seeds):
-        for rho_regrets, (env, bases, router) in zip(regrets, build_legs(config, seed)):
-            cum_weighted = np.cumsum(play(env, bases, router, horizon))
-            baseline = union_baseline(env, bases)
-            rho_regrets.append(float(cum_weighted[-1]) - baseline.cumulative(horizon))
+    results = _run_seeds(config, "stability-test")
     per_rho = []
-    for rho, rho_regrets in zip(config.rho_levels, regrets):
+    for leg, rho in enumerate(config.rho_levels):
+        rho_regrets = [r.regrets[leg][1] for r in results]
         mean = float(np.mean(rho_regrets))
         if mean <= 0.0:
             raise IntegrityError(
                 f"mean weighted regret {mean} at rho={rho} is not positive; "
                 "the exponent fit needs a harder environment or longer horizon"
             )
-        per_rho.append(
-            {"rho": rho, "mean_regret": mean, "stderr_regret": _stderr(rho_regrets)}
-        )
+        per_rho.append({"rho": rho, "mean_regret": mean, "stderr_regret": _stderr(rho_regrets)})
     log_rho = np.log([e["rho"] for e in per_rho])
     log_reg = np.log([e["mean_regret"] for e in per_rho])
     slope = float(np.polyfit(log_rho, log_reg, 1)[0])
     return {
         "scenario": "stability-test",
-        "horizon": horizon,
+        "horizon": config.horizon,
         "base_kind": config.bases[0]["kind"],
         "per_rho": per_rho,
         "alpha_hat": slope,
-        # A class attribute, so the last base built speaks for every one.
-        "certificate_alpha": bases[0].alpha,
+        "certificate_alpha": _BASE_CLASSES[config.bases[0]["kind"]].alpha,
     }
 
 
@@ -848,41 +853,29 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
 
     Returns the summary and the corral leg's round logs.
     """
-    if config.scenario != "lowerbound-demo":
-        raise ConfigError(f"expected lowerbound-demo config, got {config.scenario}")
-    horizon = config.horizon
-    half = horizon // 2
-    corral_eta, naive_eta = demo_etas(config.demo, horizon)
-    # (regret at T/2, regret at T) per seed, for each leg.
-    legs = {"naive": [], "corral": [], "standalone": []}
-    logs: list[RoundLog] = []
-    baselines: dict[int, RegretBaseline] = {}
-
-    for seed in sorted(config.seeds):
-        for name, (env, bases, router) in zip(legs, build_legs(config, seed)):
-            baselines[seed] = baseline = union_baseline(env, bases)
-            losses = play(env, bases, router, horizon)
-            cum_loss = np.cumsum(losses)
-            legs[name].append((
-                float(cum_loss[half - 1]) - baseline.cumulative(half),
-                float(cum_loss[-1]) - baseline.cumulative(horizon),
-            ))
-            if name == "corral":
-                logs.append(round_log(f"lowerbound-demo:{seed}", seed, losses, baseline, router))
-
+    results = _run_seeds(config, "lowerbound-demo")
+    corral_eta, naive_eta = demo_etas(config.demo, config.horizon)
     masters = {}
-    for name in ("naive", "corral"):
-        ratios = [full / half for half, full in legs[name]]
+    for leg, name in enumerate(("naive", "corral")):
+        halves, fulls = zip(*(r.regrets[leg] for r in results))
+        if 0.0 in halves:
+            seed = results[halves.index(0.0)].seed
+            raise IntegrityError(
+                f"seed {seed}: the {name} master's regret at T/2 is 0, so "
+                "regret(T) / regret(T/2) is undefined; use a longer horizon"
+            )
+        ratios = [full / half for half, full in zip(halves, fulls)]
         masters[name] = {
-            "mean_regret_half": float(np.mean([half for half, _ in legs[name]])),
-            "mean_regret_full": float(np.mean([full for _, full in legs[name]])),
+            "mean_regret_half": float(np.mean(halves)),
+            "mean_regret_full": float(np.mean(fulls)),
             "mean_ratio": float(np.mean(ratios)),
-            "per_seed_ratio": [float(x) for x in ratios],
+            "per_seed_ratio": ratios,
         }
-    steps = [full - half for half, full in legs["standalone"]]
+    steps = [full - half for half, full in (r.regrets[2] for r in results)]
+    log_summary = compute_regret(results, config.horizon)
     summary = {
         "scenario": "lowerbound-demo",
-        "horizon": horizon,
+        "horizon": config.horizon,
         "corral_eta": corral_eta,
         "naive_eta": naive_eta,
         "masters": masters,
@@ -890,11 +883,10 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
             "max_regret_step": float(max(steps)),
             "mean_regret_step": float(np.mean(steps)),
         },
+        "corral_invariants": log_summary["invariant_violations"],
+        "corral_max_eta_ratio": log_summary["max_eta_ratio"],
     }
-    log_summary = compute_regret(logs, baselines, horizon)
-    summary["corral_invariants"] = log_summary["invariant_violations"]
-    summary["corral_max_eta_ratio"] = log_summary["max_eta_ratio"]
-    return summary, logs
+    return summary, [r.log for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -943,12 +935,10 @@ def execute(config: ExperimentConfig, out_dir) -> dict:
     elif config.scenario == "lowerbound-demo":
         summary, logs = run_lowerbound_demo(config)
     else:
-        summary = {"scenario": "sweep", "runs": []}
+        summary, logs = {"scenario": "sweep", "runs": []}, None
         for entry in config.runs:
             sub = entry["config"]
             execute(sub, os.path.join(out_dir, entry["name"]))
             summary["runs"].append({"name": entry["name"], "scenario": sub.scenario})
-        write_outputs(out_dir, summary, None)
-        return summary
     write_outputs(out_dir, summary, logs)
     return summary

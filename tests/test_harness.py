@@ -5,6 +5,7 @@ import io
 import json
 import math
 import operator
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from corral.envs import RegretBaseline
 from corral.harness import (
     ExperimentConfig,
     RoundLog,
+    SeedResult,
     compute_regret,
     execute,
     records_to_csv,
@@ -193,9 +195,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "names",
-        [["a", "a"], ["../escaped"], [7], [""], ["."], [".."], ["a/b"], ["a", "a\0b"]],
+        [["a", "a"], ["../escaped"], [7], [""], ["."], [".."], ["a/b"], ["a", "a\0b"],
+         ["summary.json"], ["summary.json.tmp"]],
         ids=["duplicate", "parent-escape", "number", "empty", "dot", "dot-dot", "slash",
-             "nul"],
+             "nul", "sweep-summary", "sweep-summary-tmp"],
     )
     def test_sweep_run_names_are_distinct_path_components(self, names):
         runs = [{"name": name, "config": SMALL_RUN} for name in names]
@@ -479,26 +482,26 @@ class TestComputeRegret:
 
     def test_zero_loss_zero_baseline(self):
         log = self.one_base([0.0] * 10, 0.0)
-        out = compute_regret([log], {0: RegretBaseline(0, 0.0)}, 10)
+        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0, 0.0))], 10)
         assert out["mean_final_regret"] == 0.0
 
     def test_constant_loss_against_baseline(self):
         log = self.one_base([1.0] * 10, 0.4)
-        out = compute_regret([log], {0: RegretBaseline(0, 0.4)}, 10)
+        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0, 0.4))], 10)
         assert out["mean_final_regret"] == pytest.approx(6.0)
 
     def test_missing_round_is_integrity_error(self):
         log = self.one_base([0.5] * 3, 0.0)
         with pytest.raises(IntegrityError):
-            compute_regret([log], {0: RegretBaseline(0, 0.0)}, 4)
+            compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0, 0.0))], 4)
 
     def schedule_run(self, p_bar, eta, rho, fired):
         """A zero-loss seed-0 run with one schedule row per round."""
-        return [self.log([0.0] * len(p_bar), 0.0, p_bar, eta, rho, fired)]
+        log = self.log([0.0] * len(p_bar), 0.0, p_bar, eta, rho, fired)
+        return [SeedResult(0, log=log, baseline=RegretBaseline(0, 0.0))]
 
     def invariants(self, rounds, p_bar, eta, rho, fired):
-        run = self.schedule_run(p_bar, eta, rho, fired)
-        return compute_regret(run, {0: RegretBaseline(0, 0.0)}, rounds)
+        return compute_regret(self.schedule_run(p_bar, eta, rho, fired), rounds)
 
     def test_doubling_count_above_cap_is_counted(self):
         # Four rounds cap each base at ceil(log2 4) = 2 doublings.
@@ -614,6 +617,58 @@ class TestLowerBoundDemoSmoke:
         assert set(summary["masters"]) == {"naive", "corral"}
         assert [len(log.raw_loss) for log in logs] == [500] * 3
         assert summary["standalone_matched"]["max_regret_step"] <= 1.0
+
+
+
+def bits(value):
+    """A value's exact bits: arrays as dtype, shape and bytes, floats as hex."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+PER_SEED_CONFIGS = {
+    "corral-run": dict(SMALL_RUN, environment=CONTEXTUAL_ENV,
+                       bases=[{"kind": "exp4", "policies": [[0, 1], [1, 1]]}, {"kind": "exp3"}]),
+    "standalone-run": dict(SMALL_RUN, scenario="standalone-run", master={},
+                           bases=[{"kind": "thompson", "prior": [[1, 1], [1, 1]]}]),
+    "stability-test": SMALL_STABILITY,
+    "lowerbound-demo": {"scenario": "lowerbound-demo", "horizon": 50, "seeds": [0]},
+}
+
+
+class TestRunSeed:
+    """The per-seed contract parallel workers rely on: a seed's result is the
+    same bits whatever other seeds its config holds, and survives a pickle."""
+
+    @pytest.mark.parametrize("scenario", sorted(PER_SEED_CONFIGS))
+    def test_seed_result_is_independent_and_pickles(self, scenario):
+        alone, among = (
+            ExperimentConfig.from_dict(dict(PER_SEED_CONFIGS[scenario], seeds=seeds))
+            for seeds in ([3], [1, 3, 7])
+        )
+        result = harness.run_seed(alone, 3)
+        assert result.seed == 3
+        assert len(result.regrets) == {"stability-test": 2, "lowerbound-demo": 3}.get(scenario, 1)
+        assert (result.log is None) == (scenario == "stability-test")
+        assert bits(harness.run_seed(among, 3)) == bits(result)
+        assert bits(pickle.loads(pickle.dumps(result))) == bits(result)
+
+    def test_runners_summarize_the_seed_results(self):
+        cfg = ExperimentConfig.from_dict(dict(PER_SEED_CONFIGS["corral-run"], seeds=[7, 1, 3]))
+        summary, logs = run_corral(cfg)
+        results = [harness.run_seed(cfg, seed) for seed in (1, 3, 7)]
+        assert bits(logs) == bits([r.log for r in results])
+        assert [e["final_regret"] for e in summary["per_seed"]] == [r.regrets[0][1] for r in results]
+        assert [e["per_base_regret"] for e in summary["per_seed"]] == [
+            r.per_base_regret for r in results
+        ]
 
 
 def reference_records_to_csv(logs: list[RoundLog], out) -> None:
@@ -903,7 +958,8 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "names", [["a", "a"], ["../escaped"], [7]], ids=["duplicate", "parent-escape", "number"]
+        "names", [["a", "a"], ["../escaped"], [7], ["summary.json"], ["summary.json.tmp"]],
+        ids=["duplicate", "parent-escape", "number", "summary", "summary-tmp"],
     )
     def test_bad_sweep_run_name_writes_nothing(self, tmp_path, capsys, names):
         runs = [{"name": name, "config": SMALL_RUN} for name in names]
@@ -918,6 +974,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out_dir.exists()
+        return err
+
+    def test_demo_ratio_without_half_regret_fails_before_output(self, tmp_path, capsys):
+        # At horizon 2 both masters of seeds 6 and 7 have no regret at T/2,
+        # so regret(T) / regret(T/2) has no value.
+        path = self.write_config(
+            tmp_path, {"scenario": "lowerbound-demo", "horizon": 2, "seeds": [6, 7]}
+        )
+        argv = ["lowerbound-demo", "--config", path]
+        err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+        assert "seed 6: the naive master" in err
 
     def test_negative_seed_offset_fails_before_output(self, tmp_path, capsys):
         path = self.write_config(tmp_path, SMALL_RUN)

@@ -44,6 +44,7 @@ import json
 import math
 import numbers
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,7 +389,9 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
     named streams: one for a corral run; an induced leg at probability one for
     a standalone run, and at 1/rho for each rho level of a stability test; and
     the demo's naive, corral and matched standalone legs, which share one
-    environment (it draws only when built)."""
+    environment (it draws only when built). The router of the leg a run
+    logs, its only corral or standalone leg or the demo's corral leg, is
+    ``logged``."""
     horizon = config.horizon
     if config.scenario == "lowerbound-demo":
         corral_eta, naive_eta = demo_etas(config.demo, horizon)
@@ -423,7 +426,8 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
         env = build_environment(config.environment, named_rng(seed, "env"), horizon)
         base = build_base(config.bases[0], env, horizon, rho, named_rng(seed, "base.0"))
         wrapped = InducedEnvironment(env, 1.0 / rho, named_rng(seed, "wrapper"))
-        legs.append((wrapped, [base], InducedRouter(rho)))
+        router = InducedRouter(rho, logged=config.scenario == "standalone-run")
+        legs.append((wrapped, [base], router))
     return legs
 
 
@@ -438,7 +442,8 @@ class RoundLog:
 
     ``p_bar``, ``eta`` and ``rho`` (rounds x bases) hold the decision-time
     values of each round; ``fired`` marks the bases whose threshold fired
-    at the end of the round.
+    at the end of the round. The columns take 40 + 25 * bases bytes a
+    round; ``play`` and the logged router fill them in place.
     """
 
     run_id: str
@@ -542,15 +547,22 @@ def compute_regret(results: list[SeedResult], horizon: int) -> dict:
                 f"seed {log.seed}: expected {horizon} rounds, got {len(log.raw_loss)}"
             )
         doubling = log.fired.sum(axis=0).tolist()
-        rated = log.eta[0] > 0.0
-        max_ratio = float((log.eta[:, rated] / log.eta[0, rated]).max(initial=1.0))
+        # One base's column at a time, so that no check holds a temporary
+        # of rounds x bases.
+        ratios, floors, below = [], [], False
+        for eta, rho, p_bar in zip(log.eta.T, log.rho.T, log.p_bar.T):
+            if eta[0] > 0.0:
+                ratios.append((eta / eta[0]).max())
+            # Same non-cancelling form the schedule maintains; the product
+            # rho * p_bar can round one ulp below 1.
+            below = below or (rho < 1.0 / p_bar).any()
+            floors.append((rho * p_bar).min())
+        max_ratio = float(np.max(ratios, initial=1.0))
         if max(doubling) > doubling_cap:
             violations["doubling_count"] += 1
         if max_ratio > 5.0:
             violations["eta_cap"] += 1
-        # Same non-cancelling form the schedule maintains; the product
-        # rho * p_bar can round one ulp below 1.
-        if (log.rho < 1.0 / log.p_bar).any():
+        if below:
             violations["rho_pbar"] += 1
         per_seed.append(
             {
@@ -558,7 +570,7 @@ def compute_regret(results: list[SeedResult], horizon: int) -> dict:
                 "final_regret": float(log.cum_loss[-1]) - result.baseline.cumulative(horizon),
                 "doubling_counts": doubling,
                 "max_eta_ratio": max_ratio,
-                "min_rho_pbar": float((log.rho * log.p_bar).min()),
+                "min_rho_pbar": float(np.min(floors)),
                 "rho_final": log.rho[-1].tolist(),
             }
         )
@@ -617,63 +629,78 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
 # A router plays one round from the bases' proposals: ``step(env,
 # proposals)`` picks whose proposal is played, plays it, and returns the
 # loss the round charges, one packet per base, and the ``(base, range)``
-# resets to apply after every base has updated. A router whose rounds are
-# logged keeps their choices and schedule, and ``columns()`` returns them as
-# the matching ``RoundLog`` fields. A router that samples owns the generator
+# resets to apply after every base has updated. A ``logged`` router keeps
+# its rounds' choices and schedule, and ``columns()`` returns them as the
+# matching ``RoundLog`` fields. A router that samples owns the generator
 # it is given and serves its uniforms through a ``UniformStream``.
 
 
 class CorralRouter:
     """The CORRAL master samples the base; ``packets(p_bar, proposals, raw,
     chosen)`` makes the bases' feedback from the decision-time ``p_bar``:
-    ``build_packets`` with the run's estimator, or the demo's ``naive_packets``."""
+    ``build_packets`` with the run's estimator, or the demo's ``naive_packets``.
+
+    Each round's choice, decision and ``p_bar`` are appended to typed
+    columns. ``eta`` and ``rho`` change only when a threshold fires, so they
+    are kept as schedule segments ``(first row, eta, rho)`` and expanded
+    once, by ``columns()``."""
+
+    logged = True
 
     def __init__(self, state, rng, packets):
         self.state = state
         self.rng = UniformStream(rng)
         self.packets = packets
-        self.chosen, self.decision, self.p_bar, self.eta, self.rho = [], [], [], [], []
+        self.chosen, self.decision, self.p_bar = array("q"), array("q"), array("d")
         self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
-        self._schedule = list(state.eta), list(state.rho)
+        self._segments = [(0, list(state.eta), list(state.rho))]
 
     def step(self, env, proposals: list[int]):
         state = self.state
         chosen = corral_master.choose(state, self.rng)
         decision = proposals[chosen]
         p_bar = state.p_bar
-        # ``feedback`` replaces ``p_bar``, and changes ``eta`` and ``rho`` only
-        # when a threshold fires, so rounds share one schedule copy until then.
-        eta, rho = self._schedule
         self.chosen.append(chosen)
         self.decision.append(decision)
-        self.p_bar.append(p_bar)
-        self.eta.append(eta)
-        self.rho.append(rho)
+        self.p_bar.extend(p_bar)
         raw = env.loss_of(decision)
         outcome = corral_master.feedback(state, chosen, raw)
         if outcome.doublings:
-            self.fired[len(self.chosen) - 1, outcome.doublings] = True
-            self._schedule = list(state.eta), list(state.rho)
+            row = len(self.chosen)
+            self.fired[row - 1, outcome.doublings] = True
+            self._segments.append((row, list(state.eta), list(state.rho)))
         resets = [(i, state.rho[i]) for i in outcome.restarts] if outcome.restarts else ()
         return raw, self.packets(p_bar, proposals, raw, chosen), resets
 
     def columns(self) -> dict:
-        names = ("chosen", "decision", "p_bar", "eta", "rho")
-        return {name: np.array(getattr(self, name)) for name in names} | {"fired": self.fired}
+        rounds = len(self.chosen)
+        starts, eta, rho = zip(*self._segments)
+        lengths = np.diff(starts + (rounds,))
+        return {
+            "chosen": np.frombuffer(self.chosen, dtype=np.int64),
+            "decision": np.frombuffer(self.decision, dtype=np.int64),
+            "p_bar": np.frombuffer(self.p_bar).reshape(rounds, self.state.num_bases),
+            "eta": np.repeat(eta, lengths, axis=0),
+            "rho": np.repeat(rho, lengths, axis=0),
+            "fired": self.fired,
+        }
 
 
 class InducedRouter:
     """One base with range ``rho`` inside ``InducedEnvironment`` at sampling
     probability 1/rho; the round charges the emitted importance-weighted
-    loss. At rho = 1 the base sees exactly what it would see on its own."""
+    loss. At rho = 1 the base sees exactly what it would see on its own.
+    Only a ``logged`` router keeps its decisions, for ``columns()``."""
 
-    def __init__(self, rho: float):
+    def __init__(self, rho: float, logged: bool = False):
         self.range_param = rho
-        self.decision: list[int] = []
+        self.logged = logged
+        self.decision = array("q") if logged else None
 
     def step(self, env: InducedEnvironment, proposals: list[int]):
         decision = proposals[0]
-        self.decision.append(decision)
+        if self.logged:
+            self.decision.append(decision)
         selected, emitted = env.observe(decision)
         if not selected:
             return emitted, (UNSELECTED,), ()
@@ -684,7 +711,7 @@ class InducedRouter:
         rounds = len(self.decision)
         return {
             "chosen": np.zeros(rounds, dtype=np.int64),
-            "decision": np.array(self.decision),
+            "decision": np.frombuffer(self.decision, dtype=np.int64),
             "p_bar": np.full((rounds, 1), 1.0 / self.range_param),
             "eta": np.zeros((rounds, 1)),
             "rho": np.full((rounds, 1), self.range_param),
@@ -695,6 +722,8 @@ class InducedRouter:
 class NaiveRouter:
     """Exponential weights over importance-weighted loss estimates, with the
     demonstration's naive feed to the bases."""
+
+    logged = False
 
     def __init__(self, num_bases: int, rate: float, rng):
         if not 0.0 < rate < math.inf:
@@ -724,7 +753,7 @@ def naive_packets(probs, proposals, raw: float, chosen: int) -> list[FeedbackPac
 def play(env, bases, router, horizon) -> np.ndarray:
     """Play ``horizon`` rounds; return the loss each round charged."""
     step = router.step
-    losses: list[float] = []
+    losses = array("d")
     charge = losses.append
     for _ in range(horizon):
         ctx = env.next_context()
@@ -734,7 +763,7 @@ def play(env, bases, router, horizon) -> np.ndarray:
         for i, range_param in resets:
             bases[i].reset(range_param)
         charge(raw)
-    return np.array(losses)
+    return np.frombuffer(losses)
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +776,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     bases' classes. ``np.cumsum`` adds in round order: the bits of a
     running total."""
     horizon, half = config.horizon, config.horizon // 2
-    logged = {"corral-run": 0, "standalone-run": 0, "lowerbound-demo": 1}.get(config.scenario)
     result = SeedResult(seed)
-    for leg, (env, bases, router) in enumerate(build_legs(config, seed)):
+    for env, bases, router in build_legs(config, seed):
         baseline = union_baseline(env, bases)
         losses = play(env, bases, router, horizon)
         cum_loss = np.cumsum(losses)
@@ -757,7 +785,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
             float(cum_loss[half - 1]) - baseline.cumulative(half),
             float(cum_loss[-1]) - baseline.cumulative(horizon),
         ))
-        if leg == logged:
+        if router.logged:
             baseline_cum = np.cumsum(np.broadcast_to(baseline.per_round, losses.shape))
             result.log = RoundLog(
                 f"{config.scenario}:{seed}", seed, raw_loss=losses, cum_loss=cum_loss,

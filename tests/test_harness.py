@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corral import harness
+from corral import master as corral_master
 from corral.cli import main
-from corral.core import ConfigError, IntegrityError, named_rng
+from corral.core import ConfigError, IntegrityError, UniformStream, named_rng
 from corral.envs import RegretBaseline
 from corral.harness import (
     ExperimentConfig,
@@ -669,6 +671,178 @@ class TestRunSeed:
         assert [e["per_base_regret"] for e in summary["per_seed"]] == [
             r.per_base_regret for r in results
         ]
+
+
+class ReferenceCorralRouter:
+    """The list-built router, kept verbatim below this docstring but for the
+    ``logged`` flag ``run_seed`` reads: ``CorralRouter`` must log exactly
+    its columns.
+
+    The CORRAL master samples the base; ``packets(p_bar, proposals, raw,
+    chosen)`` makes the bases' feedback from the decision-time ``p_bar``:
+    ``build_packets`` with the run's estimator, or the demo's ``naive_packets``."""
+
+    logged = True
+
+    def __init__(self, state, rng, packets):
+        self.state = state
+        self.rng = UniformStream(rng)
+        self.packets = packets
+        self.chosen, self.decision, self.p_bar, self.eta, self.rho = [], [], [], [], []
+        self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
+        self._schedule = list(state.eta), list(state.rho)
+
+    def step(self, env, proposals: list[int]):
+        state = self.state
+        chosen = corral_master.choose(state, self.rng)
+        decision = proposals[chosen]
+        p_bar = state.p_bar
+        # ``feedback`` replaces ``p_bar``, and changes ``eta`` and ``rho`` only
+        # when a threshold fires, so rounds share one schedule copy until then.
+        eta, rho = self._schedule
+        self.chosen.append(chosen)
+        self.decision.append(decision)
+        self.p_bar.append(p_bar)
+        self.eta.append(eta)
+        self.rho.append(rho)
+        raw = env.loss_of(decision)
+        outcome = corral_master.feedback(state, chosen, raw)
+        if outcome.doublings:
+            self.fired[len(self.chosen) - 1, outcome.doublings] = True
+            self._schedule = list(state.eta), list(state.rho)
+        resets = [(i, state.rho[i]) for i in outcome.restarts] if outcome.restarts else ()
+        return raw, self.packets(p_bar, proposals, raw, chosen), resets
+
+    def columns(self) -> dict:
+        names = ("chosen", "decision", "p_bar", "eta", "rho")
+        return {name: np.array(getattr(self, name)) for name in names} | {"fired": self.fired}
+
+
+class ReferenceInducedRouter(harness.InducedRouter):
+    """``InducedRouter`` with its decisions in a list and the list-built
+    ``columns``, kept verbatim."""
+
+    def __init__(self, rho: float, logged: bool = False):
+        super().__init__(rho, logged)
+        self.decision = []
+
+    def columns(self) -> dict:
+        rounds = len(self.decision)
+        return {
+            "chosen": np.zeros(rounds, dtype=np.int64),
+            "decision": np.array(self.decision),
+            "p_bar": np.full((rounds, 1), 1.0 / self.range_param),
+            "eta": np.zeros((rounds, 1)),
+            "rho": np.full((rounds, 1), self.range_param),
+            "fired": np.zeros((rounds, 1), dtype=bool),
+        }
+
+
+def reference_play(env, bases, router, horizon) -> np.ndarray:
+    """The list-built ``play``, kept verbatim below this docstring.
+
+    Play ``horizon`` rounds; return the loss each round charged."""
+    step = router.step
+    losses: list[float] = []
+    charge = losses.append
+    for _ in range(horizon):
+        ctx = env.next_context()
+        raw, packets, resets = step(env, [b.propose(ctx) for b in bases])
+        for base, packet in zip(bases, packets):
+            base.update(packet)
+        for i, range_param in resets:
+            bases[i].reset(range_param)
+        charge(raw)
+    return np.array(losses)
+
+
+def reference_log(cfg: ExperimentConfig, seed: int) -> RoundLog:
+    """``seed``'s round log as the list-built routers and ``play`` make it."""
+    with mock.patch.multiple(harness, CorralRouter=ReferenceCorralRouter,
+                             InducedRouter=ReferenceInducedRouter, play=reference_play):
+        return harness.run_seed(cfg, seed).log
+
+
+def flipping_run(horizon: int, period: int, num_bases: int, master: dict) -> dict:
+    """A corral run of EXP3 bases on a 2-arm script whose losses flip every
+    ``period`` rounds: at a large master rate its thresholds fire often."""
+    script = [[1.0, 0.0] if (t // period) % 2 == 0 else [0.0, 1.0] for t in range(horizon)]
+    env = {"kind": "adversarial-mab", "script": script}
+    return dict(SMALL_RUN, horizon=horizon, environment=env,
+                bases=[{"kind": "exp3"}] * num_bases, master=master)
+
+
+@st.composite
+def logged_runs(draw):
+    """Corral runs over 2-4 bases (both restart policies and estimators,
+    rates at which thresholds fire), standalone runs and demos."""
+    horizon = draw(st.integers(2, 300))
+    raw = {"horizon": horizon, "seeds": [draw(st.integers(0, 2**32))]}
+    scenario = draw(st.sampled_from(["corral-run"] * 4 + ["standalone-run", "lowerbound-demo"]))
+    if scenario == "lowerbound-demo":
+        return dict(raw, scenario=scenario)
+    master = {
+        "eta": draw(st.sampled_from([2.0, 0.9, 0.05])),
+        "restart_policy": draw(st.sampled_from(corral_master.RESTART_POLICIES)),
+        "estimator": draw(st.sampled_from(corral_master.ESTIMATORS)),
+    }
+    run = flipping_run(horizon, draw(st.integers(1, 60)), draw(st.integers(2, 4)), master)
+    if draw(st.booleans()):
+        run["environment"] = {"kind": "stochastic-mab", "means": [0.3, 0.6]}
+        run["bases"] = draw(st.lists(st.sampled_from(
+            [{"kind": "exp3"}, {"kind": "ucb1"}, {"kind": "thompson", "prior": [[1, 1]] * 2}]
+        ), min_size=len(run["bases"]), max_size=len(run["bases"])))
+    if scenario == "standalone-run":
+        run.update(scenario=scenario, bases=run["bases"][:1], master={})
+    return dict(run, **raw)
+
+
+class TestRoundColumns:
+    """The typed round columns hold the bits the list-built ones held."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(logged_runs())
+    def test_match_the_list_built_columns(self, raw):
+        cfg = ExperimentConfig.from_dict(raw)
+        seed = cfg.seeds[0]
+        assert bits(harness.run_seed(cfg, seed).log) == bits(reference_log(cfg, seed))
+
+    @pytest.mark.parametrize("policy", corral_master.RESTART_POLICIES)
+    @pytest.mark.parametrize("num_bases", [2, 4])
+    def test_logs_with_several_doublings_match(self, policy, num_bases):
+        cfg = ExperimentConfig.from_dict(
+            flipping_run(400, 50, num_bases, {"eta": 2.0, "restart_policy": policy})
+        )
+        log = harness.run_seed(cfg, 0).log
+        assert (log.fired.sum(axis=0) >= 2).all()
+        assert bits(log) == bits(reference_log(cfg, 0))
+
+    @pytest.mark.parametrize("scenario", sorted(PER_SEED_CONFIGS))
+    def test_only_the_logged_leg_keeps_its_decisions(self, scenario):
+        cfg = ExperimentConfig.from_dict(PER_SEED_CONFIGS[scenario])
+        legs = harness.build_legs(cfg, 0)
+        logged = {"stability-test": [False, False], "lowerbound-demo": [False, True, False]}
+        assert [router.logged for _, _, router in legs] == logged.get(scenario, [True])
+        for env, bases, router in legs:
+            harness.play(env, bases, router, cfg.horizon)
+            kept = getattr(router, "decision", None)
+            assert len(kept) == cfg.horizon if router.logged else kept is None
+
+    @pytest.mark.parametrize("num_bases", [2, 4])
+    def test_a_run_grows_by_at_most_twice_its_column_bytes(self, num_bases):
+        # Every round logs 40 bytes of scalar columns and 25 per base: p_bar,
+        # eta and rho doubles and a fired flag. Growth past twice that means
+        # the run keeps per-round objects besides its columns.
+        horizon = 20_000
+        cfg = config(horizon=horizon, seeds=[0], bases=[{"kind": "ucb1"}] * num_bases)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_corral(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2.0 * (40 + 25 * num_bases) * horizon
 
 
 def reference_records_to_csv(logs: list[RoundLog], out) -> None:

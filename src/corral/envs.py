@@ -9,6 +9,9 @@ stochastic losses are Bernoulli so that regret baselines stay analytic and
 the Beta-Bernoulli posterior of Thompson sampling applies directly. A
 stochastic environment owns its generator and draws its uniforms through a
 ``UniformStream``; an arm's loss is one when its uniform falls below its mean.
+Every environment's ``baseline(policies)`` is the best per-round loss over
+a class of context-to-arm tables, a one-context table being an arm; the
+stochastic multi-armed environment is the contextual one with one context.
 
 The induced-environment wrapper composes an inner environment with random
 selection and importance weighting: with probability ``p`` the learner's
@@ -29,14 +32,13 @@ from .core import ConfigError, UniformStream, sample_index
 
 @dataclass(frozen=True)
 class RegretBaseline:
-    """Best fixed decision and its per-round baseline loss.
+    """Per-round loss of the best decision in a comparator class.
 
     ``per_round`` is a constant (expected loss, stochastic environments) or
-    a horizon-length array (realized loss of the best fixed decision,
+    a horizon-length array (realized losses of the best fixed arm,
     scripted adversarial environments).
     """
 
-    best_decision: int
     per_round: float | np.ndarray
 
     def cumulative(self, rounds: int) -> float:
@@ -46,7 +48,9 @@ class RegretBaseline:
 
 
 class Environment:
-    """Common surface: arm count, context set size, per-round realization."""
+    """Common surface: arm count, context set size, per-round realization,
+    and the baseline of a comparator class (``None``: every arm, or a
+    contextual environment's own ``policies``)."""
 
     kind: str = "environment"
     num_arms: int
@@ -58,38 +62,8 @@ class Environment:
     def loss_of(self, decision: int) -> float:
         raise NotImplementedError
 
-    def baseline(self) -> RegretBaseline:
+    def baseline(self, policies=None) -> RegretBaseline:
         raise NotImplementedError
-
-
-class StochasticMAB(Environment):
-    """Independent Bernoulli losses per arm with fixed means."""
-
-    kind = "stochastic-mab"
-
-    def __init__(self, means: Sequence[float], rng):
-        means = [float(m) for m in means]
-        if len(means) < 2:
-            raise ConfigError(f"need at least 2 arms, got {len(means)}")
-        for m in means:
-            if not 0.0 <= m <= 1.0:
-                raise ConfigError(f"arm mean must be in [0, 1], got {m}")
-        self.means = np.array(means)
-        self._means = means
-        self.num_arms = len(means)
-        self.rng = UniformStream(rng)
-        self._uniforms: list[float] = []
-
-    def next_context(self) -> int:
-        self._uniforms = self.rng.take(self.num_arms)
-        return 0
-
-    def loss_of(self, decision: int) -> float:
-        return 1.0 if self._uniforms[decision] < self._means[decision] else 0.0
-
-    def baseline(self) -> RegretBaseline:
-        best = int(np.argmin(self.means))
-        return RegretBaseline(best_decision=best, per_round=float(self.means[best]))
 
 
 class AdversarialMAB(Environment):
@@ -116,9 +90,11 @@ class AdversarialMAB(Environment):
     def loss_of(self, decision: int) -> float:
         return float(self.script[self._t, decision])
 
-    def baseline(self) -> RegretBaseline:
-        best = int(np.argmin(self.script.sum(axis=0)))
-        return RegretBaseline(best_decision=best, per_round=self.script[:, best].copy())
+    def baseline(self, policies=None) -> RegretBaseline:
+        # The class's arm with the least total loss; ties go to the lowest arm.
+        arms = range(self.num_arms) if policies is None else sorted({a for (a,) in policies})
+        best = arms[int(np.argmin(self.script.sum(axis=0)[arms]))]
+        return RegretBaseline(per_round=self.script[:, best].copy())
 
 
 class StochasticContextual(Environment):
@@ -178,13 +154,24 @@ class StochasticContextual(Environment):
         )
 
     def baseline(self, policies=None) -> RegretBaseline:
-        table = self.eval_policies if policies is None else [tuple(p) for p in policies]
-        values = [self.expected_policy_loss(pol) for pol in table]
-        best = 0
-        for j in range(1, len(values)):
-            if values[j] < values[best]:
-                best = j
-        return RegretBaseline(best_decision=best, per_round=values[best])
+        table = self.eval_policies if policies is None else policies
+        return RegretBaseline(per_round=min(map(self.expected_policy_loss, table)))
+
+
+class StochasticMAB(StochasticContextual):
+    """Independent Bernoulli losses per arm with fixed means: the contextual
+    environment with one context, whose default class is the constant
+    policies. A round draws no context, only one uniform per arm."""
+
+    kind = "stochastic-mab"
+
+    def __init__(self, means: Sequence[float], rng):
+        super().__init__([1.0], [means], [(a,) for a in range(len(means))], rng)
+        self._means = self._cond_means[0]
+
+    def next_context(self) -> int:
+        self._uniforms = self.rng.take(self.num_arms)
+        return 0
 
 
 class LowerBoundEnv(Environment):
@@ -218,9 +205,9 @@ class LowerBoundEnv(Environment):
     def loss_of(self, decision: int) -> float:
         return self.losses[decision]
 
-    def baseline(self) -> RegretBaseline:
-        best = self.losses.index(0.1)
-        return RegretBaseline(best_decision=best, per_round=0.1)
+    def baseline(self, policies=None) -> RegretBaseline:
+        losses = self.losses if policies is None else [self.losses[a] for (a,) in policies]
+        return RegretBaseline(per_round=min(losses))
 
 
 class InducedEnvironment:

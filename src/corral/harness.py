@@ -29,7 +29,7 @@ Config schema (top-level keys; see the README for worked examples)::
                   "thompson" | "ucb1" | "pathological", ...kind params}
     master        {"eta": float | "tuned", "regret_target": float,
                    "restart_policy": ..., "estimator": ...}   (corral-run)
-    rho_levels    list of range bounds (stability-test)
+    rho_levels    list of distinct range bounds (stability-test)
     demo          {"corral_eta": float, "naive_eta": float}   (lowerbound-demo)
     runs          list of {"name": str, "config": {...}}      (sweep; a sweep
                   sets no other key)
@@ -238,6 +238,13 @@ class ExperimentConfig:
             if not self.environment:
                 raise ConfigError(f"{self.scenario} needs an environment")
             _check_spec(self.environment, _ENV_KEYS, "environment")
+            spec = self.environment
+            if spec["kind"] == "adversarial-mab":
+                # Every seed plays this one array; no parsed row is kept.
+                script = (np.loadtxt(spec["script_csv"], delimiter=",", ndmin=2)
+                          if "script_csv" in spec else spec["script"])
+                self.environment = {"kind": spec["kind"],
+                                    "script": np.asarray(script, dtype=np.float64)}
             for spec in self.bases:
                 _check_spec(spec, _BASE_KEYS, "base")
             if self.scenario == "corral-run":
@@ -251,6 +258,9 @@ class ExperimentConfig:
             # NaN and +inf fail the range comparison itself.
             if not all(1.0 <= r < math.inf for r in self.rho_levels):
                 raise ConfigError(f"rho levels must be finite and >= 1, got {self.rho_levels}")
+            # Equal levels replay identical legs, which add no point to the fit.
+            if len(set(self.rho_levels)) != len(self.rho_levels):
+                raise ConfigError(f"rho levels must be distinct, got {self.rho_levels}")
         # Build the first seed's legs, once, so that bad values fail here.
         try:
             build_legs(self, self.seeds[0])
@@ -322,10 +332,7 @@ def build_environment(spec: dict, rng, horizon: int) -> Environment:
             means = [float(rng.beta(a, b)) for a, b in spec["means_prior"]]
         return StochasticMAB(means, rng)
     if kind == "adversarial-mab":
-        if "script" in spec:
-            script = spec["script"]
-        else:
-            script = np.loadtxt(spec["script_csv"], delimiter=",", ndmin=2)
+        script = spec["script"]
         if len(script) < horizon:
             raise ConfigError(f"script has {len(script)} rows, fewer than the horizon {horizon}")
         # The baseline is the best arm over the rounds actually played.
@@ -604,7 +611,8 @@ def _stderr(values) -> float:
 
 
 def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseline:
-    """Baseline over the union of the base algorithms' decision spaces.
+    """Baseline over the union of the base algorithms' decision spaces, on
+    every environment: a decision no base can make is no comparator.
 
     A base with a policy table (EXP3's is the constant policies) contributes
     it; any other base contributes every constant (context-blind) policy.
@@ -613,8 +621,6 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
     """
     if isinstance(env, InducedEnvironment):
         env = env.inner
-    if not isinstance(env, StochasticContextual):
-        return env.baseline()
     constants = [(a,) * env.num_contexts for a in range(env.num_arms)]
     union = dict.fromkeys(
         policy for base in bases for policy in getattr(base, "policies", constants)

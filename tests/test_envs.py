@@ -5,29 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from corral.core import ConfigError, named_rng, sample_index
+from corral.core import ConfigError, UniformStream, named_rng, sample_index
 from corral.envs import (
     AdversarialMAB,
+    Environment,
     InducedEnvironment,
     LowerBoundEnv,
+    RegretBaseline,
     StochasticContextual,
     StochasticMAB,
 )
-from corral.bases import Exp3
-from corral.harness import build_environment, union_baseline
+from corral.bases import Exp3, Exp4
+from corral.harness import ExperimentConfig, build_environment, union_baseline
 
 
 class TestStochasticMAB:
     def test_baseline_is_argmin_mean(self):
         env = StochasticMAB([0.1, 0.9], named_rng(0, "env"))
         baseline = env.baseline()
-        assert baseline.best_decision == 0
-        assert baseline.per_round == pytest.approx(0.1)
+        assert baseline.per_round == 0.1
         assert baseline.cumulative(10) == pytest.approx(1.0)
-
-    def test_tie_breaks_to_lowest_index(self):
-        env = StochasticMAB([0.4, 0.4, 0.4], named_rng(0, "env"))
-        assert env.baseline().best_decision == 0
 
     def test_losses_are_bernoulli_with_configured_mean(self):
         env = StochasticMAB([0.3, 0.6], named_rng(1, "env"))
@@ -43,23 +40,92 @@ class TestStochasticMAB:
         with pytest.raises(ConfigError):
             StochasticMAB([0.5, 1.2], named_rng(0, "env"))
 
+    def test_class_baseline_is_its_least_mean(self):
+        env = StochasticMAB([0.1, 0.5, 0.9], named_rng(0, "env"))
+        assert env.baseline(policies=[(2,), (1,)]).per_round == 0.5
+        assert env.baseline(policies=[(2,)]).per_round == 0.9
+
+
+class ReferenceStochasticMAB(Environment):
+    """The stand-alone Bernoulli environment ``StochasticMAB`` replaced, kept
+    verbatim below this docstring but for ``baseline``, which returns the one
+    field ``RegretBaseline`` keeps: ``StochasticMAB`` must draw, lose and
+    score exactly as it does."""
+
+    kind = "stochastic-mab"
+
+    def __init__(self, means, rng):
+        means = [float(m) for m in means]
+        if len(means) < 2:
+            raise ConfigError(f"need at least 2 arms, got {len(means)}")
+        for m in means:
+            if not 0.0 <= m <= 1.0:
+                raise ConfigError(f"arm mean must be in [0, 1], got {m}")
+        self.means = np.array(means)
+        self._means = means
+        self.num_arms = len(means)
+        self.rng = UniformStream(rng)
+        self._uniforms: list[float] = []
+
+    def next_context(self) -> int:
+        self._uniforms = self.rng.take(self.num_arms)
+        return 0
+
+    def loss_of(self, decision: int) -> float:
+        return 1.0 if self._uniforms[decision] < self._means[decision] else 0.0
+
+    def baseline(self) -> RegretBaseline:
+        best = int(np.argmin(self.means))
+        return RegretBaseline(per_round=float(self.means[best]))
+
+
+class TestStochasticMABIsOneContext:
+    """``StochasticMAB`` is the one-context ``StochasticContextual`` and
+    plays and scores exactly as the stand-alone class did."""
+
+    @pytest.mark.parametrize(
+        "means", [[0.1, 0.9], [0.4, 0.4, 0.4], [0.0, 0.2, 0.5, 0.8, 1.0], [0.7, 0.3], [1, 0]]
+    )
+    def test_matches_the_reference(self, means):
+        env = StochasticMAB(means, named_rng(23, "env"))
+        ref = ReferenceStochasticMAB(means, named_rng(23, "env"))
+        assert isinstance(env, StochasticContextual)
+        assert (env.num_arms, env.num_contexts) == (ref.num_arms, 1)
+        for _ in range(3_000):
+            assert env.next_context() == ref.next_context()
+            assert [env.loss_of(a) for a in range(len(means))] == [
+                ref.loss_of(a) for a in range(len(means))
+            ]
+        assert env.rng.random() == ref.rng.random()
+        assert env.baseline().per_round.hex() == ref.baseline().per_round.hex()
+
+    @pytest.mark.parametrize(
+        "means", [[0.5], [], [0.5, 1.2], [-0.1, 0.5], [0.5, math.nan], [0.5, math.inf]]
+    )
+    def test_rejects_what_the_reference_rejects(self, means):
+        with pytest.raises(ConfigError):
+            ReferenceStochasticMAB(means, named_rng(0, "env"))
+        with pytest.raises(ConfigError):
+            StochasticMAB(means, named_rng(0, "env"))
+
 
 class TestAdversarialMAB:
     def test_alternating_script_tie_breaks_low(self):
         script = [[1.0, 0.0] if t % 2 == 0 else [0.0, 1.0] for t in range(100)]
         env = AdversarialMAB(script)
         baseline = env.baseline()
-        assert baseline.best_decision == 0
+        # Both columns total 50; the baseline is arm 0's.
+        assert baseline.per_round.tolist() == [row[0] for row in script]
         assert baseline.cumulative(100) == pytest.approx(50.0)
 
     def test_constant_script_baseline(self):
         env = AdversarialMAB([[0.7, 0.2, 0.9]] * 10)
-        assert env.baseline().best_decision == 1
+        assert env.baseline().per_round.tolist() == [0.2] * 10
 
     def test_zero_column_is_baseline(self):
         env = AdversarialMAB([[0.5, 0.0], [0.9, 0.0]])
         baseline = env.baseline()
-        assert baseline.best_decision == 1
+        assert baseline.per_round.tolist() == [0.0, 0.0]
         assert baseline.cumulative(2) == 0.0
 
     def test_rows_emitted_in_order(self):
@@ -75,13 +141,26 @@ class TestAdversarialMAB:
         path = tmp_path / "script.csv"
         path.write_text("0.1,0.9\n0.3,0.2\n")
         spec = {"kind": "adversarial-mab", "script_csv": str(path)}
-        env = build_environment(spec, None, 2)
+        cfg = ExperimentConfig.from_dict({
+            "scenario": "standalone-run", "horizon": 2, "seeds": [0], "environment": spec,
+            "bases": [{"kind": "ucb1"}],
+        })
+        env = build_environment(cfg.environment, None, 2)
         assert env.script.shape == (2, 2)
-        assert env.baseline().best_decision == 0
+        assert env.baseline().per_round.tolist() == [0.1, 0.3]
 
     def test_entries_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             AdversarialMAB([[0.1, 1.4]])
+
+    def test_class_baseline_is_its_best_arm_ties_low(self):
+        # Arm 0, outside the class, totals 0; arms 1 and 2 both total 1.
+        env = AdversarialMAB([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert env.baseline().per_round.tolist() == [0.0, 0.0]
+        assert env.baseline(policies=[(2,), (1,)]).per_round.tolist() == [1.0, 0.0]
+        assert env.baseline(policies=[(2,)]).per_round.tolist() == [0.0, 1.0]
+        exp4 = Exp4([(2,), (1,)], 3, 1, 2, 1.0, named_rng(0, "base"))
+        assert union_baseline(env, [exp4]).per_round.tolist() == [1.0, 0.0]
 
 
 class TestStochasticContextual:
@@ -90,7 +169,6 @@ class TestStochasticContextual:
             [1.0], [[0.2, 0.7]], [(0,), (1,)], named_rng(2, "env")
         )
         baseline = env.baseline()
-        assert baseline.best_decision == 0
         assert baseline.per_round == pytest.approx(0.2)
         mab = StochasticMAB([0.2, 0.7], named_rng(2, "env"))
         assert baseline.per_round == mab.baseline().per_round
@@ -102,9 +180,7 @@ class TestStochasticContextual:
             [(0, 1), (0, 0), (1, 1), (1, 0)],
             named_rng(3, "env"),
         )
-        baseline = env.baseline()
-        assert baseline.best_decision == 0
-        assert baseline.per_round == pytest.approx(0.15)
+        assert env.baseline().per_round == pytest.approx(0.15)
 
     def test_baseline_matches_bruteforce_enumeration(self):
         rng = named_rng(4, "env")
@@ -115,9 +191,7 @@ class TestStochasticContextual:
         brute = [
             sum(p * cond[c][pol[c]] for c, p in enumerate(probs)) for pol in policies
         ]
-        baseline = env.baseline()
-        assert baseline.best_decision == int(np.argmin(brute))
-        assert baseline.per_round == pytest.approx(min(brute))
+        assert env.baseline().per_round == pytest.approx(min(brute))
 
     def test_arm_baseline_uses_constant_policies(self):
         env = StochasticContextual(
@@ -193,8 +267,7 @@ class TestLowerBoundEnv:
                 (0.1, 0.2),
                 (0.3, 0.4),
             ]
-            assert env.baseline().per_round == pytest.approx(0.1)
-            assert env.losses[env.baseline().best_decision] == 0.1
+            assert env.baseline().per_round == 0.1
             assert set(env.cheap_pair) <= {0, 1, 2, 3}
 
     def test_both_orientations_occur(self):
@@ -210,9 +283,18 @@ class TestLowerBoundEnv:
 
     def test_playing_best_action_has_zero_regret(self):
         env = LowerBoundEnv(named_rng(8, "env"))
-        best = env.baseline().best_decision
+        best = env.losses.index(env.baseline().per_round)
         regret = sum(env.loss_of(best) - 0.1 for _ in range(50))
         assert regret == 0.0
+
+    def test_class_baseline_is_its_least_loss(self):
+        for seed in range(8):
+            env = LowerBoundEnv(named_rng(seed, "env"))
+            dear = [a for a in range(4) if a not in env.cheap_pair]
+            assert env.baseline(policies=[(a,) for a in reversed(dear)]).per_round == 0.3
+            assert env.baseline(policies=[(a,) for a in env.cheap_pair]).per_round == 0.1
+            priciest = env.losses.index(0.4)
+            assert env.baseline(policies=[(priciest,)]).per_round == 0.4
 
     def test_wrong_pair_costs_at_least_two_tenths(self):
         env = LowerBoundEnv(named_rng(9, "env"))

@@ -207,6 +207,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"scenario": "sweep", "runs": runs})
 
+    def test_script_is_one_array_read_once(self, tmp_path, monkeypatch):
+        rows = [[0.2, 0.7], [0.9, 0.1]] * 25
+        path = tmp_path / "script.csv"
+        path.write_text("".join(f"{a},{b}\n" for a, b in rows))
+        loads = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        inline, from_csv = (
+            ExperimentConfig.from_dict(dict(SMALL_RUN, seeds=[0, 1], environment=spec))
+            for spec in ({"kind": "adversarial-mab", "script": rows},
+                         {"kind": "adversarial-mab", "script_csv": str(path)})
+        )
+        for cfg in (inline, from_csv):
+            script = cfg.environment["script"]
+            assert set(cfg.environment) == {"kind", "script"}
+            assert script.dtype == np.float64 and script.tolist() == rows
+            # Seeds play views of the one array, not copies.
+            env = harness.build_environment(cfg.environment, None, cfg.horizon)
+            assert np.shares_memory(env.script, script)
+        assert bits(run_corral(inline)) == bits(run_corral(from_csv))
+        assert len(loads) == 1
+
     def test_sweep_checks_each_run_once(self, tmp_path, monkeypatch):
         builds = []
         build = harness.build_environment
@@ -484,23 +511,23 @@ class TestComputeRegret:
 
     def test_zero_loss_zero_baseline(self):
         log = self.one_base([0.0] * 10, 0.0)
-        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0, 0.0))], 10)
+        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0.0))], 10)
         assert out["mean_final_regret"] == 0.0
 
     def test_constant_loss_against_baseline(self):
         log = self.one_base([1.0] * 10, 0.4)
-        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0, 0.4))], 10)
+        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0.4))], 10)
         assert out["mean_final_regret"] == pytest.approx(6.0)
 
     def test_missing_round_is_integrity_error(self):
         log = self.one_base([0.5] * 3, 0.0)
         with pytest.raises(IntegrityError):
-            compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0, 0.0))], 4)
+            compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0.0))], 4)
 
     def schedule_run(self, p_bar, eta, rho, fired):
         """A zero-loss seed-0 run with one schedule row per round."""
         log = self.log([0.0] * len(p_bar), 0.0, p_bar, eta, rho, fired)
-        return [SeedResult(0, log=log, baseline=RegretBaseline(0, 0.0))]
+        return [SeedResult(0, log=log, baseline=RegretBaseline(0.0))]
 
     def invariants(self, rounds, p_bar, eta, rho, fired):
         return compute_regret(self.schedule_run(p_bar, eta, rho, fired), rounds)
@@ -560,6 +587,42 @@ class TestComputeRegret:
         mean = float(np.mean(finals))
         stderr = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
         assert abs(mean) <= 3.0 * stderr
+
+
+# Arm losses (or means) 0.1, 0.5 and 0.9; the table bases cover arms 1 and 2,
+# whose best costs 0.5 a round, so T = 200 rounds cost it 100.
+SUBSET_ENVS = {
+    "stochastic-mab": {"kind": "stochastic-mab", "means": [0.1, 0.5, 0.9]},
+    "adversarial-mab": {"kind": "adversarial-mab", "script": [[0.1, 0.5, 0.9]] * 200},
+}
+SUBSET_TABLE = [[1], [2]]
+
+
+class TestComparatorClass:
+    """Every base is scored against its own class on every environment; a
+    table base that leaves out arms is not scored against them."""
+
+    @pytest.mark.parametrize("kind", sorted(SUBSET_ENVS))
+    def test_corral_per_base_regret_is_against_each_class(self, kind):
+        summary, logs = run_corral(config(
+            horizon=200, seeds=[0], environment=SUBSET_ENVS[kind], master={"eta": 0.1},
+            bases=[{"kind": "exp4", "policies": SUBSET_TABLE}, {"kind": "ucb1"}],
+        ))
+        total = float(logs[0].cum_loss[-1])
+        entry = summary["per_seed"][0]
+        assert entry["per_base_regret"] == pytest.approx([total - 100.0, total - 20.0])
+        # The run's own comparator is the union of the classes: every arm.
+        assert entry["final_regret"] == pytest.approx(total - 20.0)
+
+    def test_standalone_table_base_is_scored_against_its_table(self):
+        summary, logs = run_standalone(config(
+            scenario="standalone-run", horizon=200, seeds=[0], master={},
+            environment=SUBSET_ENVS["stochastic-mab"],
+            bases=[{"kind": "epoch-greedy", "policies": SUBSET_TABLE}],
+        ))
+        total = float(logs[0].cum_loss[-1])
+        assert summary["mean_final_regret"] == total - 100.0
+        assert logs[0].cum_regret[-1] == total - 100.0
 
 
 class TestStability:
@@ -1102,6 +1165,11 @@ class TestCli:
             {"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, math.inf])},
             ]},
+            {"scenario": "sweep", "runs": [
+                {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[4.0, 4.0])},
+            ]},
+            {"scenario": "sweep", "environment": SHORT_SCRIPT,
+             "runs": [{"name": "a", "config": SMALL_RUN}]},
             {"horizon": 10.9},
             {"seeds": [1.7]},
             {"seeds": [True]},
@@ -1115,7 +1183,8 @@ class TestCli:
              "sweep-environment", "eta-inf", "demo-naive-eta-negative", "demo-naive-eta-nan",
              "demo-corral-eta-negative", "demo-corral-eta-inf", "sweep-demo-naive-eta",
              "thompson-prior-nan", "thompson-prior-inf", "cond-means-nan",
-             "context-probs-nan", "rho-level-nan", "rho-level-inf", "horizon-fraction",
+             "context-probs-nan", "rho-level-nan", "rho-level-inf", "rho-level-repeated",
+             "sweep-script", "horizon-fraction",
              "seed-fraction", "seed-bool", "seed-past-64-bits", "seed-negative"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):

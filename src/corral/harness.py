@@ -12,27 +12,30 @@ induced leg at sampling probability one), plays each through ``play`` and
 returns a picklable ``SeedResult`` of leg regrets and, for a run that writes
 rows, one ``RoundLog`` of columns. Each scenario runner summarizes those.
 
-Config schema (top-level keys; see the README for worked examples)::
+Config schema (see the README for worked examples). Every level takes only
+the keys its table below gives for its kind (``_SCENARIO_KEYS`` for the top
+level, by ``scenario``); ``[key]`` is optional::
 
     scenario      "corral-run" | "standalone-run" | "stability-test" |
                   "lowerbound-demo" | "sweep"
     horizon       rounds (>= 2)
-    seeds         nonempty list of integers
-    environment   {"kind": "stochastic-mab", "means": [...]}
-                  {"kind": "stochastic-mab", "means_prior": [[a, b], ...]}
+    seeds         nonempty list of distinct integers in [0, 2**64)
+    environment   {"kind": "stochastic-mab", "means": [...] | "means_prior": [[a, b], ...]}
                   {"kind": "adversarial-mab", "script": [[...]] | "script_csv": path}
                   (at least ``horizon`` rows; the first ``horizon`` are played)
                   {"kind": "stochastic-contextual", "context_probs": [...],
                    "cond_means": [[...]], "policies": [[...]]}
                   {"kind": "lower-bound"}
-    bases         list of {"kind": "exp3" | "exp4" | "epoch-greedy" |
-                  "thompson" | "ucb1" | "pathological", ...kind params}
-    master        {"eta": float | "tuned", "regret_target": float,
-                   "restart_policy": ..., "estimator": ...}   (corral-run)
-    rho_levels    list of distinct range bounds (stability-test)
-    demo          {"corral_eta": float, "naive_eta": float}   (lowerbound-demo)
-    runs          list of {"name": str, "config": {...}}      (sweep; a sweep
-                  sets no other key)
+    bases         list of {"kind": "exp3" | "exp4" | "epoch-greedy" | "thompson" |
+                  "ucb1" | "pathological", ...kind params}: 2+ in a corral run, else 1
+    master        (corral-run) {"eta": float, ["estimator"], ["restart_policy"]}
+                  or {"eta": "tuned", "regret_target": float, [...the same]}
+    rho_levels    (stability-test) list of distinct range bounds >= 1
+    demo          (lowerbound-demo) [{["corral_eta": float], ["naive_eta": float]}]
+    runs          (sweep, beside only "scenario") list of {"name": str, "config": {...}}
+
+Loading fills in the defaults and a tuned rate: ``master`` becomes ``{"eta",
+"estimator", "restart_policy"}`` and ``demo`` ``{"corral_eta", "naive_eta"}``.
 """
 
 from __future__ import annotations
@@ -80,8 +83,6 @@ from .envs import (
     StochasticMAB,
 )
 
-SCENARIOS = ("corral-run", "standalone-run", "stability-test", "lowerbound-demo", "sweep")
-
 ROUNDS_CSV = "rounds.csv"
 SUMMARY_JSON = "summary.json"
 # Most rows ``records_to_csv`` formats with one call and writes at once.
@@ -92,10 +93,23 @@ CSV_BLOCK = 1024
 # Configuration
 # ---------------------------------------------------------------------------
 
-_MASTER_KEYS = {"eta", "regret_target", "restart_policy", "estimator"}
-_DEMO_KEYS = {"corral_eta", "naive_eta"}
-
-# kind -> key groups; besides "kind", a spec holds exactly one key of each group.
+# Each config level's keys, by the value of its kind key; see ``_check_spec``.
+# A ``None`` row takes a spec whose kind is absent or not a string.
+_PLAYED = [("horizon",), ("seeds",)]
+_SCENARIO_KEYS = {
+    "corral-run": [*_PLAYED, ("environment",), ("bases",), ("master",)],
+    "standalone-run": [*_PLAYED, ("environment",), ("bases",)],
+    "stability-test": [*_PLAYED, ("environment",), ("bases",), ("rho_levels",)],
+    "lowerbound-demo": [*_PLAYED, ("demo", None)],
+    "sweep": [("runs",)],
+}
+_RUN_KEYS = {None: [("name",), ("config",)]}
+# By "eta": a fixed rate, or "tuned" to a regret target.
+_MASTER_KEYS = {
+    None: [("eta",), ("estimator", None), ("restart_policy", None)],
+    "tuned": [("regret_target",), ("estimator", None), ("restart_policy", None)],
+}
+_DEMO_KEYS = {None: [("corral_eta", None), ("naive_eta", None)]}
 _ENV_KEYS = {
     "stochastic-mab": [("means", "means_prior")],
     "adversarial-mab": [("script", "script_csv")],
@@ -116,17 +130,28 @@ _BASE_CLASSES = {
 }
 
 
-def _check_spec(spec: dict, table: dict, what: str) -> None:
-    """Reject an unknown kind, unknown keys, and missing or clashing keys."""
-    kind = spec.get("kind")
-    if kind not in table:
-        raise ConfigError(f"unknown {what} kind {kind!r}")
-    unknown = set(spec) - {"kind"}.union(*table[kind])
+def _check_spec(spec, table: dict, key: str | None, what: str) -> None:
+    """Reject a spec that is not an object or whose kind, the value of
+    ``key``, has no row in ``table``. Besides ``key``, the spec must hold
+    exactly one key of each group of its row, or at most one of a group
+    that ends in None, and no other key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object, got {type(spec).__name__}")
+    kind = spec.get(key)
+    row = kind if isinstance(kind, str) else None
+    if row not in table:
+        raise ConfigError(f"unknown {what} {key} {kind!r}")
+    name = what if row is None else f"{kind} {what}"
+    groups = table[row]
+    unknown = set(spec) - {key}.union(*groups)
     if unknown:
-        raise ConfigError(f"unknown {what} keys for {kind}: {sorted(unknown)}")
-    for group in table[kind]:
-        if sum(key in spec for key in group) != 1:
-            raise ConfigError(f"{kind} needs exactly one of {list(group)}")
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    for group in groups:
+        keys = [k for k in group if k is not None]
+        found = sum(k in spec for k in keys)
+        if found > 1 or found < (group[-1] is not None):
+            bound = "at most" if group[-1] is None else "exactly"
+            raise ConfigError(f"{name} needs {bound} one of {keys}")
 
 
 # The only keys that take strings ("eta" takes "tuned"), and the integer keys.
@@ -173,28 +198,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be an object, got {type(raw).__name__}")
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        scenario = raw.get("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}")
         try:
-            # A sweep's runs are walked by their own ``from_dict``.
-            _check_values({k: v for k, v in raw.items() if k != "runs"})
-            cfg = cls(
-                scenario=scenario,
-                horizon=int(raw.get("horizon", 0)),
-                seeds=[int(s) for s in raw.get("seeds", [])],
-                environment=dict(raw.get("environment", {})),
-                bases=[dict(b) for b in raw.get("bases", [])],
-                master=dict(raw.get("master", {})),
-                rho_levels=[float(r) for r in raw.get("rho_levels", [])],
-                demo={k: float(v) for k, v in dict(raw.get("demo", {})).items()},
-                runs=[_sweep_run(r) for r in raw.get("runs", [])],
-            )
+            _check_spec(raw, _SCENARIO_KEYS, "scenario", "config")
+            if raw["scenario"] == "sweep":
+                # A sweep's runs are walked by their own ``from_dict``.
+                cfg = cls("sweep", runs=[_sweep_run(r) for r in raw["runs"]])
+            else:
+                _check_values(raw)
+                cfg = cls(
+                    scenario=raw["scenario"],
+                    horizon=int(raw["horizon"]),
+                    seeds=[int(s) for s in raw["seeds"]],
+                    environment=raw.get("environment", {}),
+                    bases=list(raw.get("bases", [])),
+                    master=raw.get("master", {}),
+                    rho_levels=[float(r) for r in raw.get("rho_levels", [])],
+                    demo=raw.get("demo", {}),
+                )
             cfg.validate()
         except CorralError:
             raise
@@ -203,41 +223,25 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check the values the key tables leave open, resolve the master's
+        and the demo's settings, and build the first seed's legs."""
         if self.scenario == "sweep":
-            if self != ExperimentConfig("sweep", runs=self.runs):
-                raise ConfigError("a sweep config sets only 'scenario' and 'runs'")
             if not self.runs:
                 raise ConfigError("sweep needs a nonempty 'runs' list")
             names = [entry["name"] for entry in self.runs]
             if len(set(names)) != len(names):
                 raise ConfigError(f"sweep run names must be distinct, got {names}")
             return
-        if self.runs:
-            raise ConfigError("'runs' is only valid for the sweep scenario")
         if self.horizon < 2:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         _check_seeds(self.seeds)
-        unknown = set(self.master) - _MASTER_KEYS
-        if unknown:
-            raise ConfigError(f"unknown master keys: {sorted(unknown)}")
-        estimator = self.master.get("estimator", corral_master.ESTIMATOR_STANDARD)
-        if estimator not in corral_master.ESTIMATORS:
-            raise ConfigError(f"unknown estimator {estimator!r}")
-        policy = self.master.get("restart_policy", corral_master.RESTART_ON_DOUBLING)
-        if policy not in corral_master.RESTART_POLICIES:
-            raise ConfigError(f"unknown restart policy {policy!r}")
-        unknown = set(self.demo) - _DEMO_KEYS
-        if unknown:
-            raise ConfigError(f"unknown demo keys: {sorted(unknown)}")
         if self.scenario == "lowerbound-demo":
-            if self.environment or self.bases:
-                raise ConfigError(
-                    "lowerbound-demo fixes its own environment and base algorithms"
-                )
+            _check_spec(self.demo, _DEMO_KEYS, None, "demo")
+            default_eta = corral_master.tuned_eta(math.sqrt(self.horizon), self.horizon, 2)
+            self.demo = {"corral_eta": float(self.demo.get("corral_eta", default_eta)),
+                         "naive_eta": float(self.demo.get("naive_eta", 1e-4))}
         else:
-            if not self.environment:
-                raise ConfigError(f"{self.scenario} needs an environment")
-            _check_spec(self.environment, _ENV_KEYS, "environment")
+            _check_spec(self.environment, _ENV_KEYS, "kind", "environment")
             spec = self.environment
             if spec["kind"] == "adversarial-mab":
                 # Every seed plays this one array; no parsed row is kept.
@@ -245,13 +249,29 @@ class ExperimentConfig:
                           if "script_csv" in spec else spec["script"])
                 self.environment = {"kind": spec["kind"],
                                     "script": np.asarray(script, dtype=np.float64)}
+                # Every row is checked, also the rows past the horizon.
+                AdversarialMAB(self.environment["script"])
             for spec in self.bases:
-                _check_spec(spec, _BASE_KEYS, "base")
-            if self.scenario == "corral-run":
-                if len(self.bases) < 2:
-                    raise ConfigError("corral-run needs at least 2 base algorithms")
-            elif len(self.bases) != 1:
-                raise ConfigError(f"{self.scenario} needs exactly 1 base algorithm")
+                _check_spec(spec, _BASE_KEYS, "kind", "base")
+            if self.scenario != "corral-run":
+                if len(self.bases) != 1:
+                    raise ConfigError(f"{self.scenario} needs exactly 1 base algorithm")
+            elif len(self.bases) < 2:
+                raise ConfigError("corral-run needs at least 2 base algorithms")
+            else:
+                # The table admits a regret target only beside "eta": "tuned".
+                _check_spec(self.master, _MASTER_KEYS, "eta", "master")
+                eta, target = self.master["eta"], self.master.get("regret_target")
+                if target is not None:
+                    eta = corral_master.tuned_eta(float(target), self.horizon, len(self.bases))
+                self.master = {
+                    "eta": float(eta),
+                    "estimator": self.master.get("estimator", corral_master.ESTIMATOR_STANDARD),
+                    "restart_policy": self.master.get(
+                        "restart_policy", corral_master.RESTART_ON_DOUBLING),
+                }
+                if self.master["estimator"] not in corral_master.ESTIMATORS:
+                    raise ConfigError(f"unknown estimator {self.master['estimator']!r}")
         if self.scenario == "stability-test":
             if len(self.rho_levels) < 2:
                 raise ConfigError("stability-test needs at least 2 rho levels")
@@ -292,9 +312,7 @@ def _check_seeds(seeds: list[int]) -> None:
 def _sweep_run(entry) -> dict:
     """A sweep's ``{"name", "config"}`` entry with its config parsed and
     checked, once: ``with_seed_offset`` and ``execute`` use the result."""
-    entry = dict(entry)
-    if set(entry) != {"name", "config"}:
-        raise ConfigError("each sweep run needs exactly 'name' and 'config'")
+    _check_spec(entry, _RUN_KEYS, None, "sweep run")
     # Each run writes to the subdirectory of its name, beside the sweep's
     # own summary file and that file's temporary twin.
     name = entry["name"]
@@ -329,7 +347,11 @@ def build_environment(spec: dict, rng, horizon: int) -> Environment:
         else:
             # Bayesian instance: the arm means themselves are drawn once per
             # run from per-arm Beta priors, using the environment stream.
-            means = [float(rng.beta(a, b)) for a, b in spec["means_prior"]]
+            prior = spec["means_prior"]
+            # numpy's beta draws 0 for an infinite b and NaN for an infinite a.
+            if not all(0.0 < x < math.inf for pair in prior for x in pair):
+                raise ConfigError(f"means_prior pseudo-counts must be finite and > 0, got {prior}")
+            means = [float(rng.beta(a, b)) for a, b in prior]
         return StochasticMAB(means, rng)
     if kind == "adversarial-mab":
         script = spec["script"]
@@ -370,27 +392,6 @@ def build_base(
     return PathologicalBase(pair, rng)
 
 
-def demo_etas(demo: dict, horizon: int) -> tuple[float, float]:
-    """The lowerbound demo's corral and naive master rates, with defaults."""
-    default_eta = corral_master.tuned_eta(math.sqrt(horizon), horizon, 2)
-    return float(demo.get("corral_eta", default_eta)), float(demo.get("naive_eta", 1e-4))
-
-
-def master_settings(config: ExperimentConfig) -> tuple[float, str, str]:
-    """A corral run's master rate, estimator and restart policy, with defaults."""
-    spec = config.master
-    eta = spec.get("eta")
-    if eta == "tuned":
-        target = spec.get("regret_target")
-        if target is None:
-            raise ConfigError("eta 'tuned' needs a 'regret_target'")
-        eta = corral_master.tuned_eta(float(target), config.horizon, len(config.bases))
-    elif eta is None:
-        raise ConfigError("master config needs an 'eta'")
-    return (float(eta), spec.get("estimator", corral_master.ESTIMATOR_STANDARD),
-            spec.get("restart_policy", corral_master.RESTART_ON_DOUBLING))
-
-
 def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
     """The ``(env, bases, router)`` legs ``seed`` plays, in order, from its
     named streams: one for a corral run; an induced leg at probability one for
@@ -401,11 +402,10 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
     ``logged``."""
     horizon = config.horizon
     if config.scenario == "lowerbound-demo":
-        corral_eta, naive_eta = demo_etas(config.demo, horizon)
         env = LowerBoundEnv(named_rng(seed, "env"))
-        state = corral_master.init_master(corral_eta, 2, horizon)
+        state = corral_master.init_master(config.demo["corral_eta"], 2, horizon)
         masters = {
-            "naive": NaiveRouter(2, naive_eta, named_rng(seed, "naive.master")),
+            "naive": NaiveRouter(2, config.demo["naive_eta"], named_rng(seed, "naive.master")),
             "corral": CorralRouter(state, named_rng(seed, "corral.master"), naive_packets),
         }
         legs = [
@@ -419,14 +419,15 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
         return legs + [(wrapped, [base], InducedRouter(1.0))]
     if config.scenario == "corral-run":
         env = build_environment(config.environment, named_rng(seed, "env"), horizon)
-        eta0, estimator, restart_policy = master_settings(config)
-        state = corral_master.init_master(eta0, len(config.bases), horizon, restart_policy)
+        master = config.master
+        state = corral_master.init_master(
+            master["eta"], len(config.bases), horizon, master["restart_policy"])
         # Each base's first range is its threshold at the master's start.
         bases = [
             build_base(spec, env, horizon, state.rho[i], named_rng(seed, f"base.{i}"))
             for i, spec in enumerate(config.bases)
         ]
-        packets = functools.partial(corral_master.build_packets, estimator=estimator)
+        packets = functools.partial(corral_master.build_packets, estimator=master["estimator"])
         return [(env, bases, CorralRouter(state, named_rng(seed, "master"), packets))]
     legs = []
     for rho in config.rho_levels if config.scenario == "stability-test" else [1.0]:
@@ -820,9 +821,7 @@ def run_corral(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]:
     summary["per_base_regret_mean"] = [
         float(np.mean(regs)) for regs in zip(*(r.per_base_regret for r in results))
     ]
-    summary["scenario"] = "corral-run"
-    summary["horizon"] = config.horizon
-    summary["eta"], summary["estimator"], summary["restart_policy"] = master_settings(config)
+    summary.update(config.master, scenario="corral-run", horizon=config.horizon)
     return summary, [r.log for r in results]
 
 
@@ -860,8 +859,8 @@ def run_stability_test(config: ExperimentConfig) -> dict:
                 "the exponent fit needs a harder environment or longer horizon"
             )
         per_rho.append({"rho": rho, "mean_regret": mean, "stderr_regret": _stderr(rho_regrets)})
-    log_rho = np.log([e["rho"] for e in per_rho])
-    log_reg = np.log([e["mean_regret"] for e in per_rho])
+    log_rho = [math.log(e["rho"]) for e in per_rho]
+    log_reg = [math.log(e["mean_regret"]) for e in per_rho]
     slope = float(np.polyfit(log_rho, log_reg, 1)[0])
     return {
         "scenario": "stability-test",
@@ -888,7 +887,6 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
     Returns the summary and the corral leg's round logs.
     """
     results = _run_seeds(config, "lowerbound-demo")
-    corral_eta, naive_eta = demo_etas(config.demo, config.horizon)
     masters = {}
     for leg, name in enumerate(("naive", "corral")):
         halves, fulls = zip(*(r.regrets[leg] for r in results))
@@ -910,8 +908,7 @@ def run_lowerbound_demo(config: ExperimentConfig) -> tuple[dict, list[RoundLog]]
     summary = {
         "scenario": "lowerbound-demo",
         "horizon": config.horizon,
-        "corral_eta": corral_eta,
-        "naive_eta": naive_eta,
+        **config.demo,
         "masters": masters,
         "standalone_matched": {
             "max_regret_step": float(max(steps)),

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -44,13 +45,20 @@ SMALL_RUN = {
     "bases": [{"kind": "exp3"}, {"kind": "ucb1"}],
     "master": {"eta": 0.05},
 }
-SMALL_STABILITY = {
-    "scenario": "stability-test",
+SMALL_STANDALONE = {
+    "scenario": "standalone-run",
     "horizon": 50,
     "seeds": [0],
     "environment": MAB_ENV,
     "bases": [{"kind": "exp3"}],
-    "rho_levels": [1.0, 4.0],
+}
+SMALL_STABILITY = dict(SMALL_STANDALONE, scenario="stability-test", rho_levels=[1.0, 4.0])
+SMALL_DEMO = {"scenario": "lowerbound-demo", "horizon": 50, "seeds": [0]}
+SMALL_CONFIGS = {
+    "corral-run": SMALL_RUN,
+    "standalone-run": SMALL_STANDALONE,
+    "stability-test": SMALL_STABILITY,
+    "lowerbound-demo": SMALL_DEMO,
 }
 CONTEXTUAL_ENV = {
     "kind": "stochastic-contextual",
@@ -73,43 +81,53 @@ def config(**overrides):
     return ExperimentConfig.from_dict(raw)
 
 
+def small_config(overrides: dict) -> dict:
+    """``overrides`` over the small config of their scenario (a corral run
+    if they set none); a sweep is taken as it is."""
+    if overrides.get("scenario") == "sweep":
+        return overrides
+    return dict(SMALL_CONFIGS[overrides.get("scenario", "corral-run")], **overrides)
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown corral-run config keys: \['typo_key'\]"):
             config(typo_key=1)
 
     def test_unknown_environment_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown stochastic-mab environment keys"):
             config(environment={"kind": "stochastic-mab", "means": [0.1, 0.9], "mean": 1})
 
     def test_unknown_master_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown master keys: \['learning_rate'\]"):
             config(master={"eta": 0.05, "learning_rate": 0.1})
 
     def test_unknown_base_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown exp3 base keys: \['rate'\]"):
             config(bases=[{"kind": "exp3", "rate": 1}, {"kind": "ucb1"}])
 
     def test_corral_needs_two_bases(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="corral-run needs at least 2 base algorithms"):
             config(bases=[{"kind": "exp3"}])
 
     def test_standalone_needs_one_base(self):
-        with pytest.raises(ConfigError):
-            config(scenario="standalone-run")
+        raw = dict(SMALL_STANDALONE, bases=[{"kind": "exp3"}, {"kind": "ucb1"}])
+        with pytest.raises(ConfigError, match="standalone-run needs exactly 1 base algorithm"):
+            ExperimentConfig.from_dict(raw)
 
     def test_stability_needs_two_rho_levels(self):
-        with pytest.raises(ConfigError):
-            config(scenario="stability-test", bases=[{"kind": "exp3"}], rho_levels=[1.0])
+        raw = dict(SMALL_STABILITY, rho_levels=[1.0])
+        with pytest.raises(ConfigError, match="stability-test needs at least 2 rho levels"):
+            ExperimentConfig.from_dict(raw)
 
     def test_needs_seeds_and_horizon(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="need at least one seed"):
             config(seeds=[])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="horizon must be >= 2"):
             config(horizon=1)
 
     def test_tuned_eta_requires_target(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tuned master needs exactly one of"):
             config(master={"eta": "tuned"})
 
     def test_tuned_eta_resolves(self):
@@ -159,30 +177,41 @@ class TestConfigValidation:
             assert sum(value is env for value in walked) == 1
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, message",
         [
-            {"scenario": "stability-test", "bases": [{"kind": "exp3"}],
-             "rho_levels": [True, "4"]},
-            {"scenario": "stability-test", "bases": [{"kind": "exp3"}],
-             "rho_levels": [1.0, "4"]},
-            {"master": {"eta": True}},
-            {"master": {"eta": "0.5"}},
-            {"master": {"eta": "tuned", "regret_target": "2"}},
-            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
-             "demo": {"naive_eta": "1e-3"}},
-            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
-             "demo": {"corral_eta": True}},
-            {"environment": {"kind": "stochastic-mab", "means": [True, "0.5"]}},
-            {"environment": {"kind": "stochastic-mab", "means": [0.1, "0.5"]}},
-            {"bases": [{"kind": "thompson", "prior": [[True, "2"], [1, 1]]},
-                       {"kind": "ucb1"}]},
-            {"environment": dict(CONTEXTUAL_ENV, context_probs=[0.5, "0.5"])},
-            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0.9, True]}]},
-            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 1.0]}]},
-            {"environment": dict(CONTEXTUAL_ENV, policies=[[0.2, 1.9], [True, 0]])},
-            {"environment": CONTEXTUAL_ENV,
-             "bases": [{"kind": "exp3"}, {"kind": "exp4", "policies": [[0.2, 1.9], [1, 0]]}]},
-            {"environment": {"kind": "adversarial-mab", "script": [[0.0, 1.0]] * 99 + [[0, True]]}},
+            ({"scenario": "stability-test", "rho_levels": [True, "4"]},
+             "rho_levels takes numbers, got True"),
+            ({"scenario": "stability-test", "rho_levels": [1.0, "4"]},
+             "rho_levels takes no string, got '4'"),
+            ({"master": {"eta": True}}, "eta takes numbers, got True"),
+            ({"master": {"eta": "0.5"}}, "eta takes no string, got '0.5'"),
+            ({"master": {"eta": "tuned", "regret_target": "2"}},
+             "regret_target takes no string, got '2'"),
+            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": "1e-3"}},
+             "naive_eta takes no string, got '1e-3'"),
+            ({"scenario": "lowerbound-demo", "demo": {"corral_eta": True}},
+             "corral_eta takes numbers, got True"),
+            ({"environment": {"kind": "stochastic-mab", "means": [True, "0.5"]}},
+             "means takes numbers, got True"),
+            ({"environment": {"kind": "stochastic-mab", "means": [0.1, "0.5"]}},
+             "means takes no string, got '0.5'"),
+            ({"bases": [{"kind": "thompson", "prior": [[True, "2"], [1, 1]]},
+                        {"kind": "ucb1"}]},
+             "prior takes numbers, got True"),
+            ({"environment": dict(CONTEXTUAL_ENV, context_probs=[0.5, "0.5"])},
+             "context_probs takes no string, got '0.5'"),
+            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0.9, True]}]},
+             "arm_pair takes integers, got 0.9"),
+            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 1.0]}]},
+             "arm_pair takes integers, got 1.0"),
+            ({"environment": dict(CONTEXTUAL_ENV, policies=[[0.2, 1.9], [True, 0]])},
+             "policies takes integers, got 0.2"),
+            ({"environment": CONTEXTUAL_ENV,
+              "bases": [{"kind": "exp3"}, {"kind": "exp4", "policies": [[0.2, 1.9], [1, 0]]}]},
+             "policies takes integers, got 0.2"),
+            ({"environment": {"kind": "adversarial-mab",
+                              "script": [[0.0, 1.0]] * 99 + [[0, True]]}},
+             "script takes numbers, got True"),
         ],
         ids=["rho-levels", "rho-level-string", "eta-bool", "eta-string",
              "regret-target-string", "demo-naive-eta-string", "demo-corral-eta-bool",
@@ -190,10 +219,10 @@ class TestConfigValidation:
              "arm-pair", "arm-pair-fraction", "env-policies", "exp4-policies",
              "script-bool"],
     )
-    def test_non_json_numbers_rejected(self, overrides):
+    def test_non_json_numbers_rejected(self, overrides, message):
         # Each of these loaded with the value read as a number (or truncated).
-        with pytest.raises(ConfigError):
-            config(**overrides)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict(small_config(overrides))
 
     @pytest.mark.parametrize(
         "names",
@@ -615,11 +644,10 @@ class TestComparatorClass:
         assert entry["final_regret"] == pytest.approx(total - 20.0)
 
     def test_standalone_table_base_is_scored_against_its_table(self):
-        summary, logs = run_standalone(config(
-            scenario="standalone-run", horizon=200, seeds=[0], master={},
-            environment=SUBSET_ENVS["stochastic-mab"],
+        summary, logs = run_standalone(ExperimentConfig.from_dict(dict(
+            SMALL_STANDALONE, horizon=200, environment=SUBSET_ENVS["stochastic-mab"],
             bases=[{"kind": "epoch-greedy", "policies": SUBSET_TABLE}],
-        ))
+        )))
         total = float(logs[0].cum_loss[-1])
         assert summary["mean_final_regret"] == total - 100.0
         assert logs[0].cum_regret[-1] == total - 100.0
@@ -701,10 +729,10 @@ def bits(value):
 PER_SEED_CONFIGS = {
     "corral-run": dict(SMALL_RUN, environment=CONTEXTUAL_ENV,
                        bases=[{"kind": "exp4", "policies": [[0, 1], [1, 1]]}, {"kind": "exp3"}]),
-    "standalone-run": dict(SMALL_RUN, scenario="standalone-run", master={},
+    "standalone-run": dict(SMALL_STANDALONE,
                            bases=[{"kind": "thompson", "prior": [[1, 1], [1, 1]]}]),
     "stability-test": SMALL_STABILITY,
-    "lowerbound-demo": {"scenario": "lowerbound-demo", "horizon": 50, "seeds": [0]},
+    "lowerbound-demo": SMALL_DEMO,
 }
 
 
@@ -856,7 +884,8 @@ def logged_runs(draw):
             [{"kind": "exp3"}, {"kind": "ucb1"}, {"kind": "thompson", "prior": [[1, 1]] * 2}]
         ), min_size=len(run["bases"]), max_size=len(run["bases"])))
     if scenario == "standalone-run":
-        run.update(scenario=scenario, bases=run["bases"][:1], master={})
+        del run["master"]
+        run.update(scenario=scenario, bases=run["bases"][:1])
     return dict(run, **raw)
 
 
@@ -1109,72 +1138,109 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, message",
         [
-            {"bases": [{"kind": "exp4"}, {"kind": "exp3"}]},
-            {"bases": [{"kind": "thompson"}, {"kind": "exp3"}]},
-            {"horizon": "x"},
-            {"seeds": "ab"},
-            {"master": {"eta": 0.05, "estimator": "fancy"}},
-            {"master": {"eta": 0.05, "restart_policy": "sometimes"}},
-            {"seeds": "12"},
-            {"seeds": [3, 3]},
-            {"environment": {"kind": "stochastic-mab", "means": "ab"}},
-            {"master": {"eta": "fast"}},
-            {"master": {}},
-            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [1]}]},
-            {"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 7]}]},
-            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
-             "demo": {"corral_eta": "fast"}},
-            {"scenario": "sweep", "runs": [
+            ({"bases": [{"kind": "exp4"}, {"kind": "exp3"}]},
+             "exp4 base needs exactly one of ['policies']"),
+            ({"bases": [{"kind": "thompson"}, {"kind": "exp3"}]},
+             "thompson base needs exactly one of ['prior']"),
+            ({"horizon": "x"}, "horizon takes no string, got 'x'"),
+            ({"seeds": "ab"}, "seeds takes no string, got 'ab'"),
+            ({"master": {"eta": 0.05, "estimator": "fancy"}}, "unknown estimator 'fancy'"),
+            ({"master": {"eta": 0.05, "restart_policy": "sometimes"}},
+             "unknown restart policy 'sometimes'"),
+            ({"seeds": "12"}, "seeds takes no string, got '12'"),
+            ({"seeds": [3, 3]}, "seeds must be distinct, got [3, 3]"),
+            ({"environment": {"kind": "stochastic-mab", "means": "ab"}},
+             "means takes no string, got 'ab'"),
+            ({"master": {"eta": "fast"}}, "eta takes no string, got 'fast'"),
+            ({"master": {}}, "master needs exactly one of ['eta']"),
+            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [1]}]},
+             "arm_pair must be 2 arms in [0, 2), got (1,)"),
+            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 7]}]},
+             "arm_pair must be 2 arms in [0, 2), got (0, 7)"),
+            ({"scenario": "lowerbound-demo", "demo": {"corral_eta": "fast"}},
+             "corral_eta takes no string, got 'fast'"),
+            ({"scenario": "sweep", "runs": [
                 {"name": "first", "config": SMALL_RUN},
                 {"name": "second", "config": dict(SMALL_RUN, master={"eta": "fast"})},
-            ]},
-            {"environment": SHORT_SCRIPT},
-            {"scenario": "sweep", "runs": [
+            ]}, "eta takes no string, got 'fast'"),
+            ({"environment": SHORT_SCRIPT}, "script has 3 rows, fewer than the horizon 50"),
+            ({"scenario": "sweep", "runs": [
                 {"name": "first", "config": SMALL_RUN},
                 {"name": "second", "config": dict(SMALL_RUN, environment=SHORT_SCRIPT)},
-            ]},
-            {"scenario": "sweep", "seeds": [1, 1], "runs": [{"name": "a", "config": SMALL_RUN}]},
-            {"scenario": "sweep", "horizon": "7", "runs": [{"name": "a", "config": SMALL_RUN}]},
-            {"scenario": "sweep", "environment": {"kind": "nope"},
-             "runs": [{"name": "a", "config": SMALL_RUN}]},
-            {"master": {"eta": math.inf}},
-            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
-             "demo": {"naive_eta": -50.0}},
-            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
-             "demo": {"naive_eta": math.nan}},
-            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
-             "demo": {"corral_eta": -1.0}},
-            {"scenario": "lowerbound-demo", "environment": {}, "bases": [],
-             "demo": {"corral_eta": math.inf}},
-            {"scenario": "sweep", "runs": [
+            ]}, "script has 3 rows, fewer than the horizon 50"),
+            ({"scenario": "sweep", "seeds": [1, 1], "runs": [{"name": "a", "config": SMALL_RUN}]},
+             "unknown sweep config keys: ['seeds']"),
+            ({"scenario": "sweep", "horizon": "7", "runs": [{"name": "a", "config": SMALL_RUN}]},
+             "unknown sweep config keys: ['horizon']"),
+            ({"scenario": "sweep", "environment": {"kind": "nope"},
+              "runs": [{"name": "a", "config": SMALL_RUN}]},
+             "unknown sweep config keys: ['environment']"),
+            ({"master": {"eta": math.inf}}, "learning rate must be finite and > 0, got inf"),
+            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": -50.0}},
+             "naive learning rate must be finite and > 0, got -50.0"),
+            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": math.nan}},
+             "naive learning rate must be finite and > 0, got nan"),
+            ({"scenario": "lowerbound-demo", "demo": {"corral_eta": -1.0}},
+             "learning rate must be finite and > 0, got -1.0"),
+            ({"scenario": "lowerbound-demo", "demo": {"corral_eta": math.inf}},
+             "learning rate must be finite and > 0, got inf"),
+            ({"scenario": "sweep", "runs": [
                 {"name": "first", "config": SMALL_RUN},
-                {"name": "second", "config": {"scenario": "lowerbound-demo", "horizon": 50,
-                                              "seeds": [0], "demo": {"naive_eta": -50.0}}},
-            ]},
-            {"bases": [{"kind": "thompson", "prior": [[math.nan, 1.0], [1.0, 1.0]]},
-                       {"kind": "exp3"}]},
-            {"bases": [{"kind": "thompson", "prior": [[math.inf, 1.0], [1.0, 1.0]]},
-                       {"kind": "exp3"}]},
-            {"environment": dict(CONTEXTUAL_ENV, cond_means=[[0.2, math.nan], [0.5, 0.5]])},
-            {"environment": dict(CONTEXTUAL_ENV, context_probs=[math.nan, 1.0])},
-            {"scenario": "sweep", "runs": [
+                {"name": "second", "config": dict(SMALL_DEMO, demo={"naive_eta": -50.0})},
+            ]}, "naive learning rate must be finite and > 0, got -50.0"),
+            ({"bases": [{"kind": "thompson", "prior": [[math.nan, 1.0], [1.0, 1.0]]},
+                        {"kind": "exp3"}]},
+             "prior pseudo-counts must be finite and > 0, got (nan, 1.0)"),
+            ({"bases": [{"kind": "thompson", "prior": [[math.inf, 1.0], [1.0, 1.0]]},
+                        {"kind": "exp3"}]},
+             "prior pseudo-counts must be finite and > 0, got (inf, 1.0)"),
+            ({"environment": dict(CONTEXTUAL_ENV, cond_means=[[0.2, math.nan], [0.5, 0.5]])},
+             "conditional means must lie in [0, 1]"),
+            ({"environment": dict(CONTEXTUAL_ENV, context_probs=[math.nan, 1.0])},
+             "context distribution must be positive and sum to 1"),
+            ({"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, math.nan])},
-            ]},
-            {"scenario": "sweep", "runs": [
+            ]}, "rho levels must be finite and >= 1, got [1.0, nan]"),
+            ({"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, math.inf])},
-            ]},
-            {"scenario": "sweep", "runs": [
+            ]}, "rho levels must be finite and >= 1, got [1.0, inf]"),
+            ({"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[4.0, 4.0])},
-            ]},
-            {"scenario": "sweep", "environment": SHORT_SCRIPT,
-             "runs": [{"name": "a", "config": SMALL_RUN}]},
-            {"horizon": 10.9},
-            {"seeds": [1.7]},
-            {"seeds": [True]},
-            {"seeds": [0, 2**64]},
-            {"seeds": [-1]},
+            ]}, "rho levels must be distinct, got [4.0, 4.0]"),
+            ({"scenario": "sweep", "environment": SHORT_SCRIPT,
+              "runs": [{"name": "a", "config": SMALL_RUN}]},
+             "unknown sweep config keys: ['environment']"),
+            ({"horizon": 10.9}, "horizon takes integers, got 10.9"),
+            ({"seeds": [1.7]}, "seeds takes integers, got 1.7"),
+            ({"seeds": [True]}, "seeds takes integers, got True"),
+            ({"seeds": [0, 2**64]}, "seeds must lie in [0, 2**64)"),
+            ({"seeds": [-1]}, "seeds must lie in [0, 2**64), got [-1]"),
+            # Keys that no check read: each loaded and was ignored.
+            ({"scenario": "standalone-run", "master": {"eta": 0.05}},
+             "unknown standalone-run config keys: ['master']"),
+            ({"scenario": "lowerbound-demo", "master": {"eta": 0.05}},
+             "unknown lowerbound-demo config keys: ['master']"),
+            ({"scenario": "standalone-run", "demo": {"naive_eta": 1e-3}},
+             "unknown standalone-run config keys: ['demo']"),
+            ({"scenario": "standalone-run", "rho_levels": [1.0, 4.0]},
+             "unknown standalone-run config keys: ['rho_levels']"),
+            ({"scenario": "lowerbound-demo", "rho_levels": [1.0, 4.0]},
+             "unknown lowerbound-demo config keys: ['rho_levels']"),
+            ({"master": {"eta": 0.05, "regret_target": 10.0}},
+             "unknown master keys: ['regret_target']"),
+            ({"scenario": "lowerbound-demo", "environment": {}},
+             "unknown lowerbound-demo config keys: ['environment']"),
+            # Values that loaded: numpy's beta draws 0 for an infinite b, and
+            # rows past the horizon went unchecked.
+            ({"environment": {"kind": "stochastic-mab", "means_prior": [[1, math.inf], [1, 1]]}},
+             "means_prior pseudo-counts must be finite and > 0"),
+            ({"environment": {"kind": "adversarial-mab",
+                              "script": [[0.0, 1.0]] * 50 + [[math.nan, 0.0]]}},
+             "script entries must lie in [0, 1]"),
+            ({"scenario": "sweep", "runs": [[["name", "a"], ["config", SMALL_RUN]]]},
+             "sweep run must be an object, got list"),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -1185,19 +1251,22 @@ class TestCli:
              "thompson-prior-nan", "thompson-prior-inf", "cond-means-nan",
              "context-probs-nan", "rho-level-nan", "rho-level-inf", "rho-level-repeated",
              "sweep-script", "horizon-fraction",
-             "seed-fraction", "seed-bool", "seed-past-64-bits", "seed-negative"],
+             "seed-fraction", "seed-bool", "seed-past-64-bits", "seed-negative",
+             "standalone-master", "demo-master", "standalone-demo", "standalone-rho-levels",
+             "demo-rho-levels", "regret-target-beside-eta", "demo-environment-empty",
+             "means-prior-inf", "script-nan-past-horizon", "sweep-run-pairs"],
     )
-    def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides):
-        raw = dict(SMALL_RUN, **overrides)
-        if raw["scenario"] == "sweep":
-            raw = overrides
+    def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides, message):
+        raw = small_config(overrides)
         path = self.write_config(tmp_path, raw)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             harness.load_config(path)
         out_dir = tmp_path / "o"
-        command = {"corral-run": "run", "lowerbound-demo": "lowerbound-demo", "sweep": "sweep"}
+        command = {"corral-run": "run", "standalone-run": "standalone",
+                   "lowerbound-demo": "lowerbound-demo", "sweep": "sweep"}
         assert main([command[raw["scenario"]], "--config", path, "--out", str(out_dir)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

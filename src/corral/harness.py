@@ -154,15 +154,19 @@ def _check_spec(spec, table: dict, key: str | None, what: str) -> None:
             raise ConfigError(f"{name} needs {bound} one of {keys}")
 
 
-# The only keys that take strings ("eta" takes "tuned"), and the integer keys.
+# The only keys that take strings ("eta" takes "tuned"), the integer keys,
+# and the keys that take one value, not a list or an object.
 _STRING_KEYS = {"scenario", "kind", "restart_policy", "estimator", "script_csv", "name"}
 _INTEGER_KEYS = {"horizon", "seeds", "policies", "arm_pair"}
+_SCALAR_KEYS = {"horizon", "eta", "regret_target", "corral_eta", "naive_eta", "script_csv"}
 
 
 def _check_values(value, key=None, integer=False) -> None:
     """Reject a raw config value not of its key's JSON type: Python would read
     ``true`` as 1 and ``"0.5"`` as 0.5, and ``int`` truncates 1.9 to 1."""
     integer = integer or key in _INTEGER_KEYS
+    if key in _SCALAR_KEYS and isinstance(value, (dict, list, tuple)):
+        raise ConfigError(f"{key} takes one value, got {type(value).__name__}")
     if isinstance(value, dict):
         for k, v in value.items():
             _check_values(v, k, integer)
@@ -281,11 +285,15 @@ class ExperimentConfig:
             # Equal levels replay identical legs, which add no point to the fit.
             if len(set(self.rho_levels)) != len(self.rho_levels):
                 raise ConfigError(f"rho levels must be distinct, got {self.rho_levels}")
+        # Every seed's round log, 40 + 8 * bases bytes a round, is held until
+        # the outputs are written; a stability test logs no rounds.
+        logged = {"corral-run": len(self.bases), "standalone-run": 1, "lowerbound-demo": 2}
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if self.scenario in logged and (
+                len(self.seeds) * self.horizon * (40 + 8 * logged[self.scenario]) > memory):
+            raise ConfigError(f"the round logs of a horizon of {self.horizon} do not fit in memory")
         # Build the first seed's legs, once, so that bad values fail here.
-        try:
-            build_legs(self, self.seeds[0])
-        except MemoryError as exc:
-            raise ConfigError(f"a horizon of {self.horizon} does not fit in memory") from exc
+        build_legs(self, self.seeds[0])
 
     def with_seed_offset(self, offset: int) -> "ExperimentConfig":
         seeds = [s + offset for s in self.seeds]
@@ -448,10 +456,13 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
 class RoundLog:
     """The rounds of one played run as columns; row ``t - 1`` is round t.
 
-    ``p_bar``, ``eta`` and ``rho`` (rounds x bases) hold the decision-time
-    values of each round; ``fired`` marks the bases whose threshold fired
-    at the end of the round. The columns take 40 + 25 * bases bytes a
-    round; ``play`` and the logged router fill them in place.
+    ``p_bar`` (rounds x bases) holds each round's decision-time values, and
+    ``schedule`` the rates as ``(first row, eta, rho, fired)`` entries: one
+    at row 0, and one for each round in which a threshold fired, listing
+    the bases that fired at the end of the row before it. An entry's rates
+    decided its rows up to the next entry's first; a firing in the last
+    round leaves an entry with no rows. The columns take 40 + 8 * bases
+    bytes a round; ``play`` and the logged router fill them in place.
     """
 
     run_id: str
@@ -462,9 +473,7 @@ class RoundLog:
     cum_loss: np.ndarray
     cum_regret: np.ndarray
     p_bar: np.ndarray
-    eta: np.ndarray
-    rho: np.ndarray
-    fired: np.ndarray
+    schedule: list[tuple[int, list[float], list[float], list[int]]]
 
 
 @dataclass
@@ -484,12 +493,12 @@ class SeedResult:
 def records_to_csv(logs: list[RoundLog], out) -> None:
     """Write the round logs as CSV rows to the text stream ``out``.
 
-    A log's ``eta``, ``rho`` and ``fired`` change only at the schedule's
-    doublings, so its rows split into a few segments over which all three
-    are equal; each segment's schedule text is formatted once, into a row
-    template. The segment's rows are then formatted in blocks of at most
-    ``CSV_BLOCK`` rows, one ``%`` call and one ``write`` per block, so no
-    more than one block of text is held in memory.
+    Each entry of a log's ``schedule`` covers its rows up to the next
+    entry's first row, and its rates are formatted once, into a row
+    template; the last of its rows also takes the next entry's ``fired``
+    flags. The rows are then formatted in blocks of at most ``CSV_BLOCK``
+    rows, one ``%`` call and one ``write`` per block, so no more than one
+    block of text is held in memory.
     """
     if not logs:
         raise IntegrityError("no round logs to write")
@@ -507,31 +516,28 @@ def records_to_csv(logs: list[RoundLog], out) -> None:
         # The columns after ``t`` and before the schedule's, in row order.
         front = [log.chosen, log.decision, log.raw_loss, log.cum_loss, log.cum_regret, *log.p_bar.T]
         width = 1 + len(front)
-        # A segment starts at row 0 and wherever a schedule column changes;
-        # the last bound is ``rounds``. Rates compare as bits: -0.0 == 0.0,
-        # but the two format differently.
-        columns = (log.eta.view(np.uint64), log.rho.view(np.uint64), log.fired)
-        starts = np.ones(rounds + 1, dtype=bool)
-        starts[1:rounds] = np.logical_or.reduce([(c[1:] != c[:-1]).any(axis=1) for c in columns])
-        bounds = np.flatnonzero(starts).tolist()
         # "%.17g" % x is format(x, ".17g"): 17 significant digits round-trip
         # a float64 exactly. A "%" in the run id is escaped, not a field;
         # the formatted rates and flags hold none.
         prefix = f"{log.run_id},{log.seed},".replace("%", "%%")
         head = prefix + "%d,%d,%d" + ",%.17g" * (len(front) - 2) + ","
-        for start, stop in zip(bounds, bounds[1:]):
-            rates = log.eta[start].tolist() + log.rho[start].tolist()
-            flags = "".join("01"[f] for f in log.fired[start].tolist())
-            row = head + ("%.17g," * len(rates)) % tuple(rates) + flags + "\n"
-            for first in range(start, stop, CSV_BLOCK):
-                last = min(first + CSV_BLOCK, stop)
-                # The block's fields in row order: field j of each row is
-                # every ``width``-th value from value j.
-                values = [None] * (width * (last - first))
-                values[0::width] = range(first + 1, last + 1)
-                for j, column in enumerate(front, start=1):
-                    values[j::width] = column[first:last].tolist()
-                out.write((row * (last - first)) % tuple(values))
+        schedule = log.schedule + [(rounds, None, None, ())]
+        for (start, eta, rho, _), (stop, _, _, fired) in zip(schedule, schedule[1:]):
+            rates = head + ("%.17g," * len(eta + rho)) % tuple(eta + rho)
+            flags = "".join("01"[i in fired] for i in range(len(eta)))
+            # The entry's rows but its last, then its last with the flags.
+            split = max(start, stop - 1)
+            for lo, hi, digits in ((start, split, "0" * len(eta)), (split, stop, flags)):
+                row = rates + digits + "\n"
+                for first in range(lo, hi, CSV_BLOCK):
+                    last = min(first + CSV_BLOCK, hi)
+                    # The block's fields in row order: field j of each row is
+                    # every ``width``-th value from value j.
+                    values = [None] * (width * (last - first))
+                    values[0::width] = range(first + 1, last + 1)
+                    for j, column in enumerate(front, start=1):
+                        values[j::width] = column[first:last].tolist()
+                    out.write((row * (last - first)) % tuple(values))
 
 
 def compute_regret(results: list[SeedResult], horizon: int) -> dict:
@@ -542,8 +548,8 @@ def compute_regret(results: list[SeedResult], horizon: int) -> dict:
     master internals: checks that every log holds ``horizon`` rounds and
     measures the final regret against the baseline. Also extracts per-base
     doubling counts, the max learning-rate ratio (over bases whose first
-    rate is positive) and the threshold-times-probability floor, counting
-    violations of each schedule invariant.
+    rate is positive) and the threshold-times-probability floor from the
+    schedule, counting violations of each schedule invariant.
     """
     per_seed = []
     violations = {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 0}
@@ -554,17 +560,21 @@ def compute_regret(results: list[SeedResult], horizon: int) -> dict:
             raise IntegrityError(
                 f"seed {log.seed}: expected {horizon} rounds, got {len(log.raw_loss)}"
             )
-        doubling = log.fired.sum(axis=0).tolist()
-        # One base's column at a time, so that no check holds a temporary
-        # of rounds x bases.
+        fired = [i for entry in log.schedule for i in entry[3]]
+        doubling = [fired.count(i) for i in range(log.p_bar.shape[1])]
+        eta0 = np.array(log.schedule[0][1])
         ratios, floors, below = [], [], False
-        for eta, rho, p_bar in zip(log.eta.T, log.rho.T, log.p_bar.T):
-            if eta[0] > 0.0:
-                ratios.append((eta / eta[0]).max())
-            # Same non-cancelling form the schedule maintains; the product
-            # rho * p_bar can round one ulp below 1.
-            below = below or (rho < 1.0 / p_bar).any()
-            floors.append((rho * p_bar).min())
+        schedule = log.schedule + [(horizon, None, None, ())]
+        for (start, eta, entry_rho, _), (stop, *_) in zip(schedule, schedule[1:]):
+            if start == stop:
+                continue
+            # The rows of an entry share its rates, and rounding keeps 1 / p
+            # and rho * p monotone, so their least p_bar decides each check;
+            # rho * p_bar itself can round one ulp below 1.
+            p_min, rho = log.p_bar[start:stop].min(axis=0), np.array(entry_rho)
+            ratios.extend(np.array(eta)[eta0 > 0.0] / eta0[eta0 > 0.0])
+            below = below or (rho < 1.0 / p_min).any()
+            floors.append((rho * p_min).min())
         max_ratio = float(np.max(ratios, initial=1.0))
         if max(doubling) > doubling_cap:
             violations["doubling_count"] += 1
@@ -579,7 +589,7 @@ def compute_regret(results: list[SeedResult], horizon: int) -> dict:
                 "doubling_counts": doubling,
                 "max_eta_ratio": max_ratio,
                 "min_rho_pbar": float(np.min(floors)),
-                "rho_final": log.rho[-1].tolist(),
+                "rho_final": rho.tolist(),  # the last entry with rows
             }
         )
     finals = [e["final_regret"] for e in per_seed]
@@ -648,9 +658,8 @@ class CorralRouter:
     ``build_packets`` with the run's estimator, or the demo's ``naive_packets``.
 
     Each round's choice, decision and ``p_bar`` are appended to typed
-    columns. ``eta`` and ``rho`` change only when a threshold fires, so they
-    are kept as schedule segments ``(first row, eta, rho)`` and expanded
-    once, by ``columns()``."""
+    columns, and each round in which a threshold fires appends the new
+    rates and the fired bases to ``schedule`` (see ``RoundLog``)."""
 
     logged = True
 
@@ -659,8 +668,7 @@ class CorralRouter:
         self.rng = UniformStream(rng)
         self.packets = packets
         self.chosen, self.decision, self.p_bar = array("q"), array("q"), array("d")
-        self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
-        self._segments = [(0, list(state.eta), list(state.rho))]
+        self.schedule = [(0, list(state.eta), list(state.rho), [])]
 
     def step(self, env, proposals: list[int]):
         state = self.state
@@ -673,23 +681,17 @@ class CorralRouter:
         raw = env.loss_of(decision)
         outcome = corral_master.feedback(state, chosen, raw)
         if outcome.doublings:
-            row = len(self.chosen)
-            self.fired[row - 1, outcome.doublings] = True
-            self._segments.append((row, list(state.eta), list(state.rho)))
+            entry = (len(self.chosen), list(state.eta), list(state.rho), outcome.doublings)
+            self.schedule.append(entry)
         resets = [(i, state.rho[i]) for i in outcome.restarts] if outcome.restarts else ()
         return raw, self.packets(p_bar, proposals, raw, chosen), resets
 
     def columns(self) -> dict:
-        rounds = len(self.chosen)
-        starts, eta, rho = zip(*self._segments)
-        lengths = np.diff(starts + (rounds,))
         return {
             "chosen": np.frombuffer(self.chosen, dtype=np.int64),
             "decision": np.frombuffer(self.decision, dtype=np.int64),
-            "p_bar": np.frombuffer(self.p_bar).reshape(rounds, self.state.num_bases),
-            "eta": np.repeat(eta, lengths, axis=0),
-            "rho": np.repeat(rho, lengths, axis=0),
-            "fired": self.fired,
+            "p_bar": np.frombuffer(self.p_bar).reshape(-1, self.state.num_bases),
+            "schedule": self.schedule,
         }
 
 
@@ -720,9 +722,7 @@ class InducedRouter:
             "chosen": np.zeros(rounds, dtype=np.int64),
             "decision": np.frombuffer(self.decision, dtype=np.int64),
             "p_bar": np.full((rounds, 1), 1.0 / self.range_param),
-            "eta": np.zeros((rounds, 1)),
-            "rho": np.full((rounds, 1), self.range_param),
-            "fired": np.zeros((rounds, 1), dtype=bool),
+            "schedule": [(0, [0.0], [self.range_param], [])],
         }
 
 

@@ -4,7 +4,6 @@ import dataclasses
 import io
 import json
 import math
-import operator
 import pickle
 import re
 import tracemalloc
@@ -513,8 +512,8 @@ class TestRunStandalone:
 
 class TestComputeRegret:
     @staticmethod
-    def log(raw, baseline_rate, p_bar, eta, rho, fired):
-        """A seed-0 round log with one schedule row per round."""
+    def log(raw, baseline_rate, p_bar, schedule):
+        """A seed-0 round log."""
         rounds = len(raw)
         cum = np.cumsum(raw)
         return RoundLog(
@@ -526,17 +525,12 @@ class TestComputeRegret:
             cum_loss=cum,
             cum_regret=cum - baseline_rate * np.arange(1, rounds + 1),
             p_bar=np.array(p_bar, dtype=np.float64),
-            eta=np.array(eta, dtype=np.float64),
-            rho=np.array(rho, dtype=np.float64),
-            fired=np.array(fired, dtype=bool),
+            schedule=schedule,
         )
 
     def one_base(self, raw, baseline_rate):
         rounds = len(raw)
-        return self.log(
-            raw, baseline_rate, [(1.0,)] * rounds, [(0.0,)] * rounds, [(2.0,)] * rounds,
-            [(0,)] * rounds,
-        )
+        return self.log(raw, baseline_rate, [(1.0,)] * rounds, [(0, [0.0], [2.0], [])])
 
     def test_zero_loss_zero_baseline(self):
         log = self.one_base([0.0] * 10, 0.0)
@@ -553,50 +547,79 @@ class TestComputeRegret:
         with pytest.raises(IntegrityError):
             compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0.0))], 4)
 
-    def schedule_run(self, p_bar, eta, rho, fired):
-        """A zero-loss seed-0 run with one schedule row per round."""
-        log = self.log([0.0] * len(p_bar), 0.0, p_bar, eta, rho, fired)
+    def schedule_run(self, p_bar, schedule):
+        """A zero-loss seed-0 run."""
+        log = self.log([0.0] * len(p_bar), 0.0, p_bar, schedule)
         return [SeedResult(0, log=log, baseline=RegretBaseline(0.0))]
 
-    def invariants(self, rounds, p_bar, eta, rho, fired):
-        return compute_regret(self.schedule_run(p_bar, eta, rho, fired), rounds)
+    def invariants(self, rounds, p_bar, schedule):
+        (result,) = self.schedule_run(p_bar, schedule)
+        summary = compute_regret([result], rounds)
+        # The reference reads the same log as per-round columns.
+        expanded = dataclasses.replace(result, log=expand(result.log))
+        assert summary == reference_compute_regret([expanded], rounds)
+        return summary
 
     def test_doubling_count_above_cap_is_counted(self):
         # Four rounds cap each base at ceil(log2 4) = 2 doublings.
+        rates = [0.1, 0.1], [4.0, 4.0]
         out = self.invariants(
-            4, [(0.5, 0.5)] * 4, [(0.1, 0.1)] * 4, [(4.0, 4.0)] * 4,
-            [(1, 0), (1, 1), (1, 0), (0, 0)],
+            4, [(0.5, 0.5)] * 4,
+            [(0, *rates, []), (1, *rates, [0]), (2, *rates, [0, 1]), (3, *rates, [0])],
         )
         assert out["doubling_counts_max"] == [3, 1]
         assert out["invariant_violations"] == {"doubling_count": 1, "eta_cap": 0, "rho_pbar": 0}
 
     def test_eta_ratio_above_cap_is_counted(self):
         out = self.invariants(
-            3, [(0.5, 0.5)] * 3, [(0.1, 0.1), (0.1, 0.3), (0.1, 0.6)], [(4.0, 4.0)] * 3,
-            [(0, 0)] * 3,
+            3, [(0.5, 0.5)] * 3,
+            [(0, [0.1, 0.1], [4.0, 4.0], []), (1, [0.1, 0.3], [4.0, 4.0], [1]),
+             (2, [0.1, 0.6], [4.0, 4.0], [1])],
         )
         assert out["max_eta_ratio"] == 0.6 / 0.1
         assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 1, "rho_pbar": 0}
 
     def test_threshold_below_inverse_probability_is_counted(self):
         out = self.invariants(
-            3, [(0.5, 0.5), (0.25, 0.75), (0.5, 0.5)], [(0.1, 0.1)] * 3,
-            [(4.0, 4.0), (3.0, 4.0), (4.0, 4.0)], [(0, 0)] * 3,
+            3, [(0.5, 0.5), (0.25, 0.75), (0.5, 0.5)],
+            [(0, [0.1, 0.1], [4.0, 4.0], []), (1, [0.1, 0.1], [3.0, 4.0], [0]),
+             (2, [0.1, 0.1], [4.0, 4.0], [0])],
         )
         assert out["per_seed"][0]["min_rho_pbar"] == 0.75
         assert out["per_seed"][0]["rho_final"] == [4.0, 4.0]
         assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 1}
 
+    def test_least_p_bar_of_an_entry_decides_its_checks(self):
+        # One entry over four rows: the row at p_bar 0.2 is below 1 / rho.
+        out = self.invariants(
+            4, [(0.5, 0.5), (0.3, 0.7), (0.2, 0.8), (0.5, 0.5)],
+            [(0, [0.1, 0.1], [4.0, 4.0], [])],
+        )
+        assert out["per_seed"][0]["min_rho_pbar"] == 4.0 * 0.2
+        assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 1}
+
     def test_zero_first_rate_is_left_out_of_the_eta_ratio(self):
         out = self.invariants(
-            3, [(0.5, 0.5)] * 3, [(0.0, 0.1), (1.0, 0.1), (2.0, 0.2)], [(4.0, 4.0)] * 3,
-            [(0, 0)] * 3,
+            3, [(0.5, 0.5)] * 3,
+            [(0, [0.0, 0.1], [4.0, 4.0], []), (1, [1.0, 0.1], [4.0, 4.0], [0]),
+             (2, [2.0, 0.2], [4.0, 4.0], [0, 1])],
         )
         assert out["max_eta_ratio"] == 0.2 / 0.1
         out = self.invariants(
-            2, [(0.5, 0.5)] * 2, [(0.0, 0.0), (1.0, 1.0)], [(4.0, 4.0)] * 2, [(0, 0)] * 2
+            2, [(0.5, 0.5)] * 2, [(0, [0.0, 0.0], [4.0, 4.0], []), (1, [1.0, 1.0], [4.0, 4.0], [0, 1])]
         )
         assert out["max_eta_ratio"] == 1.0
+        assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 0}
+
+    def test_firing_in_the_last_round_counts_but_decides_no_row(self):
+        # The last entry starts past the last row: its doubling counts, but
+        # no row was decided at its rates.
+        out = self.invariants(
+            2, [(0.5, 0.5)] * 2, [(0, [0.1, 0.1], [4.0, 4.0], []), (2, [0.9, 0.1], [1.0, 4.0], [0])]
+        )
+        assert out["doubling_counts_max"] == [1, 0]
+        assert out["max_eta_ratio"] == 1.0
+        assert out["per_seed"][0]["rho_final"] == [4.0, 4.0]
         assert out["invariant_violations"] == {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 0}
 
     def test_replaying_baseline_decision_has_near_zero_regret(self):
@@ -764,6 +787,116 @@ class TestRunSeed:
         ]
 
 
+@dataclasses.dataclass
+class ColumnLog:
+    """``RoundLog`` with the schedule as per-round columns, the layout the
+    reference routers and writers read: ``eta``, ``rho`` (the decision-time
+    rates) and ``fired`` (the bases whose threshold fired at the end of the
+    round), each rounds x bases."""
+
+    run_id: str
+    seed: int
+    chosen: np.ndarray
+    decision: np.ndarray
+    raw_loss: np.ndarray
+    cum_loss: np.ndarray
+    cum_regret: np.ndarray
+    p_bar: np.ndarray
+    eta: np.ndarray
+    rho: np.ndarray
+    fired: np.ndarray
+
+
+def expand(log: RoundLog) -> ColumnLog:
+    """``log`` with its schedule entries expanded into per-round columns."""
+    rounds, m = log.p_bar.shape
+    starts, eta, rho, fired_lists = zip(*log.schedule)
+    lengths = np.diff(starts + (rounds,))
+    fired = np.zeros((rounds, m), dtype=bool)
+    for start, bases in zip(starts[1:], fired_lists[1:]):
+        fired[start - 1, list(bases)] = True
+    columns = {f.name: getattr(log, f.name) for f in dataclasses.fields(log)}
+    del columns["schedule"]
+    return ColumnLog(
+        **columns,
+        eta=np.repeat(np.array(eta, dtype=np.float64).reshape(-1, m), lengths, axis=0),
+        rho=np.repeat(np.array(rho, dtype=np.float64).reshape(-1, m), lengths, axis=0),
+        fired=fired,
+    )
+
+
+def assert_schedule_is_entries(log: RoundLog) -> None:
+    """An entry at row 0 with no firing, then one entry for each round in
+    which a threshold fired, in row order, up to one past the last row."""
+    starts = [entry[0] for entry in log.schedule]
+    assert starts[0] == 0 and log.schedule[0][3] == []
+    assert starts == sorted(set(starts)) and starts[-1] <= len(log.chosen)
+    assert all(entry[3] for entry in log.schedule[1:])
+
+
+def reference_compute_regret(results: list[SeedResult], horizon: int) -> dict:
+    """The column-reading ``compute_regret``, kept verbatim below this
+    docstring over ``ColumnLog``s: ``compute_regret`` must return exactly
+    its summary.
+
+    Aggregate per-seed regret and re-assert schedule invariants from the
+    seeds' logged legs.
+    """
+    per_seed = []
+    violations = {"doubling_count": 0, "eta_cap": 0, "rho_pbar": 0}
+    doubling_cap = math.ceil(math.log2(horizon))
+    for result in results:
+        log = result.log
+        if len(log.raw_loss) != horizon:
+            raise IntegrityError(
+                f"seed {log.seed}: expected {horizon} rounds, got {len(log.raw_loss)}"
+            )
+        doubling = log.fired.sum(axis=0).tolist()
+        # One base's column at a time, so that no check holds a temporary
+        # of rounds x bases.
+        ratios, floors, below = [], [], False
+        for eta, rho, p_bar in zip(log.eta.T, log.rho.T, log.p_bar.T):
+            if eta[0] > 0.0:
+                ratios.append((eta / eta[0]).max())
+            # Same non-cancelling form the schedule maintains; the product
+            # rho * p_bar can round one ulp below 1.
+            below = below or (rho < 1.0 / p_bar).any()
+            floors.append((rho * p_bar).min())
+        max_ratio = float(np.max(ratios, initial=1.0))
+        if max(doubling) > doubling_cap:
+            violations["doubling_count"] += 1
+        if max_ratio > 5.0:
+            violations["eta_cap"] += 1
+        if below:
+            violations["rho_pbar"] += 1
+        per_seed.append(
+            {
+                "seed": log.seed,
+                "final_regret": float(log.cum_loss[-1]) - result.baseline.cumulative(horizon),
+                "doubling_counts": doubling,
+                "max_eta_ratio": max_ratio,
+                "min_rho_pbar": float(np.min(floors)),
+                "rho_final": log.rho[-1].tolist(),
+            }
+        )
+    finals = [e["final_regret"] for e in per_seed]
+    num_bases = len(per_seed[0]["doubling_counts"])
+    return {
+        "per_seed": per_seed,
+        "mean_final_regret": float(np.mean(finals)),
+        "stderr_final_regret": harness._stderr(finals),
+        "max_eta_ratio": max(e["max_eta_ratio"] for e in per_seed),
+        "doubling_counts_max": [
+            max(e["doubling_counts"][i] for e in per_seed) for i in range(num_bases)
+        ],
+        "rho_final_mean": [
+            float(np.mean([e["rho_final"][i] for e in per_seed]))
+            for i in range(num_bases)
+        ],
+        "invariant_violations": violations,
+    }
+
+
 class ReferenceCorralRouter:
     """The list-built router, kept verbatim below this docstring but for the
     ``logged`` flag ``run_seed`` reads: ``CorralRouter`` must log exactly
@@ -847,9 +980,9 @@ def reference_play(env, bases, router, horizon) -> np.ndarray:
     return np.array(losses)
 
 
-def reference_log(cfg: ExperimentConfig, seed: int) -> RoundLog:
+def reference_log(cfg: ExperimentConfig, seed: int) -> ColumnLog:
     """``seed``'s round log as the list-built routers and ``play`` make it."""
-    with mock.patch.multiple(harness, CorralRouter=ReferenceCorralRouter,
+    with mock.patch.multiple(harness, CorralRouter=ReferenceCorralRouter, RoundLog=ColumnLog,
                              InducedRouter=ReferenceInducedRouter, play=reference_play):
         return harness.run_seed(cfg, seed).log
 
@@ -897,7 +1030,12 @@ class TestRoundColumns:
     def test_match_the_list_built_columns(self, raw):
         cfg = ExperimentConfig.from_dict(raw)
         seed = cfg.seeds[0]
-        assert bits(harness.run_seed(cfg, seed).log) == bits(reference_log(cfg, seed))
+        result = harness.run_seed(cfg, seed)
+        assert_schedule_is_entries(result.log)
+        assert bits(expand(result.log)) == bits(reference_log(cfg, seed))
+        expanded = dataclasses.replace(result, log=expand(result.log))
+        assert json.dumps(compute_regret([result], cfg.horizon)) == json.dumps(
+            reference_compute_regret([expanded], cfg.horizon))
 
     @pytest.mark.parametrize("policy", corral_master.RESTART_POLICIES)
     @pytest.mark.parametrize("num_bases", [2, 4])
@@ -906,8 +1044,30 @@ class TestRoundColumns:
             flipping_run(400, 50, num_bases, {"eta": 2.0, "restart_policy": policy})
         )
         log = harness.run_seed(cfg, 0).log
-        assert (log.fired.sum(axis=0) >= 2).all()
-        assert bits(log) == bits(reference_log(cfg, 0))
+        assert_schedule_is_entries(log)
+        assert (expand(log).fired.sum(axis=0) >= 2).all()
+        assert bits(expand(log)) == bits(reference_log(cfg, 0))
+
+    def test_firing_in_the_last_round_matches_the_reference(self):
+        # Seed 0 of this run fires base 1's threshold at the end of round
+        # 69, the last: its entry starts past the last row.
+        cfg = ExperimentConfig.from_dict(flipping_run(69, 25, 2, {"eta": 2.0}))
+        result = harness.run_seed(cfg, 0)
+        log = result.log
+        *_, before, (first, _, _, fired) = log.schedule
+        assert (first, fired) == (69, [1])
+        assert_schedule_is_entries(log)
+        # The last row carries the flags, at the rates it was decided at.
+        text = csv_text(records_to_csv, [log])
+        assert text.splitlines()[-1].endswith(",01")
+        assert text == csv_text(reference_records_to_csv, [expand(log)])
+        summary = compute_regret([result], 69)
+        entry = summary["per_seed"][0]
+        assert entry["rho_final"] == before[2] == expand(log).rho[-1].tolist()
+        assert entry["doubling_counts"] == expand(log).fired.sum(axis=0).tolist()
+        assert entry["doubling_counts"][1] == sum(1 in e[3] for e in log.schedule)
+        expanded = dataclasses.replace(result, log=expand(log))
+        assert json.dumps(summary) == json.dumps(reference_compute_regret([expanded], 69))
 
     @pytest.mark.parametrize("scenario", sorted(PER_SEED_CONFIGS))
     def test_only_the_logged_leg_keeps_its_decisions(self, scenario):
@@ -922,9 +1082,9 @@ class TestRoundColumns:
 
     @pytest.mark.parametrize("num_bases", [2, 4])
     def test_a_run_grows_by_at_most_twice_its_column_bytes(self, num_bases):
-        # Every round logs 40 bytes of scalar columns and 25 per base: p_bar,
-        # eta and rho doubles and a fired flag. Growth past twice that means
-        # the run keeps per-round objects besides its columns.
+        # Every round logs 40 bytes of scalar columns and 8 per base, its
+        # p_bar double. Growth past twice that means the run keeps per-round
+        # objects besides its columns.
         horizon = 20_000
         cfg = config(horizon=horizon, seeds=[0], bases=[{"kind": "ucb1"}] * num_bases)
         tracemalloc.start()
@@ -934,7 +1094,7 @@ class TestRoundColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start <= 2.0 * (40 + 25 * num_bases) * horizon
+        assert peak - start <= 2.0 * (40 + 8 * num_bases) * horizon
 
 
 def reference_records_to_csv(logs: list[RoundLog], out) -> None:
@@ -980,26 +1140,26 @@ _RATES = st.sampled_from(
 
 
 @st.composite
-def _runs_of(draw, rows, m, elements, flip, dtype):
-    """A rows x m column drawn from a palette of 1-3 rows, so that equal
-    rows come in runs. Each palette row after the first is the one before
-    with one entry flipped (``-0.0`` beside ``0.0``, ``-inf`` beside
-    ``inf``) or redrawn."""
-    palette = [draw(st.lists(elements, min_size=m, max_size=m))]
-    for _ in range(draw(st.integers(0, 2))):
-        row = list(palette[-1])
-        i = draw(st.integers(0, m - 1))
-        row[i] = flip(row[i]) if draw(st.booleans()) else draw(elements)
-        palette.append(row)
-    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=rows, max_size=rows))
-    if draw(st.booleans()):
-        picks.sort()
-    return np.array([palette[i] for i in picks], dtype=dtype).reshape(rows, m)
+def _schedules(draw, rows, m):
+    """A schedule over ``rows`` rows: an entry at row 0, and up to 4 more at
+    rows in [1, rows], each with 1-m fired bases. Each entry's rates are
+    the last entry's with one flipped (``-0.0`` beside ``0.0``, ``-inf``
+    beside ``inf``) or redrawn."""
+    eta, rho = (draw(st.lists(_RATES, min_size=m, max_size=m)) for _ in range(2))
+    schedule = [(0, eta, rho, [])]
+    firsts = draw(st.sets(st.integers(1, rows), max_size=4)) if rows else ()
+    for first in sorted(firsts):
+        eta, rho = list(eta), list(rho)
+        rates, i = draw(st.sampled_from([eta, rho])), draw(st.integers(0, m - 1))
+        rates[i] = -rates[i] if draw(st.booleans()) else draw(_RATES)
+        fired = draw(st.sets(st.integers(0, m - 1), min_size=1))
+        schedule.append((first, eta, rho, sorted(fired)))
+    return schedule
 
 
 @st.composite
 def round_logs(draw):
-    """1-3 random round logs over the same 1-4 bases, with schedule runs."""
+    """1-3 random round logs over the same 1-4 bases, with schedules."""
     m = draw(st.integers(1, 4))
     logs = []
     for _ in range(draw(st.integers(1, 3))):
@@ -1014,9 +1174,7 @@ def round_logs(draw):
             cum_loss=values[:, 1],
             cum_regret=values[:, 2],
             p_bar=values[:, 3:],
-            eta=draw(_runs_of(n, m, _RATES, operator.neg, np.float64)),
-            rho=draw(_runs_of(n, m, _RATES, operator.neg, np.float64)),
-            fired=draw(_runs_of(n, m, st.booleans(), operator.not_, bool)),
+            schedule=draw(_schedules(n, m)),
         ))
     return logs
 
@@ -1033,7 +1191,8 @@ class TestCsvFormat:
     def test_matches_reference_byte_for_byte(self, logs, block):
         # Small blocks end inside segments and segments end inside blocks.
         with mock.patch.object(harness, "CSV_BLOCK", block):
-            assert csv_text(records_to_csv, logs) == csv_text(reference_records_to_csv, logs)
+            expected = csv_text(reference_records_to_csv, [expand(log) for log in logs])
+            assert csv_text(records_to_csv, logs) == expected
 
     def test_real_run_with_doublings_matches_reference(self):
         # 2 seeds x 2,500 rows cross blocks of CSV_BLOCK rows, and the master's
@@ -1046,9 +1205,10 @@ class TestCsvFormat:
             master={"eta": 0.3},
         )
         _, logs = run_corral(cfg)
-        assert all(log.fired.any() for log in logs)
+        assert all(len(log.schedule) > 1 for log in logs)
         assert len(logs[0].chosen) > 2 * harness.CSV_BLOCK
-        assert csv_text(records_to_csv, logs) == csv_text(reference_records_to_csv, logs)
+        expected = csv_text(reference_records_to_csv, [expand(log) for log in logs])
+        assert csv_text(records_to_csv, logs) == expected
 
     def test_header_and_precision(self):
         _, logs = run_corral(config(horizon=3, seeds=[0]))
@@ -1241,6 +1401,14 @@ class TestCli:
              "script entries must lie in [0, 1]"),
             ({"scenario": "sweep", "runs": [[["name", "a"], ["config", SMALL_RUN]]]},
              "sweep run must be an object, got list"),
+            # A list for a key that takes one value fails naming the key;
+            # numpy would read a list of CSV lines as the script's rows.
+            ({"master": {"eta": [0.8]}}, "eta takes one value, got list"),
+            ({"horizon": [5]}, "horizon takes one value, got list"),
+            ({"scenario": "lowerbound-demo", "demo": {"corral_eta": [[0.3]]}},
+             "corral_eta takes one value, got list"),
+            ({"environment": {"kind": "adversarial-mab", "script_csv": ["0.1,0.9"] * 50}},
+             "script_csv takes one value, got list"),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -1254,7 +1422,8 @@ class TestCli:
              "seed-fraction", "seed-bool", "seed-past-64-bits", "seed-negative",
              "standalone-master", "demo-master", "standalone-demo", "standalone-rho-levels",
              "demo-rho-levels", "regret-target-beside-eta", "demo-environment-empty",
-             "means-prior-inf", "script-nan-past-horizon", "sweep-run-pairs"],
+             "means-prior-inf", "script-nan-past-horizon", "sweep-run-pairs",
+             "eta-list", "horizon-list", "demo-corral-eta-list", "script-csv-list"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides, message):
         raw = small_config(overrides)
@@ -1309,21 +1478,15 @@ class TestCli:
         argv = ["run", "--config", str(path)]
         self.assert_fails_before_output(capsys, argv, tmp_path / "o")
 
-    def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys, monkeypatch):
-        # The master's per-round columns are allocated when the config is
-        # checked. Fail that allocation as a machine without the memory
-        # would, rather than count on it failing here.
-        zeros = np.zeros
-
-        def short_of_memory(shape, *args, **kwargs):
-            if np.prod(shape) >= 10**11:
-                raise MemoryError("cannot allocate")
-            return zeros(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np, "zeros", short_of_memory)
-        path = self.write_config(tmp_path, dict(SMALL_RUN, horizon=10**11))
-        argv = ["run", "--config", path]
-        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+    def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys):
+        # A round log takes at least 40 bytes a round: 10**11 rounds are
+        # 4 TB, past any machine this runs on. Nothing is allocated for the
+        # horizon when the config is checked.
+        for command, raw in (("run", SMALL_RUN), ("lowerbound-demo", SMALL_DEMO)):
+            path = self.write_config(tmp_path, dict(raw, horizon=10**11))
+            argv = [command, "--config", path]
+            err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+            assert "horizon of 100000000000 do not fit in memory" in err
 
     def test_invalid_config_reports_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"scenario": "corral-run", "bogus": 1})

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corral.core import (
     ConfigError,
@@ -248,6 +250,42 @@ class TestFeedbackAndSchedule:
             return trace
 
         assert run() == run()
+
+
+@st.composite
+def hostile_schedules(draw):
+    """A master at horizon T up to 1e8 over M up to 32 bases, and values in
+    [0, 1] for a hostile ``p_bar`` sequence: each value is taken as the
+    entry itself or, when ``adaptive``, as a fraction of the base's current
+    1 / rho, which fires its threshold as often as the floor allows."""
+    horizon = draw(st.integers(2, 10**8))
+    m = draw(st.integers(2, 32))
+    state = init_master(draw(st.floats(1e-6, 1.0)), m, horizon)
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+    return state, draw(st.booleans()), values
+
+
+class TestScheduleCaps:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(hostile_schedules())
+    def test_hostile_p_bar_keeps_the_caps(self, instance):
+        # Every entry lies in [1/(T*M), 1]; base i reads the values from
+        # the i-th on, so the bases fire in different rounds.
+        state, adaptive, values = instance
+        m, floor = state.num_bases, 1.0 / (state.horizon * state.num_bases)
+        cap = math.ceil(math.log2(state.horizon))
+        doublings = [0] * m
+        for k in range(len(values)):
+            state.p_bar = [
+                min(1.0, max(floor, values[(k + i) % len(values)] / (state.rho[i] if adaptive else 1.0)))
+                for i in range(m)
+            ]
+            for i in apply_schedule(state):
+                doublings[i] += 1
+            assert max(doublings) <= cap
+            for i in range(m):
+                assert state.eta[i] / state.eta0 <= 5.0
+                assert state.rho[i] >= 1.0 / state.p_bar[i]
 
 
 class TestTunedEta:

@@ -15,10 +15,10 @@ Conventions used across the package:
   one immutable ``UNSELECTED`` packet, which carries no loss and no
   probability.
 * A component owns the generator it is given, and nothing else may draw
-  from it. A component that draws only uniform doubles serves them through
-  ``UniformStream``, which draws them ahead in blocks, so the generator
-  itself can run up to ``UniformStream.BLOCK - 1`` draws ahead of what the
-  component has used.
+  from it. A stochastic environment draws a block of rounds' uniforms in
+  one call; any other component that draws uniform doubles serves them
+  through ``UniformStream``. Either way the generator runs up to a block
+  ahead of what the component has used.
 
 Values are checked once, where they enter: config load, constructors
 (``FeedbackPacket`` among them), ``validate_simplex``, ``omd.omd_step`` and
@@ -151,18 +151,13 @@ class UniformStream:
     ``random()`` calls, so ``random()`` returns the generator's own scalar
     stream. It is the C-level ``__next__`` of a chain over the blocks, which
     are drawn lazily: a stream that never draws leaves its generator alone.
-    ``take(n)`` returns the next ``n`` doubles as a list.
     """
 
     BLOCK = 1024
 
     def __init__(self, rng):
         blocks = iter(lambda: rng.random(self.BLOCK).tolist(), None)
-        self._doubles = itertools.chain.from_iterable(blocks)
-        self.random = self._doubles.__next__
-
-    def take(self, n: int) -> list[float]:
-        return list(itertools.islice(self._doubles, n))
+        self.random = itertools.chain.from_iterable(blocks).__next__
 
 
 def sample_index(rng, probs: Sequence[float]) -> int:

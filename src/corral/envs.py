@@ -1,33 +1,37 @@
-"""Environments: stateful generators of (context, loss vector) rounds.
+"""Environments: oblivious sources of (context, loss vector) rounds.
 
-Every environment realizes one round per ``next_context`` call (drawing the
-context and the full loss vector), after which ``loss_of`` evaluates a
-decision against the realized losses. ``loss_of`` does not check the
-decision: a base's decision space is checked against its environment when
-the base is built. Raw losses are always in [0, 1];
-stochastic losses are Bernoulli so that regret baselines stay analytic and
-the Beta-Bernoulli posterior of Thompson sampling applies directly. A
-stochastic environment owns its generator and draws its uniforms through a
-``UniformStream``; an arm's loss is one when its uniform falls below its mean.
-Every environment's ``baseline(policies)`` is the best per-round loss over
-a class of context-to-arm tables, a one-context table being an arm; the
-stochastic multi-armed environment is the contextual one with one context.
+Every environment is oblivious: its contexts and losses do not depend on
+what is played. ``rounds(horizon)`` realizes them as ``(context, losses)``
+pairs, ``losses`` holding every arm's loss, ``BLOCK`` rounds at a time. The
+player reads its decision's loss unchecked: a base's decision space is
+checked against its environment when the base is built. Raw losses are
+always in [0, 1]; stochastic losses are Bernoulli so that regret baselines
+stay analytic and the Beta-Bernoulli posterior of Thompson sampling applies
+directly. A stochastic environment owns its generator and draws a block's
+uniforms in one call, round by round: the context's uniform, then one per
+arm, whose loss is one when its uniform falls below its mean. Every
+environment's ``baseline(policies)`` is the best per-round loss over a class
+of context-to-arm tables, a one-context table being an arm; the stochastic
+multi-armed environment is the contextual one with one context, and draws
+no context uniform.
 
-The induced-environment wrapper composes an inner environment with random
-selection and importance weighting: with probability ``p`` the learner's
-loss is revealed inflated by ``1 / p``, otherwise the round emits zero.
-On unselected rounds the learner's own decision is replayed to the inner
-environment as the arbitrary filler decision.
+``InducedEnvironment`` is the selection step of the induced environment:
+with probability ``p`` a round's raw loss is revealed inflated by ``1 / p``,
+otherwise the round emits zero.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, UniformStream, sample_index
+from .core import ConfigError, UniformStream
+
+# Rounds an environment realizes at a time.
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -48,19 +52,20 @@ class RegretBaseline:
 
 
 class Environment:
-    """Common surface: arm count, context set size, per-round realization,
-    and the baseline of a comparator class (``None``: every arm, or a
-    contextual environment's own ``policies``)."""
+    """Common surface: arm count, context set size, the realized rounds, and
+    the baseline of a comparator class (``None``: every arm, or a contextual
+    environment's own ``policies``)."""
 
     kind: str = "environment"
     num_arms: int
     num_contexts: int = 1
 
-    def next_context(self) -> int:
-        raise NotImplementedError
-
-    def loss_of(self, decision: int) -> float:
-        raise NotImplementedError
+    def rounds(self, horizon: int) -> Iterator[tuple[int, Sequence[float]]]:
+        """The first ``horizon`` rounds as ``(context, losses)`` pairs: each
+        class's ``_block(lo, hi)`` realizes rounds ``lo`` to ``hi - 1`` when
+        round ``lo`` is reached."""
+        blocks = (self._block(lo, min(lo + BLOCK, horizon)) for lo in range(0, horizon, BLOCK))
+        return itertools.chain.from_iterable(blocks)
 
     def baseline(self, policies=None) -> RegretBaseline:
         raise NotImplementedError
@@ -79,16 +84,9 @@ class AdversarialMAB(Environment):
             raise ConfigError("script entries must lie in [0, 1]")
         self.script = script
         self.num_arms = script.shape[1]
-        self._t = -1
 
-    def next_context(self) -> int:
-        self._t += 1
-        if self._t >= self.script.shape[0]:
-            raise ConfigError(f"script exhausted after {self.script.shape[0]} rounds")
-        return 0
-
-    def loss_of(self, decision: int) -> float:
-        return float(self.script[self._t, decision])
+    def _block(self, lo, hi):
+        return zip(itertools.repeat(0), self.script[lo:hi].tolist())
 
     def baseline(self, policies=None) -> RegretBaseline:
         # The class's arm with the least total loss; ties go to the lowest arm.
@@ -107,6 +105,8 @@ class StochasticContextual(Environment):
     """
 
     kind = "stochastic-contextual"
+    # Uniforms a round draws for its context, before one per arm.
+    context_draws = 1
 
     def __init__(self, context_probs: Sequence[float], cond_means, policies, rng):
         probs = [float(x) for x in context_probs]
@@ -130,20 +130,17 @@ class StochasticContextual(Environment):
                 not 0 <= a < self.num_arms for a in pol
             ):
                 raise ConfigError(f"invalid evaluation policy {pol}")
-        self._cond_means = cond.tolist()
-        self.rng = UniformStream(rng)
-        self._context = 0
-        self._means: list[float] = []
-        self._uniforms: list[float] = []
+        self.rng = rng
 
-    def next_context(self) -> int:
-        self._context = sample_index(self.rng, self.context_probs)
-        self._means = self._cond_means[self._context]
-        self._uniforms = self.rng.take(self.num_arms)
-        return self._context
-
-    def loss_of(self, decision: int) -> float:
-        return 1.0 if self._uniforms[decision] < self._means[decision] else 0.0
+    def _block(self, lo, hi):
+        u = self.rng.random((hi - lo, self.context_draws + self.num_arms))
+        # ``sample_index``'s pick (``cumsum`` adds in order): the first context
+        # whose partial sum exceeds u, or the last (every context has mass) for
+        # a u in the shortfall past the last sum; one context whatever u is.
+        contexts = np.searchsorted(np.cumsum(self.context_probs), u[:, 0], side="right")
+        contexts = np.minimum(contexts, self.num_contexts - 1)
+        losses = u[:, self.context_draws:] < self.cond_means[contexts]
+        return zip(contexts.tolist(), losses.astype(np.float64).tolist())
 
     def expected_policy_loss(self, policy: Sequence[int]) -> float:
         return float(
@@ -164,14 +161,10 @@ class StochasticMAB(StochasticContextual):
     policies. A round draws no context, only one uniform per arm."""
 
     kind = "stochastic-mab"
+    context_draws = 0
 
     def __init__(self, means: Sequence[float], rng):
         super().__init__([1.0], [means], [(a,) for a in range(len(means))], rng)
-        self._means = self._cond_means[0]
-
-    def next_context(self) -> int:
-        self._uniforms = self.rng.take(self.num_arms)
-        return 0
 
 
 class LowerBoundEnv(Environment):
@@ -199,11 +192,8 @@ class LowerBoundEnv(Environment):
             self.losses = dear + cheap
         self.cheap_pair = (0, 1) if cheap_first else (2, 3)
 
-    def next_context(self) -> int:
-        return 0
-
-    def loss_of(self, decision: int) -> float:
-        return self.losses[decision]
+    def _block(self, lo, hi):
+        return itertools.repeat((0, self.losses), hi - lo)
 
     def baseline(self, policies=None) -> RegretBaseline:
         losses = self.losses if policies is None else [self.losses[a] for (a,) in policies]
@@ -211,35 +201,24 @@ class LowerBoundEnv(Environment):
 
 
 class InducedEnvironment:
-    """Importance-weighting wrapper around an inner environment.
+    """The selection step of the induced environment.
 
-    Each round: draw the selection event with constant probability
-    ``sampling_prob``; on success reveal the learner's loss divided by it,
-    on failure reveal zero and replay the learner's own decision to the
-    inner environment. The probability must lie in (0, 1] -- a zero
-    selection probability leaves the weighted loss undefined, so it is
-    rejected rather than given ad-hoc semantics.
-
-    ``last_raw_loss`` is the inner loss behind the last ``observe`` call,
-    visible to the experimenter only.
+    Each round draws the selection event with constant probability
+    ``sampling_prob``: on success it reveals the raw loss divided by it, on
+    failure zero. The probability must lie in (0, 1] -- a zero selection
+    probability leaves the weighted loss undefined, so it is rejected rather
+    than given ad-hoc semantics.
     """
 
-    def __init__(self, inner: Environment, sampling_prob: float, rng):
+    def __init__(self, sampling_prob: float, rng):
         prob = float(sampling_prob)
         if not 0.0 < prob <= 1.0:
             raise ConfigError(f"sampling probability must be in (0, 1], got {prob}")
-        self.inner = inner
         self.sampling_prob = prob
         self.rng = UniformStream(rng)
-        self.last_raw_loss: float | None = None
 
-    def next_context(self) -> int:
-        return self.inner.next_context()
-
-    def observe(self, decision: int) -> tuple[bool, float]:
-        """Reveal (selected, emitted weighted loss) for the learner's decision."""
-        raw = self.inner.loss_of(decision)
-        self.last_raw_loss = raw
+    def observe(self, raw: float) -> tuple[bool, float]:
+        """Reveal (selected, emitted weighted loss) for a round's raw loss."""
         if self.rng.random() < self.sampling_prob:
             return True, raw / self.sampling_prob
         return False, 0.0

@@ -43,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -155,30 +156,38 @@ def _check_spec(spec, table: dict, key: str | None, what: str) -> None:
 
 
 # The only keys that take strings ("eta" takes "tuned"), the integer keys,
-# and the keys that take one value, not a list or an object.
+# and how deep each value key nests: 0 for one value, 1 for a list, 2 for a
+# table (a list of lists); any other key holds objects, whose keys are walked.
 _STRING_KEYS = {"scenario", "kind", "restart_policy", "estimator", "script_csv", "name"}
 _INTEGER_KEYS = {"horizon", "seeds", "policies", "arm_pair"}
-_SCALAR_KEYS = {"horizon", "eta", "regret_target", "corral_eta", "naive_eta", "script_csv"}
+_DEPTHS = {
+    **dict.fromkeys(_STRING_KEYS | {"horizon", "eta", "regret_target", "corral_eta", "naive_eta"}, 0),
+    **dict.fromkeys(["seeds", "rho_levels", "means", "context_probs", "arm_pair"], 1),
+    **dict.fromkeys(["means_prior", "script", "cond_means", "policies", "prior"], 2),
+}
 
 
-def _check_values(value, key=None, integer=False) -> None:
-    """Reject a raw config value not of its key's JSON type: Python would read
-    ``true`` as 1 and ``"0.5"`` as 0.5, and ``int`` truncates 1.9 to 1."""
-    integer = integer or key in _INTEGER_KEYS
-    if key in _SCALAR_KEYS and isinstance(value, (dict, list, tuple)):
+def _check_values(value, key=None, depth=-1) -> None:
+    """Reject a raw config value not of its key's JSON type and ``_DEPTHS``
+    (``depth``, the key's unless given, is what nests inside ``value``):
+    Python reads ``true`` as 1 and ``"0.5"`` as 0.5; ``int`` truncates 1.9."""
+    depth = _DEPTHS.get(key) if depth == -1 else depth
+    integer = key in _INTEGER_KEYS
+    if isinstance(value, (dict, list, tuple)) and depth is None:
+        children = value.items() if isinstance(value, dict) else ((key, v) for v in value)
+        for k, v in children:
+            _check_values(v, k)
+    elif isinstance(value, (dict, list, tuple)) and _DEPTHS[key] == 0:
         raise ConfigError(f"{key} takes one value, got {type(value).__name__}")
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _check_values(v, k, integer)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and depth:
         # One set of types per list, and a table's cells as one list: a long
         # script costs no call per cell or row.
         kinds = set(map(type, value))
-        if value and kinds <= {list, tuple}:
-            _check_values([x for row in value for x in row], key, integer)
-        elif not kinds <= ({int} if integer else {int, float}):
+        if depth == 2 and kinds <= {list, tuple}:
+            _check_values(list(itertools.chain.from_iterable(value)), key, 1)
+        elif depth == 2 or not kinds <= ({int} if integer else {int, float}):
             for v in value:
-                _check_values(v, key, integer)
+                _check_values(v, key, depth - 1)
     elif isinstance(value, str):
         if key not in _STRING_KEYS and (key, value) != ("eta", "tuned"):
             raise ConfigError(f"{key} takes no string, got {value!r}")
@@ -186,6 +195,8 @@ def _check_values(value, key=None, integer=False) -> None:
         value, numbers.Integral if integer else numbers.Real
     ):
         raise ConfigError(f"{key} takes {'integers' if integer else 'numbers'}, got {value!r}")
+    elif depth:
+        raise ConfigError(f"{key} takes {('a list', 'a table')[_DEPTHS[key] - 1]}, got {value!r}")
 
 
 @dataclass
@@ -423,8 +434,7 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
         ]
         # Matched standalone: the base whose pair carries the cheap losses.
         base = PathologicalBase(env.cheap_pair, named_rng(seed, "standalone.base"))
-        wrapped = InducedEnvironment(env, 1.0, named_rng(seed, "standalone.wrapper"))
-        return legs + [(wrapped, [base], InducedRouter(1.0))]
+        return legs + [(env, [base], InducedRouter(1.0, named_rng(seed, "standalone.wrapper")))]
     if config.scenario == "corral-run":
         env = build_environment(config.environment, named_rng(seed, "env"), horizon)
         master = config.master
@@ -441,9 +451,8 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
     for rho in config.rho_levels if config.scenario == "stability-test" else [1.0]:
         env = build_environment(config.environment, named_rng(seed, "env"), horizon)
         base = build_base(config.bases[0], env, horizon, rho, named_rng(seed, "base.0"))
-        wrapped = InducedEnvironment(env, 1.0 / rho, named_rng(seed, "wrapper"))
-        router = InducedRouter(rho, logged=config.scenario == "standalone-run")
-        legs.append((wrapped, [base], router))
+        logged = config.scenario == "standalone-run"
+        legs.append((env, [base], InducedRouter(rho, named_rng(seed, "wrapper"), logged)))
     return legs
 
 
@@ -627,11 +636,8 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
 
     A base with a policy table (EXP3's is the constant policies) contributes
     it; any other base contributes every constant (context-blind) policy.
-    Each policy enters once, in order of first appearance. An induced
-    environment's baseline is its inner environment's.
+    Each policy enters once, in order of first appearance.
     """
-    if isinstance(env, InducedEnvironment):
-        env = env.inner
     constants = [(a,) * env.num_contexts for a in range(env.num_arms)]
     union = dict.fromkeys(
         policy for base in bases for policy in getattr(base, "policies", constants)
@@ -643,10 +649,11 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
 # The round loop and its feedback routers
 # ---------------------------------------------------------------------------
 #
-# A router plays one round from the bases' proposals: ``step(env,
-# proposals)`` picks whose proposal is played, plays it, and returns the
-# loss the round charges, one packet per base, and the ``(base, range)``
-# resets to apply after every base has updated. A ``logged`` router keeps
+# A router plays one round from the bases' proposals: ``step(row,
+# proposals)`` picks whose proposal is played, reads its loss in the round's
+# ``row`` of losses, and returns the loss the round charges, one packet per
+# base, and the ``(base, range)`` resets to apply after every base has
+# updated. A ``logged`` router keeps
 # its rounds' choices and schedule, and ``columns()`` returns them as the
 # matching ``RoundLog`` fields. A router that samples owns the generator
 # it is given and serves its uniforms through a ``UniformStream``.
@@ -670,7 +677,7 @@ class CorralRouter:
         self.chosen, self.decision, self.p_bar = array("q"), array("q"), array("d")
         self.schedule = [(0, list(state.eta), list(state.rho), [])]
 
-    def step(self, env, proposals: list[int]):
+    def step(self, row, proposals: list[int]):
         state = self.state
         chosen = corral_master.choose(state, self.rng)
         decision = proposals[chosen]
@@ -678,7 +685,7 @@ class CorralRouter:
         self.chosen.append(chosen)
         self.decision.append(decision)
         self.p_bar.extend(p_bar)
-        raw = env.loss_of(decision)
+        raw = row[decision]
         outcome = corral_master.feedback(state, chosen, raw)
         if outcome.doublings:
             entry = (len(self.chosen), list(state.eta), list(state.rho), outcome.doublings)
@@ -696,25 +703,25 @@ class CorralRouter:
 
 
 class InducedRouter:
-    """One base with range ``rho`` inside ``InducedEnvironment`` at sampling
-    probability 1/rho; the round charges the emitted importance-weighted
-    loss. At rho = 1 the base sees exactly what it would see on its own.
-    Only a ``logged`` router keeps its decisions, for ``columns()``."""
+    """One base with range ``rho`` behind ``InducedEnvironment`` at sampling
+    probability 1/rho, drawn from ``rng``; the round charges the emitted
+    importance-weighted loss. At rho = 1 the base sees exactly what it would
+    see on its own. Only a ``logged`` router keeps its decisions."""
 
-    def __init__(self, rho: float, logged: bool = False):
+    def __init__(self, rho: float, rng, logged: bool = False):
         self.range_param = rho
+        self.selection = InducedEnvironment(1.0 / rho, rng)
         self.logged = logged
         self.decision = array("q") if logged else None
 
-    def step(self, env: InducedEnvironment, proposals: list[int]):
+    def step(self, row, proposals: list[int]):
         decision = proposals[0]
         if self.logged:
             self.decision.append(decision)
-        selected, emitted = env.observe(decision)
-        if not selected:
-            return emitted, (UNSELECTED,), ()
-        packet = FeedbackPacket(True, emitted, env.sampling_prob, env.last_raw_loss)
-        return emitted, (packet,), ()
+        raw = row[decision]
+        selected, emitted = self.selection.observe(raw)
+        p = self.selection.sampling_prob
+        return emitted, (FeedbackPacket(True, emitted, p, raw) if selected else UNSELECTED,), ()
 
     def columns(self) -> dict:
         rounds = len(self.decision)
@@ -739,10 +746,10 @@ class NaiveRouter:
         self.rng = UniformStream(rng)
         self.cum_est = [0.0] * num_bases
 
-    def step(self, env: Environment, proposals: list[int]):
+    def step(self, row, proposals: list[int]):
         probs = exp_weights(self.cum_est, self.rate)
         chosen = sample_index(self.rng, probs)
-        raw = env.loss_of(proposals[chosen])
+        raw = row[proposals[chosen]]
         self.cum_est[chosen] += raw / probs[chosen]
         return raw, naive_packets(probs, proposals, raw, chosen), ()
 
@@ -758,13 +765,12 @@ def naive_packets(probs, proposals, raw: float, chosen: int) -> list[FeedbackPac
 
 
 def play(env, bases, router, horizon) -> np.ndarray:
-    """Play ``horizon`` rounds; return the loss each round charged."""
+    """Play ``env.rounds(horizon)``; return the loss each round charged."""
     step = router.step
     losses = array("d")
     charge = losses.append
-    for _ in range(horizon):
-        ctx = env.next_context()
-        raw, packets, resets = step(env, [b.propose(ctx) for b in bases])
+    for ctx, row in env.rounds(horizon):
+        raw, packets, resets = step(row, [b.propose(ctx) for b in bases])
         for base, packet in zip(bases, packets):
             base.update(packet)
         for i, range_param in resets:
@@ -843,9 +849,9 @@ def run_stability_test(config: ExperimentConfig) -> dict:
     """Estimate the stability exponent of a base algorithm.
 
     For each range bound rho the base runs standalone inside the induced
-    wrapper with constant sampling probability 1/rho and range parameter
+    environment with constant sampling probability 1/rho and range parameter
     rho; regret is measured in the emitted weighted losses against the
-    inner environment's baseline. The exponent is the least-squares slope
+    played environment's baseline. The exponent is the least-squares slope
     of log mean regret against log rho at fixed horizon.
     """
     results = _run_seeds(config, "stability-test")

@@ -562,11 +562,10 @@ class TestUcb1:
             env = StochasticMAB([0.1, 0.9], named_rng(seed, "env"))
             b = Ucb1(2)
             worse = 0
-            for _ in range(5000):
-                env.next_context()
+            for _, losses in env.rounds(5000):
                 arm = b.propose(0)
                 worse += arm == 1
-                b.update(selected(env.loss_of(arm)))
+                b.update(selected(losses[arm]))
             assert worse / 5000 <= 0.05
 
 
@@ -638,17 +637,13 @@ class TestStabilityExponentPower:
                 regs = []
                 for seed in range(8):
                     env = StochasticMAB([0.2, 0.4, 0.6, 0.8], named_rng(seed, "env"))
-                    wrapped = InducedEnvironment(env, 1.0 / rho, named_rng(seed, "wrapper"))
+                    selection = InducedEnvironment(1.0 / rho, named_rng(seed, "wrapper"))
                     base = base_cls(4, horizon, rho, named_rng(seed, "base.0"))
                     cum = 0.0
-                    for _ in range(horizon):
-                        ctx = wrapped.next_context()
-                        arm = base.propose(ctx)
-                        sel, emitted = wrapped.observe(arm)
-                        base.update(
-                            selected(wrapped.last_raw_loss, wrapped.sampling_prob)
-                            if sel else UNSELECTED
-                        )
+                    for ctx, losses in env.rounds(horizon):
+                        raw = losses[base.propose(ctx)]
+                        sel, emitted = selection.observe(raw)
+                        base.update(selected(raw, selection.sampling_prob) if sel else UNSELECTED)
                         cum += emitted
                     regs.append(cum - env.baseline().cumulative(horizon))
                 means.append(np.mean(regs))

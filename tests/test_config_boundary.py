@@ -37,6 +37,15 @@ def test_readme_configs_load(tmp_path):
         harness.load_config(path)
 
 
+def test_readme_python_examples_run(capsys):
+    # Each example runs as it stands, in a fresh namespace.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # Mutated digest configs
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Environments: losses, baselines, the hard instance, the induced wrapper."""
+"""Environments: realized rounds, baselines, the hard instance, the
+selection step of the induced environment."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corral.core import ConfigError, UniformStream, named_rng, sample_index
 from corral.envs import (
@@ -28,11 +32,8 @@ class TestStochasticMAB:
 
     def test_losses_are_bernoulli_with_configured_mean(self):
         env = StochasticMAB([0.3, 0.6], named_rng(1, "env"))
-        totals = np.zeros(2)
         n = 100_000
-        for _ in range(n):
-            env.next_context()
-            totals += [env.loss_of(0), env.loss_of(1)]
+        totals = np.sum([losses for _, losses in env.rounds(n)], axis=0)
         assert abs(totals[0] / n - 0.3) <= 0.01
         assert abs(totals[1] / n - 0.6) <= 0.01
 
@@ -49,8 +50,9 @@ class TestStochasticMAB:
 class ReferenceStochasticMAB(Environment):
     """The stand-alone Bernoulli environment ``StochasticMAB`` replaced, kept
     verbatim below this docstring but for ``baseline``, which returns the one
-    field ``RegretBaseline`` keeps: ``StochasticMAB`` must draw, lose and
-    score exactly as it does."""
+    field ``RegretBaseline`` keeps, and the arms' uniforms, drawn one
+    ``random()`` call each: ``StochasticMAB`` must draw, lose and score
+    exactly as it does."""
 
     kind = "stochastic-mab"
 
@@ -68,7 +70,7 @@ class ReferenceStochasticMAB(Environment):
         self._uniforms: list[float] = []
 
     def next_context(self) -> int:
-        self._uniforms = self.rng.take(self.num_arms)
+        self._uniforms = [self.rng.random() for _ in range(self.num_arms)]
         return 0
 
     def loss_of(self, decision: int) -> float:
@@ -91,11 +93,7 @@ class TestStochasticMABIsOneContext:
         ref = ReferenceStochasticMAB(means, named_rng(23, "env"))
         assert isinstance(env, StochasticContextual)
         assert (env.num_arms, env.num_contexts) == (ref.num_arms, 1)
-        for _ in range(3_000):
-            assert env.next_context() == ref.next_context()
-            assert [env.loss_of(a) for a in range(len(means))] == [
-                ref.loss_of(a) for a in range(len(means))
-            ]
+        assert_plays_as(env, ref, 3_000)
         assert env.rng.random() == ref.rng.random()
         assert env.baseline().per_round.hex() == ref.baseline().per_round.hex()
 
@@ -130,12 +128,11 @@ class TestAdversarialMAB:
 
     def test_rows_emitted_in_order(self):
         env = AdversarialMAB([[0.1, 0.2], [0.3, 0.4]])
-        env.next_context()
-        assert env.loss_of(1) == 0.2
-        env.next_context()
-        assert env.loss_of(0) == 0.3
-        with pytest.raises(ConfigError):
-            env.next_context()
+        assert list(env.rounds(2)) == [(0, [0.1, 0.2]), (0, [0.3, 0.4])]
+        assert list(env.rounds(1)) == [(0, [0.1, 0.2])]
+        # A script shorter than the horizon fails when its environment is built.
+        with pytest.raises(ConfigError, match="script has 2 rows, fewer than the horizon 3"):
+            build_environment({"kind": "adversarial-mab", "script": env.script}, None, 3)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "script.csv"
@@ -210,8 +207,7 @@ class TestStochasticContextual:
         env = StochasticContextual(
             [0.2, 0.8], [[0.5, 0.5], [0.5, 0.5]], [(0, 0)], named_rng(6, "env")
         )
-        for _ in range(500):
-            assert env.next_context() in (0, 1)
+        assert {context for context, _ in env.rounds(500)} == {0, 1}
 
     @pytest.mark.parametrize(
         "probs, cond",
@@ -238,10 +234,10 @@ class TestBlockStreamLosses:
         means = [0.0, 0.2, 0.5, 0.8, 1.0]
         env = StochasticMAB(means, named_rng(21, "env"))
         twin = named_rng(21, "env")
-        for _ in range(self.ROUNDS):
-            assert env.next_context() == 0
+        for context, losses in env.rounds(self.ROUNDS):
+            assert context == 0
             expected = (twin.random(len(means)) < np.array(means)).astype(np.float64)
-            assert [env.loss_of(d) for d in range(len(means))] == expected.tolist()
+            assert losses == expected.tolist()
         assert env.rng.random() == twin.random()
 
     def test_contextual_matches_array_draws(self):
@@ -249,11 +245,10 @@ class TestBlockStreamLosses:
         cond = np.array([[0.2, 0.5, 0.65, 0.8], [0.7, 0.25, 0.0, 1.0], [0.5] * 4])
         env = StochasticContextual(probs, cond, [(0, 1, 2)], named_rng(22, "env"))
         twin = named_rng(22, "env")
-        for _ in range(self.ROUNDS):
-            context = sample_index(twin, probs)
-            assert env.next_context() == context
+        for context, losses in env.rounds(self.ROUNDS):
+            assert context == sample_index(twin, probs)
             expected = (twin.random(4) < cond[context]).astype(np.float64)
-            assert [env.loss_of(d) for d in range(4)] == expected.tolist()
+            assert losses == expected.tolist()
         assert env.rng.random() == twin.random()
 
 
@@ -276,15 +271,12 @@ class TestLowerBoundEnv:
 
     def test_losses_constant_after_draw(self):
         env = LowerBoundEnv(named_rng(7, "env"))
-        first = [env.loss_of(a) for a in range(4)]
-        for _ in range(100):
-            env.next_context()
-            assert [env.loss_of(a) for a in range(4)] == first
+        assert list(env.rounds(100)) == [(0, env.losses)] * 100
 
     def test_playing_best_action_has_zero_regret(self):
         env = LowerBoundEnv(named_rng(8, "env"))
         best = env.losses.index(env.baseline().per_round)
-        regret = sum(env.loss_of(best) - 0.1 for _ in range(50))
+        regret = sum(losses[best] - 0.1 for _, losses in env.rounds(50))
         assert regret == 0.0
 
     def test_class_baseline_is_its_least_loss(self):
@@ -299,30 +291,25 @@ class TestLowerBoundEnv:
     def test_wrong_pair_costs_at_least_two_tenths(self):
         env = LowerBoundEnv(named_rng(9, "env"))
         dear = (2, 3) if env.cheap_pair == (0, 1) else (0, 1)
+        (_, losses), = env.rounds(1)
         for arm in dear:
-            assert env.loss_of(arm) - 0.1 >= 0.2 - 1e-12
+            assert losses[arm] - 0.1 >= 0.2 - 1e-12
 
 
 class TestInducedEnvironment:
     def test_unit_probability_is_identity(self):
         inner = StochasticMAB([0.3, 0.6], named_rng(10, "env"))
         inner_twin = StochasticMAB([0.3, 0.6], named_rng(10, "env"))
-        wrapped = InducedEnvironment(inner, 1.0, named_rng(10, "wrapper"))
-        for _ in range(200):
-            wrapped.next_context()
-            inner_twin.next_context()
-            selected, emitted = wrapped.observe(0)
+        selection = InducedEnvironment(1.0, named_rng(10, "wrapper"))
+        for (_, losses), (_, twin_losses) in zip(inner.rounds(200), inner_twin.rounds(200)):
+            selected, emitted = selection.observe(losses[0])
             assert selected
-            assert emitted == inner_twin.loss_of(0)
+            assert emitted == twin_losses[0]
 
     def test_quarter_probability_scales_by_four(self):
         env = AdversarialMAB([[0.8, 0.0]] * 10)
-        wrapped = InducedEnvironment(env, 0.25, named_rng(11, "wrapper"))
-        seen = set()
-        for _ in range(10):
-            wrapped.next_context()
-            selected, emitted = wrapped.observe(0)
-            seen.add((selected, emitted))
+        selection = InducedEnvironment(0.25, named_rng(11, "wrapper"))
+        seen = {selection.observe(losses[0]) for _, losses in env.rounds(10)}
         assert seen <= {(True, 3.2), (False, 0.0)}
         assert (True, 3.2) in seen
 
@@ -336,20 +323,23 @@ class TestInducedEnvironment:
 
     def test_empirical_mean_matches_inner(self):
         env = StochasticMAB([0.3, 0.6], named_rng(1, "env"))
-        wrapped = InducedEnvironment(env, 0.25, named_rng(1, "wrapper"))
-        total = 0.0
+        selection = InducedEnvironment(0.25, named_rng(1, "wrapper"))
         n = 100_000
-        for _ in range(n):
-            wrapped.next_context()
-            total += wrapped.observe(0)[1]
+        total = sum(selection.observe(losses[0])[1] for _, losses in env.rounds(n))
         assert abs(total / n - 0.3) <= 0.02
 
     def test_schedule_validation(self):
-        env = StochasticMAB([0.5, 0.5], named_rng(12, "env"))
         with pytest.raises(ConfigError):
-            InducedEnvironment(env, 0.0, named_rng(12, "wrapper"))
+            InducedEnvironment(0.0, named_rng(12, "wrapper"))
         with pytest.raises(ConfigError):
-            InducedEnvironment(env, 1.5, named_rng(12, "wrapper"))
+            InducedEnvironment(1.5, named_rng(12, "wrapper"))
+
+    def test_draws_one_uniform_a_round(self):
+        # Selected or not, a round takes one scalar draw from the generator.
+        selection = InducedEnvironment(0.5, named_rng(13, "wrapper"))
+        twin = named_rng(13, "wrapper")
+        for _ in range(3_000):
+            assert selection.observe(0.4) == ((True, 0.8) if twin.random() < 0.5 else (False, 0.0))
 
 
 class TestRawLossRangeFuzz:
@@ -365,15 +355,215 @@ class TestRawLossRangeFuzz:
             named_rng(14, "env-b"),
         )
         env_lb = LowerBoundEnv(named_rng(14, "env-c"))
-        for _ in range(111_000):
-            env_mab.next_context()
-            env_ctx.next_context()
-            env_lb.next_context()
-            for env, k in ((env_mab, 3), (env_ctx, 2), (env_lb, 4)):
-                for a in range(k):
-                    assert 0.0 <= env.loss_of(a) <= 1.0
-        env_adv = AdversarialMAB(script)
-        for _ in range(1000):
-            env_adv.next_context()
-            for a in range(3):
-                assert 0.0 <= env_adv.loss_of(a) <= 1.0
+        for env, k in ((env_mab, 3), (env_ctx, 2), (env_lb, 4)):
+            losses = np.array([row for _, row in env.rounds(111_000)])
+            assert losses.shape == (111_000, k)
+            assert ((0.0 <= losses) & (losses <= 1.0)).all()
+        losses = np.array([row for _, row in AdversarialMAB(script).rounds(1000)])
+        assert losses.shape == (1000, 3)
+        assert ((0.0 <= losses) & (losses <= 1.0)).all()
+
+
+# ---------------------------------------------------------------------------
+# Realized rounds against the round-by-round environments
+# ---------------------------------------------------------------------------
+
+
+class RoundByRoundContextual(Environment):
+    """The round-by-round contextual environment that ``rounds`` replaced,
+    kept verbatim below this docstring but for its baseline, which this
+    test does not use, and the arms' uniforms, drawn one ``random()`` call
+    each: one round per ``next_context`` call, whose losses ``loss_of``
+    evaluates."""
+
+    kind = "stochastic-contextual"
+
+    def __init__(self, context_probs, cond_means, policies, rng):
+        probs = [float(x) for x in context_probs]
+        # NaN fails ``x > 0``; +inf fails the sum check.
+        if not probs or not all(x > 0.0 for x in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            raise ConfigError("context distribution must be positive and sum to 1")
+        cond = np.asarray(cond_means, dtype=np.float64)
+        if cond.ndim != 2 or cond.shape[0] != len(probs) or cond.shape[1] < 2:
+            raise ConfigError(
+                f"conditional means must be contexts x arms, got shape {cond.shape}"
+            )
+        if not np.all((cond >= 0.0) & (cond <= 1.0)):
+            raise ConfigError("conditional means must lie in [0, 1]")
+        self.context_probs = probs
+        self.cond_means = cond
+        self.num_contexts = len(probs)
+        self.num_arms = cond.shape[1]
+        self.eval_policies = [tuple(int(a) for a in pol) for pol in policies]
+        for pol in self.eval_policies:
+            if len(pol) != self.num_contexts or any(
+                not 0 <= a < self.num_arms for a in pol
+            ):
+                raise ConfigError(f"invalid evaluation policy {pol}")
+        self._cond_means = cond.tolist()
+        self.rng = UniformStream(rng)
+        self._context = 0
+        self._means: list[float] = []
+        self._uniforms: list[float] = []
+
+    def next_context(self) -> int:
+        self._context = sample_index(self.rng, self.context_probs)
+        self._means = self._cond_means[self._context]
+        self._uniforms = [self.rng.random() for _ in range(self.num_arms)]
+        return self._context
+
+    def loss_of(self, decision: int) -> float:
+        return 1.0 if self._uniforms[decision] < self._means[decision] else 0.0
+
+
+class RoundByRoundMAB(RoundByRoundContextual):
+    """The round-by-round multi-armed environment, kept verbatim below this
+    docstring but for the arms' uniforms, drawn one ``random()`` call each.
+    A round draws no context, only one uniform per arm."""
+
+    kind = "stochastic-mab"
+
+    def __init__(self, means, rng):
+        super().__init__([1.0], [means], [(a,) for a in range(len(means))], rng)
+        self._means = self._cond_means[0]
+
+    def next_context(self) -> int:
+        self._uniforms = [self.rng.random() for _ in range(self.num_arms)]
+        return 0
+
+
+class RoundByRoundAdversarial(Environment):
+    """The round-by-round scripted environment, kept verbatim below this
+    docstring but for its checks and baseline: row t of the script at
+    round t."""
+
+    kind = "adversarial-mab"
+
+    def __init__(self, script):
+        self.script = np.asarray(script, dtype=np.float64)
+        self.num_arms = self.script.shape[1]
+        self._t = -1
+
+    def next_context(self) -> int:
+        self._t += 1
+        if self._t >= self.script.shape[0]:
+            raise ConfigError(f"script exhausted after {self.script.shape[0]} rounds")
+        return 0
+
+    def loss_of(self, decision: int) -> float:
+        return float(self.script[self._t, decision])
+
+
+class RoundByRoundLowerBound(LowerBoundEnv):
+    """The round-by-round hard instance: its constructor draws as
+    ``LowerBoundEnv``'s does, and every round is the same."""
+
+    def next_context(self) -> int:
+        return 0
+
+    def loss_of(self, decision: int) -> float:
+        return self.losses[decision]
+
+
+def assert_plays_as(env, reference, horizon: int) -> None:
+    """``env.rounds(horizon)`` realizes exactly the contexts and losses
+    that ``reference`` realizes round by round, as Python ints and floats."""
+    rounds = 0
+    for context, losses in env.rounds(horizon):
+        rounds += 1
+        assert type(context) is int and context == reference.next_context()
+        assert all(type(x) is float for x in losses)
+        assert list(losses) == [reference.loss_of(a) for a in range(env.num_arms)]
+    assert rounds == horizon
+
+
+@st.composite
+def environment_twins(draw, kind):
+    """``(make, make_reference, draws)`` for an environment of ``kind``:
+    builders from a generator, and the uniforms a round draws from it."""
+    arms = draw(st.integers(2, 5))
+    unit = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
+    if kind == "means":
+        means = draw(st.lists(unit, min_size=arms, max_size=arms))
+        return (lambda rng: StochasticMAB(means, rng),
+                lambda rng: RoundByRoundMAB(means, rng), arms)
+    if kind == "means_prior":
+        prior = draw(st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+                              min_size=arms, max_size=arms))
+        spec = {"kind": "stochastic-mab", "means_prior": prior}
+        return (lambda rng: build_environment(spec, rng, 1),
+                lambda rng: RoundByRoundMAB([float(rng.beta(a, b)) for a, b in prior], rng),
+                arms)
+    if kind == "stochastic-contextual":
+        contexts = draw(st.integers(1, 5))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=contexts, max_size=contexts))
+        probs = [w / sum(weights) for w in weights]
+        cond = draw(st.lists(st.lists(unit, min_size=arms, max_size=arms),
+                             min_size=contexts, max_size=contexts))
+        policies = [(0,) * contexts]
+        return (lambda rng: StochasticContextual(probs, cond, policies, rng),
+                lambda rng: RoundByRoundContextual(probs, cond, policies, rng), 1 + arms)
+    if kind == "adversarial-mab":
+        script = np.random.default_rng(draw(st.integers(0, 2**32))).random((3079, arms))
+        return (lambda rng: AdversarialMAB(script),
+                lambda rng: RoundByRoundAdversarial(script), 0)
+    return LowerBoundEnv, RoundByRoundLowerBound, 0
+
+
+class TestRealizedRounds:
+    """Every environment's ``rounds`` realizes what the round-by-round
+    classes did, block edges included, and leaves its generator exactly
+    where those rounds' draws end."""
+
+    @pytest.mark.parametrize(
+        "kind", ["means", "means_prior", "stochastic-contextual", "adversarial-mab", "lower-bound"]
+    )
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), seed=st.integers(0, 2**32))
+    def test_rows_match_the_round_by_round_classes(self, kind, data, seed):
+        make, make_reference, draws = data.draw(environment_twins(kind))
+        # One round, one block but one round, one block, and past the first.
+        for horizon in (1, 1023, 1024, 1025, 3079):
+            rng = named_rng(seed, "env")
+            env = make(rng)
+            assert_plays_as(env, make_reference(named_rng(seed, "env")), horizon)
+            twin = named_rng(seed, "env")
+            make(twin)
+            twin.random(horizon * draws)
+            assert rng.random() == twin.random()
+
+
+class ChosenUniforms:
+    """A generator whose blocks carry chosen uniforms in the context column
+    (column 0) and 0.5 in every other."""
+
+    def __init__(self, us):
+        self.us = us
+
+    def random(self, shape):
+        u = np.full(shape, 0.5)
+        u[:, 0] = self.us
+        return u
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.7, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.1, 0.1, 0.7, 0.1], [0.2] * 5]
+)
+def test_context_pick_matches_sample_index_at_the_edges(probs):
+    # u = 0, u exactly on each partial sum, and the largest u below 1, which
+    # lands in the float shortfall past the last partial sum of the first
+    # and third distributions (0.9999999999999999).
+    partial_sums = list(itertools.accumulate(probs))
+    us = [0.0, *(x for x in partial_sums if x < 1.0), math.nextafter(1.0, 0.0)]
+    env = StochasticContextual(probs, [[0.5, 0.5]] * len(probs), [(0,) * len(probs)],
+                               ChosenUniforms(us))
+    contexts = [context for context, _ in env.rounds(len(us))]
+
+    class Scalar:
+        random = iter(us).__next__
+
+    assert contexts == [sample_index(Scalar, probs) for _ in us]
+    # A u on partial sum i picks context i + 1; the shortfall picks the last.
+    last = len(probs) - 1
+    assert contexts == [0, *(min(i + 1, last) for i, x in enumerate(partial_sums) if x < 1.0),
+                        last]

@@ -631,10 +631,7 @@ class TestComputeRegret:
         horizon = 2000
         for seed in range(20):
             env = StochasticMAB([0.3, 0.7], named_rng(seed, "env"))
-            cum = 0.0
-            for _ in range(horizon):
-                env.next_context()
-                cum += env.loss_of(0)
+            cum = sum(losses[0] for _, losses in env.rounds(horizon))
             finals.append(cum - 0.3 * horizon)
         mean = float(np.mean(finals))
         stderr = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
@@ -899,8 +896,8 @@ def reference_compute_regret(results: list[SeedResult], horizon: int) -> dict:
 
 class ReferenceCorralRouter:
     """The list-built router, kept verbatim below this docstring but for the
-    ``logged`` flag ``run_seed`` reads: ``CorralRouter`` must log exactly
-    its columns.
+    ``logged`` flag ``run_seed`` reads and the round's loss, read from its
+    row of losses: ``CorralRouter`` must log exactly its columns.
 
     The CORRAL master samples the base; ``packets(p_bar, proposals, raw,
     chosen)`` makes the bases' feedback from the decision-time ``p_bar``:
@@ -916,7 +913,7 @@ class ReferenceCorralRouter:
         self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
         self._schedule = list(state.eta), list(state.rho)
 
-    def step(self, env, proposals: list[int]):
+    def step(self, row, proposals: list[int]):
         state = self.state
         chosen = corral_master.choose(state, self.rng)
         decision = proposals[chosen]
@@ -929,7 +926,7 @@ class ReferenceCorralRouter:
         self.p_bar.append(p_bar)
         self.eta.append(eta)
         self.rho.append(rho)
-        raw = env.loss_of(decision)
+        raw = row[decision]
         outcome = corral_master.feedback(state, chosen, raw)
         if outcome.doublings:
             self.fired[len(self.chosen) - 1, outcome.doublings] = True
@@ -946,8 +943,8 @@ class ReferenceInducedRouter(harness.InducedRouter):
     """``InducedRouter`` with its decisions in a list and the list-built
     ``columns``, kept verbatim."""
 
-    def __init__(self, rho: float, logged: bool = False):
-        super().__init__(rho, logged)
+    def __init__(self, rho: float, rng, logged: bool = False):
+        super().__init__(rho, rng, logged)
         self.decision = []
 
     def columns(self) -> dict:
@@ -963,15 +960,15 @@ class ReferenceInducedRouter(harness.InducedRouter):
 
 
 def reference_play(env, bases, router, horizon) -> np.ndarray:
-    """The list-built ``play``, kept verbatim below this docstring.
+    """The list-built ``play``, kept verbatim below this docstring but for
+    the rounds, read from ``env.rounds``.
 
     Play ``horizon`` rounds; return the loss each round charged."""
     step = router.step
     losses: list[float] = []
     charge = losses.append
-    for _ in range(horizon):
-        ctx = env.next_context()
-        raw, packets, resets = step(env, [b.propose(ctx) for b in bases])
+    for ctx, row in env.rounds(horizon):
+        raw, packets, resets = step(row, [b.propose(ctx) for b in bases])
         for base, packet in zip(bases, packets):
             base.update(packet)
         for i, range_param in resets:
@@ -1409,6 +1406,18 @@ class TestCli:
              "corral_eta takes one value, got list"),
             ({"environment": {"kind": "adversarial-mab", "script_csv": ["0.1,0.9"] * 50}},
              "script_csv takes one value, got list"),
+            # A value nested deeper or shallower than its key takes fails
+            # naming the key, not as a malformed value.
+            ({"seeds": [[0]]}, "seeds takes integers, got [0]"),
+            ({"scenario": "sweep", "runs": [
+                {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[[1.0], [4.0]])},
+            ]}, "rho_levels takes numbers, got [1.0]"),
+            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [[0, 1]]}]},
+             "arm_pair takes integers, got [0, 1]"),
+            ({"environment": dict(CONTEXTUAL_ENV, context_probs=[[0.5, 0.5]])},
+             "context_probs takes numbers, got [0.5, 0.5]"),
+            ({"bases": [{"kind": "thompson", "prior": [1, 1]}, {"kind": "exp3"}]},
+             "prior takes a table, got 1"),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -1423,7 +1432,9 @@ class TestCli:
              "standalone-master", "demo-master", "standalone-demo", "standalone-rho-levels",
              "demo-rho-levels", "regret-target-beside-eta", "demo-environment-empty",
              "means-prior-inf", "script-nan-past-horizon", "sweep-run-pairs",
-             "eta-list", "horizon-list", "demo-corral-eta-list", "script-csv-list"],
+             "eta-list", "horizon-list", "demo-corral-eta-list", "script-csv-list",
+             "seeds-nested", "rho-levels-nested", "arm-pair-nested", "context-probs-nested",
+             "prior-flat"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides, message):
         raw = small_config(overrides)

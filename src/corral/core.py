@@ -21,8 +21,8 @@ Conventions used across the package:
   ahead of what the component has used.
 
 Values are checked once, where they enter: config load, constructors
-(``FeedbackPacket`` among them), ``validate_simplex``, ``omd.omd_step`` and
-what reaches the master from outside it. Values computed from them inside a
+(``FeedbackPacket.__new__`` among them), ``validate_simplex``, ``omd_step``
+and what reaches the master from outside it. Values computed from them in a
 round, such as the master's own ``p`` and rates, are not checked again.
 """
 
@@ -31,8 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,9 +76,15 @@ class IntegrityError(CorralError, RuntimeError):
     """Logged experiment data is incomplete or inconsistent."""
 
 
-@dataclass(frozen=True)
-class FeedbackPacket:
-    """What a base algorithm receives each round.
+class _PacketFields(NamedTuple):
+    selected: bool
+    weighted_loss: float
+    sampling_prob: float | None = None
+    raw_loss: float | None = None
+
+
+class FeedbackPacket(_PacketFields):
+    """What a base algorithm receives each round: an immutable named tuple, checked when made.
 
     A selected packet carries the raw loss, the probability
     ``sampling_prob`` of the selection event for this base, and the
@@ -88,28 +93,28 @@ class FeedbackPacket:
     nor a probability, so every unselected round is the one ``UNSELECTED``.
     """
 
-    selected: bool
-    weighted_loss: float
-    sampling_prob: float | None = None
-    raw_loss: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.selected:
-            if (self.weighted_loss, self.sampling_prob, self.raw_loss) != (0.0, None, None):
+    def __new__(cls, selected, weighted_loss, sampling_prob=None, raw_loss=None):
+        if not selected:
+            if (weighted_loss, sampling_prob, raw_loss) != (0.0, None, None):
                 raise ContractError(
                     "unselected packet must carry zero loss, no raw loss and no probability"
                 )
-            return
-        if self.raw_loss is None or self.sampling_prob is None:
+        elif raw_loss is None or sampling_prob is None:
             raise ContractError("selected packet must carry its raw loss and probability")
-        if not 0.0 < self.sampling_prob <= 1.0:
-            raise InvalidProbabilityError(
-                f"sampling_prob must be in (0, 1], got {self.sampling_prob}"
-            )
-        if self.weighted_loss != self.raw_loss / self.sampling_prob:
+        elif not 0.0 < sampling_prob <= 1.0:
+            raise InvalidProbabilityError(f"sampling_prob must be in (0, 1], got {sampling_prob}")
+        elif weighted_loss != raw_loss / sampling_prob:
             raise ContractError(
                 "selected packet must satisfy weighted_loss == raw_loss / sampling_prob"
             )
+        return tuple.__new__(cls, (selected, weighted_loss, sampling_prob, raw_loss))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; both go through the checks.
+        return cls(*iterable)
 
 
 # Packets are immutable, so every unselected round shares this one.

@@ -349,6 +349,8 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
         except RecursionError as exc:
             raise ConfigError("config nests too deeply") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 

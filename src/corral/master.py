@@ -3,13 +3,13 @@
 Each round ``choose`` samples a base algorithm from the smoothed
 distribution ``p_bar``, whose suggestion is played; ``build_packets`` makes
 the importance-weighted feedback packet for every base from the
-decision-time ``p_bar``; and ``feedback`` runs the log-barrier OMD update on
-the master's own distribution and a per-base threshold / learning-rate
-doubling schedule: whenever ``1 / p_bar_i`` exceeds the base's threshold,
-the threshold doubles past it and the base's learning rate is multiplied by
-``beta = e^(1/ln T)``, which caps total inflation at a factor of five over
-any horizon. Under the restart-on-doubling policy the base is also reset
-with the new threshold as its loss-range parameter.
+decision-time ``p_bar``; and ``feedback`` is the rest of the round in one
+function: the log-barrier OMD step, the mix, and a per-base threshold /
+learning-rate doubling schedule: whenever ``1 / p_bar_i`` exceeds the
+base's threshold, the threshold doubles past it and the base's learning
+rate is multiplied by ``beta = e^(1/ln T)``, which caps total inflation at
+a factor of five over any horizon. Under the restart-on-doubling policy the
+base is also reset with the new threshold as its loss-range parameter.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from .core import (
     FeedbackPacket,
     InvalidLossError,
     InvalidProbabilityError,
+    SIMPLEX_HARD_TOL,
     UNSELECTED,
-    normalize,
     sample_index,
+    validate_simplex,
 )
-from .omd import unchecked_step
+from .omd import solve_lambda
 
 RESTART_ON_DOUBLING = "restart-on-doubling"
 NEVER_RESTART = "never-restart"
@@ -155,25 +156,35 @@ def build_packets(
 
 
 def feedback(state: MasterState, chosen: int, observed_loss: float) -> RoundOutcome:
-    """Consume the observed loss of base ``chosen``: OMD update, mixing, schedule.
-
-    Mutates ``state`` in place and returns the round's schedule events. The
-    master's own OMD loss vector always uses the standard one-hot estimator.
-    ``state.p_bar`` is replaced, not mutated, so the decision-time ``p_bar``
-    the caller read for ``build_packets`` stays valid. The caller resets
-    the bases listed in ``restarts`` with the base's new threshold as range
-    parameter (a restarted base starts fresh at the next round).
+    """One master round on base ``chosen``'s observed loss: ``omd_step``'s step
+    on the one-hot standard estimate, without its input checks (only the new
+    ``q`` is checked), the mix with uniform and the schedule. Mutates ``state``
+    and returns the round's schedule events; ``state.p_bar`` is replaced, not
+    mutated, so the decision-time ``p_bar`` the caller read for
+    ``build_packets`` stays valid. The caller resets the bases listed in
+    ``restarts`` with the base's new threshold as range parameter.
     """
     if not 0.0 <= observed_loss <= 1.0:
         raise InvalidLossError(f"observed loss must be in [0, 1], got {observed_loss}")
-    master_loss = [0.0] * state.num_bases
-    master_loss[chosen] = observed_loss / state.p_bar[chosen]
-    state.p = unchecked_step(state.p, master_loss, state.eta)
-
+    weighted = observed_loss / state.p_bar[chosen]
+    total = sum(state.p)
+    p = [x / total for x in state.p]
+    # The one-hot loss (M >= 2 entries) is constant, which leaves p as it is, iff this is 0.
+    if weighted != 0.0:
+        losses = [0.0] * state.num_bases
+        losses[chosen] = weighted
+        lam = solve_lambda(p, losses, state.eta)
+        q = [1.0 / (1.0 / pi + r * (l - lam)) for pi, r, l in zip(p, state.eta, losses)]
+        total = sum(q)
+        if not (min(q) > 0.0 and abs(total - 1.0) <= SIMPLEX_HARD_TOL):
+            validate_simplex(q)  # raises the failed check's typed error
+        p = [x / total for x in q]
+    state.p = p
     # A convex mix of the checked q and the uniform vector needs no check.
     mix = state.gamma / state.num_bases
-    state.p_bar = normalize([(1.0 - state.gamma) * x + mix for x in state.p])
-
+    p_bar = [(1.0 - state.gamma) * x + mix for x in p]
+    total = sum(p_bar)
+    state.p_bar = [x / total for x in p_bar]
     doublings = apply_schedule(state)
     restarts = list(doublings) if state.restart_policy == RESTART_ON_DOUBLING else []
     state.t += 1

@@ -19,11 +19,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import (
-    SolverConvergenceError,
-    normalize,
-    validate_simplex,
-)
+from .core import SolverConvergenceError, normalize, validate_simplex
 
 TOLERANCE = 1e-12
 MAX_ITERATIONS = 200
@@ -42,8 +38,8 @@ def solve_lambda(
     the bracket. Returns once ``|F - 1| <= TOLERANCE`` or once the bracket
     collapses to floating-point resolution, where the best-seen lam is exact
     to one ulp and further iterations cannot improve it. The inputs are
-    trusted (``omd_step`` checks them; losses are ``>= 0``); ``p`` is
-    renormalized unchecked.
+    trusted (``omd_step`` checks them, ``master.feedback`` computes them from
+    checked values; losses are ``>= 0``); ``p`` is renormalized unchecked.
     """
     p = normalize(p)
     lo = min(losses)
@@ -99,8 +95,8 @@ def omd_step(
 ) -> list[float]:
     """One log-barrier OMD update; returns the next distribution.
 
-    Checks its inputs, then takes the master's own step, ``unchecked_step``.
-    Equal losses leave the distribution unchanged.
+    Checks its inputs; equal losses leave the distribution unchanged. The
+    output passes ``validate_simplex``, which renormalizes line-search drift.
     """
     validate_simplex(p)
     if not (len(p) == len(losses) == len(rates)):
@@ -113,20 +109,6 @@ def omd_step(
     for r in rates:
         if not math.isfinite(r) or r <= 0.0:
             raise ValueError(f"rates must be finite and > 0, got {r}")
-    return unchecked_step(p, losses, rates)
-
-
-def unchecked_step(
-    p: Sequence[float],
-    losses: Sequence[float],
-    rates: Sequence[float],
-) -> list[float]:
-    """The log-barrier OMD update on inputs ``omd_step`` would accept.
-
-    ``p`` is renormalized unchecked. The output always passes through
-    simplex validation, which renormalizes line-search drift and guards the
-    solver.
-    """
     p = normalize(p)
     if min(losses) == max(losses):
         return p

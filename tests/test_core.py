@@ -1,6 +1,7 @@
 """Domain types: packets, importance weighting, simplex validation, streams."""
 
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,6 +96,36 @@ class TestFeedbackPacket:
     def test_probability_range_enforced(self):
         with pytest.raises(InvalidProbabilityError):
             FeedbackPacket(True, 0.0, 0.0, raw_loss=0.0)
+
+    @pytest.mark.parametrize("name", ["selected", "weighted_loss", "sampling_prob", "raw_loss", "extra"])
+    def test_fields_cannot_be_assigned(self, name):
+        packet = weighted(0.5, 0.25)
+        with pytest.raises(AttributeError):
+            setattr(packet, name, 1.0)
+        assert packet == weighted(0.5, 0.25)
+
+    @pytest.mark.parametrize("packet", [weighted(0.5, 0.25), weighted(0.0, 1.0), UNSELECTED])
+    def test_pickle_round_trip(self, packet):
+        copy = pickle.loads(pickle.dumps(packet))
+        assert type(copy) is FeedbackPacket and copy == packet
+
+    def test_unselected_is_one_empty_packet(self):
+        assert tuple(UNSELECTED) == (False, 0.0, None, None)
+        assert FeedbackPacket(False, 0.0) == UNSELECTED
+
+    def test_keyword_construction_and_field_order(self):
+        packet = FeedbackPacket(raw_loss=0.5, sampling_prob=0.25, weighted_loss=2.0, selected=True)
+        assert tuple(packet) == (True, 2.0, 0.25, 0.5)
+        assert (packet.selected, packet.weighted_loss) == (True, 2.0)
+        assert (packet.sampling_prob, packet.raw_loss) == (0.25, 0.5)
+
+    def test_replace_is_checked(self):
+        packet = weighted(0.5, 0.25)
+        with pytest.raises(ContractError):
+            packet._replace(weighted_loss=1.0)
+        with pytest.raises(InvalidProbabilityError):
+            packet._replace(sampling_prob=0.0)
+        assert packet._replace(raw_loss=0.25, weighted_loss=1.0) == weighted(0.25, 0.25)
 
 
 class TestValidateSimplex:

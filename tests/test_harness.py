@@ -1489,6 +1489,16 @@ class TestCli:
         argv = ["run", "--config", str(path)]
         self.assert_fails_before_output(capsys, argv, tmp_path / "o")
 
+    def test_non_utf8_config_fails_before_output(self, tmp_path, capsys):
+        # A UTF-16 byte-order mark is not UTF-8: a typed error, not a traceback.
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="config is not UTF-8 text"):
+            harness.load_config(path)
+        argv = ["run", "--config", str(path)]
+        err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+        assert "config is not UTF-8 text" in err
+
     def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys):
         # A round log takes at least 40 bytes a round: 10**11 rounds are
         # 4 TB, past any machine this runs on. Nothing is allocated for the

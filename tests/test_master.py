@@ -1,5 +1,6 @@
 """Master algorithm: initialization, sampling, feedback routing, schedule."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,18 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corral import master
 from corral.core import (
     ConfigError,
     ContractError,
+    DegenerateDistributionError,
     InvalidLossError,
     InvalidProbabilityError,
+    NormalizationDriftError,
     UNSELECTED,
     named_rng,
+    normalize,
+    validate_simplex,
 )
 from corral.master import (
     ESTIMATOR_SHARED,
     ESTIMATOR_STANDARD,
     NEVER_RESTART,
+    RESTART_ON_DOUBLING,
+    RoundOutcome,
     apply_schedule,
     build_packets,
     choose,
@@ -26,6 +34,7 @@ from corral.master import (
     init_master,
     tuned_eta,
 )
+from corral.omd import solve_lambda
 
 
 class FakeRng:
@@ -286,6 +295,145 @@ class TestScheduleCaps:
             for i in range(m):
                 assert state.eta[i] / state.eta0 <= 5.0
                 assert state.rho[i] >= 1.0 / state.p_bar[i]
+
+
+def reference_unchecked_step(p, losses, rates):
+    """The master's OMD step as first written (``omd.unchecked_step``), kept
+    verbatim: ``feedback`` must take exactly its float operations."""
+    p = normalize(p)
+    if min(losses) == max(losses):
+        return p
+    lam = solve_lambda(p, losses, rates)
+    q = [1.0 / (1.0 / pi + r * (l - lam)) for pi, r, l in zip(p, rates, losses)]
+    return validate_simplex(q)
+
+
+def reference_apply_schedule(state):
+    """``apply_schedule`` as first written, kept verbatim."""
+    fired = []
+    for i in range(state.num_bases):
+        inv = 1.0 / state.p_bar[i]
+        if inv > state.rho[i]:
+            state.rho[i] = 2.0 * inv
+            state.eta[i] = state.beta * state.eta[i]
+            fired.append(i)
+    return fired
+
+
+def reference_feedback(state, chosen, observed_loss):
+    """The master round as first composed: ``unchecked_step``, the mixing
+    ``normalize`` and ``apply_schedule``, kept verbatim."""
+    if not 0.0 <= observed_loss <= 1.0:
+        raise InvalidLossError(f"observed loss must be in [0, 1], got {observed_loss}")
+    master_loss = [0.0] * state.num_bases
+    master_loss[chosen] = observed_loss / state.p_bar[chosen]
+    state.p = reference_unchecked_step(state.p, master_loss, state.eta)
+
+    # A convex mix of the checked q and the uniform vector needs no check.
+    mix = state.gamma / state.num_bases
+    state.p_bar = normalize([(1.0 - state.gamma) * x + mix for x in state.p])
+
+    doublings = reference_apply_schedule(state)
+    restarts = list(doublings) if state.restart_policy == RESTART_ON_DOUBLING else []
+    state.t += 1
+    return RoundOutcome(doublings, restarts)
+
+
+def mixed(p, gamma):
+    """``p_bar`` of a master whose OMD distribution is ``p``."""
+    m = len(p)
+    return normalize([(1.0 - gamma) * x + gamma / m for x in p])
+
+
+# Raw losses a round may observe, and some it must reject.
+ROUND_LOSSES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([-1e-300, -0.5, 1.0 + 2**-52, 2.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def master_scale_rounds(draw):
+    """A master at horizon T up to 1e8 over M up to 32 bases, some of whose
+    ``p_bar`` entries sit at the 1/(T*M) floor, with rates inflated up to
+    5x, then a run of rounds of any base and loss."""
+    horizon = draw(st.integers(2, 10**8))
+    m = draw(st.integers(2, 32))
+    policy = draw(st.sampled_from([RESTART_ON_DOUBLING, NEVER_RESTART]))
+    state = init_master(draw(st.floats(1e-6, 1.0)), m, horizon, restart_policy=policy)
+    at_floor = draw(st.integers(1, m - 1))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=m - at_floor, max_size=m - at_floor))
+    # p entries this small leave the mixed p_bar entry at the floor.
+    tiny = draw(st.lists(st.floats(1e-300, 1e-18), min_size=at_floor, max_size=at_floor))
+    state.p = normalize(draw(st.permutations(tiny + weights)))
+    state.p_bar = mixed(state.p, state.gamma)
+    inflation = draw(st.lists(st.floats(1.0, 5.0), min_size=m, max_size=m))
+    state.eta = [state.eta0 * x for x in inflation]
+    rounds = draw(st.lists(st.tuples(st.integers(0, m - 1), ROUND_LOSSES), min_size=4, max_size=24))
+    return state, rounds
+
+
+@st.composite
+def restart_scale_rounds(draw):
+    """A master as ``adversarial-restart`` runs it: few bases, rate 0.9
+    inflated up to 5x, and losses of 0 and 1 that flip between the bases
+    every few rounds."""
+    horizon = draw(st.integers(2, 10**5))
+    m = draw(st.integers(2, 4))
+    policy = draw(st.sampled_from([RESTART_ON_DOUBLING, NEVER_RESTART]))
+    state = init_master(0.9, m, horizon, restart_policy=policy)
+    floor = 1.0 / (horizon * m)
+    state.p = normalize(draw(st.lists(st.floats(floor, 1.0), min_size=m, max_size=m)))
+    state.p_bar = mixed(state.p, state.gamma)
+    inflation = draw(st.lists(st.floats(1.0, 5.0), min_size=m, max_size=m))
+    state.eta = [0.9 * x for x in inflation]
+    period = draw(st.integers(1, 8))
+    chosen = draw(st.lists(st.integers(0, m - 1), min_size=4, max_size=48))
+    rounds = [(c, 1.0 if (k // period) % m == c else 0.0) for k, c in enumerate(chosen)]
+    return state, rounds
+
+
+def state_bits(state):
+    """Every field of a master state, floats by their exact repr."""
+    return repr(vars(state))
+
+
+class TestFeedbackPinnedToReference:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(master_scale_rounds(), restart_scale_rounds()))
+    def test_same_round_bit_for_bit(self, instance):
+        state, rounds = instance
+        expected_state = copy.deepcopy(state)
+        for chosen, loss in rounds:
+            try:
+                expected = reference_feedback(expected_state, chosen, loss)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    feedback(state, chosen, loss)
+            else:
+                outcome = feedback(state, chosen, loss)
+                assert (outcome.doublings, outcome.restarts) == (
+                    expected.doublings,
+                    expected.restarts,
+                )
+            assert state_bits(state) == state_bits(expected_state)
+
+    @pytest.mark.parametrize(
+        "shift, error",
+        [(3e-4, NormalizationDriftError), (0.5, NormalizationDriftError),
+         (1e9, DegenerateDistributionError)],
+        ids=["small-drift", "drift", "past-pole"],
+    )
+    def test_solver_output_is_guarded(self, monkeypatch, shift, error):
+        # A multiplier off the root gives a q that fails validate_simplex;
+        # the round fails with its typed error, like the reference's step.
+        solver = master.solve_lambda
+        monkeypatch.setattr(master, "solve_lambda", lambda *args: solver(*args) + shift)
+        state = init_master(0.1, 3, 1000)
+        with pytest.raises(error):
+            feedback(state, 1, 0.7)
+        assert state.p == [1.0 / 3] * 3 and state.t == 1
 
 
 class TestTunedEta:

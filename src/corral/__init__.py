@@ -46,7 +46,6 @@ from .envs import (
     Environment,
     InducedEnvironment,
     LowerBoundEnv,
-    RegretBaseline,
     StochasticContextual,
     StochasticMAB,
 )

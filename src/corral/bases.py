@@ -384,7 +384,6 @@ class PathologicalBase(BaseAlgorithm):
         self.range_param = _check_range(range_param)
         self.locked_arm: int | None = None
         self.shattered = False
-        self.observed_once = False
 
     def propose(self, context: int) -> int:
         if self.shattered:
@@ -397,8 +396,8 @@ class PathologicalBase(BaseAlgorithm):
         if self.shattered or not packet.selected:
             return
         value = packet.raw_loss
-        if not self.observed_once:
-            self.observed_once = True
+        # Unlocked and not shattered: the first selected round.
+        if self.locked_arm is None:
             if value in self._LOCK_FIRST:
                 self.locked_arm = self.arm_pair[0]
             elif value in self._LOCK_SECOND:

@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         if args.seed_offset:
             config = config.with_seed_offset(args.seed_offset)
         summary = execute(config, args.out)
-    except (CorralError, OSError, json.JSONDecodeError) as exc:
+    except (CorralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

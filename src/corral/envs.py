@@ -10,10 +10,10 @@ stay analytic and the Beta-Bernoulli posterior of Thompson sampling applies
 directly. A stochastic environment owns its generator and draws a block's
 uniforms in one call, round by round: the context's uniform, then one per
 arm, whose loss is one when its uniform falls below its mean. Every
-environment's ``baseline(policies)`` is the best per-round loss over a class
-of context-to-arm tables, a one-context table being an arm; the stochastic
-multi-armed environment is the contextual one with one context, and draws
-no context uniform.
+environment's ``baseline(policies)`` returns the per-round loss of the best
+of a class of context-to-arm tables (a one-context table is an arm): a float,
+or a script's best float64 column. The stochastic multi-armed environment is
+the contextual one with one context, and draws no context uniform.
 
 ``InducedEnvironment`` is the selection step of the induced environment:
 with probability ``p`` a round's raw loss is revealed inflated by ``1 / p``,
@@ -23,7 +23,6 @@ otherwise the round emits zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,27 +33,10 @@ from .core import ConfigError, UniformStream
 BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class RegretBaseline:
-    """Per-round loss of the best decision in a comparator class.
-
-    ``per_round`` is a constant (expected loss, stochastic environments) or
-    a horizon-length array (realized losses of the best fixed arm,
-    scripted adversarial environments).
-    """
-
-    per_round: float | np.ndarray
-
-    def cumulative(self, rounds: int) -> float:
-        if isinstance(self.per_round, np.ndarray):
-            return float(np.sum(self.per_round[:rounds]))
-        return float(self.per_round) * rounds
-
-
 class Environment:
     """Common surface: arm count, context set size, the realized rounds, and
-    the baseline of a comparator class (``None``: every arm, or a contextual
-    environment's own ``policies``)."""
+    the per-round loss of a comparator class's best decision (``None``:
+    every arm, or a contextual environment's own ``policies``)."""
 
     kind: str = "environment"
     num_arms: int
@@ -67,7 +49,7 @@ class Environment:
         blocks = (self._block(lo, min(lo + BLOCK, horizon)) for lo in range(0, horizon, BLOCK))
         return itertools.chain.from_iterable(blocks)
 
-    def baseline(self, policies=None) -> RegretBaseline:
+    def baseline(self, policies=None) -> float | np.ndarray:
         raise NotImplementedError
 
 
@@ -88,11 +70,11 @@ class AdversarialMAB(Environment):
     def _block(self, lo, hi):
         return zip(itertools.repeat(0), self.script[lo:hi].tolist())
 
-    def baseline(self, policies=None) -> RegretBaseline:
+    def baseline(self, policies=None) -> np.ndarray:
         # The class's arm with the least total loss; ties go to the lowest arm.
         arms = range(self.num_arms) if policies is None else sorted({a for (a,) in policies})
         best = arms[int(np.argmin(self.script.sum(axis=0)[arms]))]
-        return RegretBaseline(per_round=self.script[:, best].copy())
+        return self.script[:, best].copy()
 
 
 class StochasticContextual(Environment):
@@ -142,17 +124,13 @@ class StochasticContextual(Environment):
         losses = u[:, self.context_draws:] < self.cond_means[contexts]
         return zip(contexts.tolist(), losses.astype(np.float64).tolist())
 
-    def expected_policy_loss(self, policy: Sequence[int]) -> float:
-        return float(
-            sum(
-                p * self.cond_means[c, policy[c]]
-                for c, p in enumerate(self.context_probs)
-            )
-        )
-
-    def baseline(self, policies=None) -> RegretBaseline:
+    def baseline(self, policies=None) -> float:
+        # The least expected loss of a policy in the class.
         table = self.eval_policies if policies is None else policies
-        return RegretBaseline(per_round=min(map(self.expected_policy_loss, table)))
+        return min(
+            float(sum(p * self.cond_means[c, policy[c]] for c, p in enumerate(self.context_probs)))
+            for policy in table
+        )
 
 
 class StochasticMAB(StochasticContextual):
@@ -195,9 +173,9 @@ class LowerBoundEnv(Environment):
     def _block(self, lo, hi):
         return itertools.repeat((0, self.losses), hi - lo)
 
-    def baseline(self, policies=None) -> RegretBaseline:
+    def baseline(self, policies=None) -> float:
         losses = self.losses if policies is None else [self.losses[a] for (a,) in policies]
-        return RegretBaseline(per_round=min(losses))
+        return min(losses)
 
 
 class InducedEnvironment:

@@ -10,7 +10,7 @@ function, ``run_seed``, plays a seed of any scenario: it builds the seed's
 ``(env, bases, router)`` legs with ``build_legs`` (a standalone leg is an
 induced leg at sampling probability one), plays each through ``play`` and
 returns a picklable ``SeedResult`` of leg regrets and, for a run that writes
-rows, one ``RoundLog`` of columns. Each scenario runner summarizes those.
+rows, one ``RoundLog`` of columns and its leg's index. Each runner summarizes.
 
 Config schema (see the README for worked examples). Every level takes only
 the keys its table below gives for its kind (``_SCENARIO_KEYS`` for the top
@@ -48,6 +48,7 @@ import json
 import math
 import numbers
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -79,7 +80,6 @@ from .envs import (
     Environment,
     InducedEnvironment,
     LowerBoundEnv,
-    RegretBaseline,
     StochasticContextual,
     StochasticMAB,
 )
@@ -260,7 +260,7 @@ class ExperimentConfig:
             spec = self.environment
             if spec["kind"] == "adversarial-mab":
                 # Every seed plays this one array; no parsed row is kept.
-                script = (np.loadtxt(spec["script_csv"], delimiter=",", ndmin=2)
+                script = (_read_script_csv(spec["script_csv"])
                           if "script_csv" in spec else spec["script"])
                 self.environment = {"kind": spec["kind"],
                                     "script": np.asarray(script, dtype=np.float64)}
@@ -296,15 +296,14 @@ class ExperimentConfig:
             # Equal levels replay identical legs, which add no point to the fit.
             if len(set(self.rho_levels)) != len(self.rho_levels):
                 raise ConfigError(f"rho levels must be distinct, got {self.rho_levels}")
+        # Build seed 0's legs (nothing sized by the horizon) so bad values fail here.
+        legs = build_legs(self, self.seeds[0])
         # Every seed's round log, 40 + 8 * bases bytes a round, is held until
         # the outputs are written; a stability test logs no rounds.
-        logged = {"corral-run": len(self.bases), "standalone-run": 1, "lowerbound-demo": 2}
+        widths = [len(bases) for _, bases, router in legs if router.logged]
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if self.scenario in logged and (
-                len(self.seeds) * self.horizon * (40 + 8 * logged[self.scenario]) > memory):
+        if widths and len(self.seeds) * self.horizon * (40 + 8 * widths[0]) > memory:
             raise ConfigError(f"the round logs of a horizon of {self.horizon} do not fit in memory")
-        # Build the first seed's legs, once, so that bad values fail here.
-        build_legs(self, self.seeds[0])
 
     def with_seed_offset(self, offset: int) -> "ExperimentConfig":
         seeds = [s + offset for s in self.seeds]
@@ -326,6 +325,16 @@ def _check_seeds(seeds: list[int]) -> None:
     # ``named_rng`` keys streams on 64-bit seeds; any other seed aliases one.
     if not all(0 <= s < 2**64 for s in seeds):
         raise ConfigError(f"seeds must lie in [0, 2**64), got {seeds}")
+
+
+def _read_script_csv(path) -> np.ndarray:
+    """The rows of a ``script_csv`` file. A file that cannot be opened or
+    parsed, or that holds no rows (numpy only warns of that), fails."""
+    try:
+        with warnings.catch_warnings(action="error"):
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError, Warning) as exc:
+        raise ConfigError(f"cannot read script_csv {path!r}: {exc}") from exc
 
 
 def _sweep_run(entry) -> dict:
@@ -351,6 +360,8 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("config nests too deeply") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 
@@ -491,13 +502,13 @@ class RoundLog:
 class SeedResult:
     """One seed's play of a scenario as plain data, which pickles: each leg's
     ``(regret at T/2, regret at T)`` in leg order, the logged leg's round log
-    and baseline (leg 0 of a corral or standalone run, the demo's corral
-    leg), and a corral run's regret against each base's own class."""
+    and its index into ``regrets`` (0 for a corral or standalone run, 1 for
+    the demo), and a corral run's regret against each base's own class."""
 
     seed: int
     regrets: list[tuple[float, float]] = field(default_factory=list)
     log: RoundLog | None = None
-    baseline: RegretBaseline | None = None
+    logged_leg: int | None = None
     per_base_regret: list[float] = field(default_factory=list)
 
 
@@ -555,9 +566,9 @@ def compute_regret(results: list[SeedResult], horizon: int) -> dict:
     """Aggregate per-seed regret and re-assert schedule invariants from the
     seeds' logged legs.
 
-    Works purely from each round log and its baseline, independent of any
-    master internals: checks that every log holds ``horizon`` rounds and
-    measures the final regret against the baseline. Also extracts per-base
+    Works purely from each round log and its leg's regret, independent of
+    any master internals: checks that every log holds ``horizon`` rounds and
+    reports the regret at T that ``run_seed`` scored. Also extracts per-base
     doubling counts, the max learning-rate ratio (over bases whose first
     rate is positive) and the threshold-times-probability floor from the
     schedule, counting violations of each schedule invariant.
@@ -596,7 +607,7 @@ def compute_regret(results: list[SeedResult], horizon: int) -> dict:
         per_seed.append(
             {
                 "seed": log.seed,
-                "final_regret": float(log.cum_loss[-1]) - result.baseline.cumulative(horizon),
+                "final_regret": result.regrets[result.logged_leg][1],
                 "doubling_counts": doubling,
                 "max_eta_ratio": max_ratio,
                 "min_rho_pbar": float(np.min(floors)),
@@ -632,9 +643,9 @@ def _stderr(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseline:
-    """Baseline over the union of the base algorithms' decision spaces, on
-    every environment: a decision no base can make is no comparator.
+def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> float | np.ndarray:
+    """Per-round baseline over the union of the base algorithms' decision
+    spaces, on every environment: a decision no base can make is no comparator.
 
     A base with a policy table (EXP3's is the constant policies) contributes
     it; any other base contributes every constant (context-blind) policy.
@@ -645,6 +656,14 @@ def union_baseline(env: Environment, bases: list[BaseAlgorithm]) -> RegretBaseli
         policy for base in bases for policy in getattr(base, "policies", constants)
     )
     return env.baseline(policies=list(union))
+
+
+def _total(per_round: float | np.ndarray, rounds: int) -> float:
+    """A per-round baseline's loss over its first ``rounds`` rounds: a
+    constant times ``rounds``, or the sum of a script column's first rows."""
+    if isinstance(per_round, np.ndarray):
+        return float(np.sum(per_round[:rounds]))
+    return float(per_round) * rounds
 
 
 # ---------------------------------------------------------------------------
@@ -787,29 +806,29 @@ def play(env, bases, router, horizon) -> np.ndarray:
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
-    """Play each of ``seed``'s legs and score it against the union of its
-    bases' classes. ``np.cumsum`` adds in round order: the bits of a
+    """Play each of ``seed``'s legs and score it, once, against the union of
+    its bases' classes. ``np.cumsum`` adds in round order: the bits of a
     running total."""
     horizon, half = config.horizon, config.horizon // 2
     result = SeedResult(seed)
-    for env, bases, router in build_legs(config, seed):
+    for leg, (env, bases, router) in enumerate(build_legs(config, seed)):
         baseline = union_baseline(env, bases)
         losses = play(env, bases, router, horizon)
         cum_loss = np.cumsum(losses)
         result.regrets.append((
-            float(cum_loss[half - 1]) - baseline.cumulative(half),
-            float(cum_loss[-1]) - baseline.cumulative(horizon),
+            float(cum_loss[half - 1]) - _total(baseline, half),
+            float(cum_loss[-1]) - _total(baseline, horizon),
         ))
         if router.logged:
-            baseline_cum = np.cumsum(np.broadcast_to(baseline.per_round, losses.shape))
+            baseline_cum = np.cumsum(np.broadcast_to(baseline, losses.shape))
             result.log = RoundLog(
                 f"{config.scenario}:{seed}", seed, raw_loss=losses, cum_loss=cum_loss,
                 cum_regret=cum_loss - baseline_cum, **router.columns(),
             )
-            result.baseline = baseline
+            result.logged_leg = leg
         if config.scenario == "corral-run":
             result.per_base_regret = [
-                float(cum_loss[-1]) - union_baseline(env, [b]).cumulative(horizon) for b in bases
+                float(cum_loss[-1]) - _total(union_baseline(env, [b]), horizon) for b in bases
             ]
     return result
 

@@ -595,7 +595,7 @@ class TestPathologicalPair:
         for _ in range(10):
             assert b.propose(0) == 2
             b.update(unselected())
-        assert not b.observed_once
+        assert b.locked_arm is None and not b.shattered
         b.update(selected(0.3))
         assert b.locked_arm == 2
 
@@ -645,7 +645,7 @@ class TestStabilityExponentPower:
                         sel, emitted = selection.observe(raw)
                         base.update(selected(raw, selection.sampling_prob) if sel else UNSELECTED)
                         cum += emitted
-                    regs.append(cum - env.baseline().cumulative(horizon))
+                    regs.append(cum - env.baseline() * horizon)
                 means.append(np.mean(regs))
             return float(np.polyfit(np.log([1.0, 4.0, 16.0]), np.log(means), 1)[0])
 

@@ -15,20 +15,19 @@ from corral.envs import (
     Environment,
     InducedEnvironment,
     LowerBoundEnv,
-    RegretBaseline,
     StochasticContextual,
     StochasticMAB,
 )
 from corral.bases import Exp3, Exp4
-from corral.harness import ExperimentConfig, build_environment, union_baseline
+from corral.harness import ExperimentConfig, _total, build_environment, union_baseline
 
 
 class TestStochasticMAB:
     def test_baseline_is_argmin_mean(self):
         env = StochasticMAB([0.1, 0.9], named_rng(0, "env"))
         baseline = env.baseline()
-        assert baseline.per_round == 0.1
-        assert baseline.cumulative(10) == pytest.approx(1.0)
+        assert baseline == 0.1
+        assert _total(baseline, 10) == pytest.approx(1.0)
 
     def test_losses_are_bernoulli_with_configured_mean(self):
         env = StochasticMAB([0.3, 0.6], named_rng(1, "env"))
@@ -43,14 +42,14 @@ class TestStochasticMAB:
 
     def test_class_baseline_is_its_least_mean(self):
         env = StochasticMAB([0.1, 0.5, 0.9], named_rng(0, "env"))
-        assert env.baseline(policies=[(2,), (1,)]).per_round == 0.5
-        assert env.baseline(policies=[(2,)]).per_round == 0.9
+        assert env.baseline(policies=[(2,), (1,)]) == 0.5
+        assert env.baseline(policies=[(2,)]) == 0.9
 
 
 class ReferenceStochasticMAB(Environment):
     """The stand-alone Bernoulli environment ``StochasticMAB`` replaced, kept
-    verbatim below this docstring but for ``baseline``, which returns the one
-    field ``RegretBaseline`` keeps, and the arms' uniforms, drawn one
+    verbatim below this docstring but for ``baseline``, which returns the
+    per-round loss alone, and the arms' uniforms, drawn one
     ``random()`` call each: ``StochasticMAB`` must draw, lose and score
     exactly as it does."""
 
@@ -76,9 +75,31 @@ class ReferenceStochasticMAB(Environment):
     def loss_of(self, decision: int) -> float:
         return 1.0 if self._uniforms[decision] < self._means[decision] else 0.0
 
-    def baseline(self) -> RegretBaseline:
+    def baseline(self) -> float:
         best = int(np.argmin(self.means))
-        return RegretBaseline(per_round=float(self.means[best]))
+        return float(self.means[best])
+
+
+class TestBaselineValue:
+    """``baseline`` returns the per-round loss itself: a float for the
+    stochastic and lower-bound environments, a script's float64 column."""
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "stochastic-mab", "means": [0.3, 0.6]},
+        {"kind": "stochastic-contextual", "context_probs": [0.4, 0.6],
+         "cond_means": [[0.1, 0.9], [0.8, 0.2]], "policies": [[0, 1], [1, 1]]},
+        {"kind": "lower-bound"},
+    ], ids=lambda spec: spec["kind"])
+    def test_stochastic_and_lower_bound_return_a_float(self, spec):
+        env = build_environment(spec, named_rng(0, "env"), 10)
+        assert type(env.baseline()) is float
+        assert type(env.baseline(policies=[(1,) * env.num_contexts])) is float
+
+    def test_script_returns_its_float64_column(self):
+        env = build_environment({"kind": "adversarial-mab", "script": np.eye(3)}, None, 3)
+        for baseline in (env.baseline(), env.baseline(policies=[(2,)])):
+            assert isinstance(baseline, np.ndarray)
+            assert (baseline.dtype, baseline.shape) == (np.float64, (3,))
 
 
 class TestStochasticMABIsOneContext:
@@ -95,7 +116,7 @@ class TestStochasticMABIsOneContext:
         assert (env.num_arms, env.num_contexts) == (ref.num_arms, 1)
         assert_plays_as(env, ref, 3_000)
         assert env.rng.random() == ref.rng.random()
-        assert env.baseline().per_round.hex() == ref.baseline().per_round.hex()
+        assert env.baseline().hex() == ref.baseline().hex()
 
     @pytest.mark.parametrize(
         "means", [[0.5], [], [0.5, 1.2], [-0.1, 0.5], [0.5, math.nan], [0.5, math.inf]]
@@ -113,18 +134,18 @@ class TestAdversarialMAB:
         env = AdversarialMAB(script)
         baseline = env.baseline()
         # Both columns total 50; the baseline is arm 0's.
-        assert baseline.per_round.tolist() == [row[0] for row in script]
-        assert baseline.cumulative(100) == pytest.approx(50.0)
+        assert baseline.tolist() == [row[0] for row in script]
+        assert _total(baseline, 100) == pytest.approx(50.0)
 
     def test_constant_script_baseline(self):
         env = AdversarialMAB([[0.7, 0.2, 0.9]] * 10)
-        assert env.baseline().per_round.tolist() == [0.2] * 10
+        assert env.baseline().tolist() == [0.2] * 10
 
     def test_zero_column_is_baseline(self):
         env = AdversarialMAB([[0.5, 0.0], [0.9, 0.0]])
         baseline = env.baseline()
-        assert baseline.per_round.tolist() == [0.0, 0.0]
-        assert baseline.cumulative(2) == 0.0
+        assert baseline.tolist() == [0.0, 0.0]
+        assert _total(baseline, 2) == 0.0
 
     def test_rows_emitted_in_order(self):
         env = AdversarialMAB([[0.1, 0.2], [0.3, 0.4]])
@@ -144,7 +165,7 @@ class TestAdversarialMAB:
         })
         env = build_environment(cfg.environment, None, 2)
         assert env.script.shape == (2, 2)
-        assert env.baseline().per_round.tolist() == [0.1, 0.3]
+        assert env.baseline().tolist() == [0.1, 0.3]
 
     def test_entries_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -153,11 +174,11 @@ class TestAdversarialMAB:
     def test_class_baseline_is_its_best_arm_ties_low(self):
         # Arm 0, outside the class, totals 0; arms 1 and 2 both total 1.
         env = AdversarialMAB([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert env.baseline().per_round.tolist() == [0.0, 0.0]
-        assert env.baseline(policies=[(2,), (1,)]).per_round.tolist() == [1.0, 0.0]
-        assert env.baseline(policies=[(2,)]).per_round.tolist() == [0.0, 1.0]
+        assert env.baseline().tolist() == [0.0, 0.0]
+        assert env.baseline(policies=[(2,), (1,)]).tolist() == [1.0, 0.0]
+        assert env.baseline(policies=[(2,)]).tolist() == [0.0, 1.0]
         exp4 = Exp4([(2,), (1,)], 3, 1, 2, 1.0, named_rng(0, "base"))
-        assert union_baseline(env, [exp4]).per_round.tolist() == [1.0, 0.0]
+        assert union_baseline(env, [exp4]).tolist() == [1.0, 0.0]
 
 
 class TestStochasticContextual:
@@ -166,9 +187,9 @@ class TestStochasticContextual:
             [1.0], [[0.2, 0.7]], [(0,), (1,)], named_rng(2, "env")
         )
         baseline = env.baseline()
-        assert baseline.per_round == pytest.approx(0.2)
+        assert baseline == pytest.approx(0.2)
         mab = StochasticMAB([0.2, 0.7], named_rng(2, "env"))
-        assert baseline.per_round == mab.baseline().per_round
+        assert baseline == mab.baseline()
 
     def test_pointwise_dominating_policy_is_baseline(self):
         env = StochasticContextual(
@@ -177,7 +198,7 @@ class TestStochasticContextual:
             [(0, 1), (0, 0), (1, 1), (1, 0)],
             named_rng(3, "env"),
         )
-        assert env.baseline().per_round == pytest.approx(0.15)
+        assert env.baseline() == pytest.approx(0.15)
 
     def test_baseline_matches_bruteforce_enumeration(self):
         rng = named_rng(4, "env")
@@ -188,7 +209,7 @@ class TestStochasticContextual:
         brute = [
             sum(p * cond[c][pol[c]] for c, p in enumerate(probs)) for pol in policies
         ]
-        assert env.baseline().per_round == pytest.approx(min(brute))
+        assert env.baseline() == pytest.approx(min(brute))
 
     def test_arm_baseline_uses_constant_policies(self):
         env = StochasticContextual(
@@ -201,7 +222,7 @@ class TestStochasticContextual:
         # EXP3 is built for the environment's contexts, as ``build_base`` does.
         arm = union_baseline(env, [Exp3(2, 10, 1.0, named_rng(5, "base"), 2)])
         # Constant arms cost 0.45 and 0.55 in expectation.
-        assert arm.per_round == pytest.approx(0.45)
+        assert arm == pytest.approx(0.45)
 
     def test_contexts_within_declared_set(self):
         env = StochasticContextual(
@@ -262,7 +283,7 @@ class TestLowerBoundEnv:
                 (0.1, 0.2),
                 (0.3, 0.4),
             ]
-            assert env.baseline().per_round == 0.1
+            assert env.baseline() == 0.1
             assert set(env.cheap_pair) <= {0, 1, 2, 3}
 
     def test_both_orientations_occur(self):
@@ -275,7 +296,7 @@ class TestLowerBoundEnv:
 
     def test_playing_best_action_has_zero_regret(self):
         env = LowerBoundEnv(named_rng(8, "env"))
-        best = env.losses.index(env.baseline().per_round)
+        best = env.losses.index(env.baseline())
         regret = sum(losses[best] - 0.1 for _, losses in env.rounds(50))
         assert regret == 0.0
 
@@ -283,10 +304,10 @@ class TestLowerBoundEnv:
         for seed in range(8):
             env = LowerBoundEnv(named_rng(seed, "env"))
             dear = [a for a in range(4) if a not in env.cheap_pair]
-            assert env.baseline(policies=[(a,) for a in reversed(dear)]).per_round == 0.3
-            assert env.baseline(policies=[(a,) for a in env.cheap_pair]).per_round == 0.1
+            assert env.baseline(policies=[(a,) for a in reversed(dear)]) == 0.3
+            assert env.baseline(policies=[(a,) for a in env.cheap_pair]) == 0.1
             priciest = env.losses.index(0.4)
-            assert env.baseline(policies=[(priciest,)]).per_round == 0.4
+            assert env.baseline(policies=[(priciest,)]) == 0.4
 
     def test_wrong_pair_costs_at_least_two_tenths(self):
         env = LowerBoundEnv(named_rng(9, "env"))

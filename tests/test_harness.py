@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from corral import harness
 from corral import master as corral_master
 from corral.cli import main
 from corral.core import ConfigError, IntegrityError, UniformStream, named_rng
-from corral.envs import RegretBaseline
 from corral.harness import (
     ExperimentConfig,
     RoundLog,
@@ -426,7 +426,7 @@ class TestRunCorral:
             for i, spec in enumerate(cfg.bases)
         ]
         baseline = union_baseline(env, bases)
-        assert baseline.per_round == pytest.approx(0.2)
+        assert baseline == pytest.approx(0.2)
 
 
 class TestRunStandalone:
@@ -528,29 +528,38 @@ class TestComputeRegret:
             schedule=schedule,
         )
 
+    @staticmethod
+    def result(log, baseline):
+        """The seed-0 result of ``log``'s one leg, scored as ``run_seed``
+        scores a leg against a per-round ``baseline``."""
+        rounds, half = len(log.raw_loss), len(log.raw_loss) // 2
+        regrets = [(float(log.cum_loss[half - 1]) - harness._total(baseline, half),
+                    float(log.cum_loss[-1]) - harness._total(baseline, rounds))]
+        return SeedResult(0, regrets=regrets, log=log, logged_leg=0)
+
     def one_base(self, raw, baseline_rate):
         rounds = len(raw)
         return self.log(raw, baseline_rate, [(1.0,)] * rounds, [(0, [0.0], [2.0], [])])
 
     def test_zero_loss_zero_baseline(self):
         log = self.one_base([0.0] * 10, 0.0)
-        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0.0))], 10)
+        out = compute_regret([self.result(log, 0.0)], 10)
         assert out["mean_final_regret"] == 0.0
 
     def test_constant_loss_against_baseline(self):
         log = self.one_base([1.0] * 10, 0.4)
-        out = compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0.4))], 10)
+        out = compute_regret([self.result(log, 0.4)], 10)
         assert out["mean_final_regret"] == pytest.approx(6.0)
 
     def test_missing_round_is_integrity_error(self):
         log = self.one_base([0.5] * 3, 0.0)
         with pytest.raises(IntegrityError):
-            compute_regret([SeedResult(0, log=log, baseline=RegretBaseline(0.0))], 4)
+            compute_regret([self.result(log, 0.0)], 4)
 
     def schedule_run(self, p_bar, schedule):
         """A zero-loss seed-0 run."""
         log = self.log([0.0] * len(p_bar), 0.0, p_bar, schedule)
-        return [SeedResult(0, log=log, baseline=RegretBaseline(0.0))]
+        return [self.result(log, 0.0)]
 
     def invariants(self, rounds, p_bar, schedule):
         (result,) = self.schedule_run(p_bar, schedule)
@@ -772,6 +781,19 @@ class TestRunSeed:
         assert (result.log is None) == (scenario == "stability-test")
         assert bits(harness.run_seed(among, 3)) == bits(result)
         assert bits(pickle.loads(pickle.dumps(result))) == bits(result)
+        logged_leg = {"stability-test": None, "lowerbound-demo": 1}.get(scenario, 0)
+        assert pickle.loads(pickle.dumps(result)).logged_leg == result.logged_leg == logged_leg
+
+    @pytest.mark.parametrize("scenario", ["corral-run", "standalone-run", "lowerbound-demo"])
+    def test_logged_leg_is_scored_once(self, scenario):
+        # ``compute_regret`` reports the regret at T that ``run_seed`` scored
+        # for the logged leg, bit for bit; it scores nothing again.
+        cfg = ExperimentConfig.from_dict(dict(PER_SEED_CONFIGS[scenario], seeds=[1, 3, 7]))
+        results = [harness.run_seed(cfg, seed) for seed in cfg.seeds]
+        summary = compute_regret(results, cfg.horizon)
+        assert [e["final_regret"].hex() for e in summary["per_seed"]] == [
+            r.regrets[r.logged_leg][1].hex() for r in results
+        ]
 
     def test_runners_summarize_the_seed_results(self):
         cfg = ExperimentConfig.from_dict(dict(PER_SEED_CONFIGS["corral-run"], seeds=[7, 1, 3]))
@@ -869,7 +891,7 @@ def reference_compute_regret(results: list[SeedResult], horizon: int) -> dict:
         per_seed.append(
             {
                 "seed": log.seed,
-                "final_regret": float(log.cum_loss[-1]) - result.baseline.cumulative(horizon),
+                "final_regret": result.regrets[result.logged_leg][1],
                 "doubling_counts": doubling,
                 "max_eta_ratio": max_ratio,
                 "min_rho_pbar": float(np.min(floors)),
@@ -1498,6 +1520,36 @@ class TestCli:
         argv = ["run", "--config", str(path)]
         err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
         assert "config is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
+    def test_unreadable_script_csv_fails_before_output(self, tmp_path, capsys, kind):
+        # numpy raises on a missing file or a directory and only warns on
+        # an empty file: each is one typed error naming the key and path.
+        script = tmp_path / "script.csv"
+        if kind == "directory":
+            script.mkdir()
+        elif kind == "empty":
+            script.write_text("")
+        env = {"kind": "adversarial-mab", "script_csv": str(script)}
+        path = self.write_config(tmp_path, dict(SMALL_CONFIGS["standalone-run"], environment=env))
+        message = f"cannot read script_csv {str(script)!r}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                harness.load_config(path)
+        assert caught == []
+        err = self.assert_fails_before_output(capsys, ["standalone", "--config", path],
+                                              tmp_path / "o")
+        assert message in err
+
+    def test_malformed_json_fails_before_output(self, tmp_path, capsys):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"scenario": ')
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            harness.load_config(path)
+        argv = ["run", "--config", str(path)]
+        err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+        assert "config is not valid JSON" in err
 
     def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys):
         # A round log takes at least 40 bytes a round: 10**11 rounds are

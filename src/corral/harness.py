@@ -352,16 +352,28 @@ def _sweep_run(entry) -> dict:
     return {"name": name, "config": ExperimentConfig.from_dict(entry["config"])}
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's pairs as a dict; ``json`` would keep a repeated key's last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except RecursionError as exc:
-            raise ConfigError("config nests too deeply") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {os.fspath(path)!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
 
@@ -982,8 +994,21 @@ def write_outputs(out_dir, summary: dict, logs: list[RoundLog] | None) -> None:
     _write_atomic(os.path.join(out_dir, SUMMARY_JSON), lambda out: out.write(text))
 
 
+def _check_out_dirs(config: ExperimentConfig, out_dir) -> None:
+    """Fail, creating nothing, if ``out_dir`` or a sweep run's subdirectory,
+    or an ancestor of either, exists but is not a directory."""
+    path = os.fspath(out_dir)
+    while path and not os.path.isdir(path):
+        if os.path.lexists(path):
+            raise ConfigError(f"output path {path!r} exists and is not a directory")
+        path = os.path.dirname(path)
+    for entry in config.runs:
+        _check_out_dirs(entry["config"], os.path.join(out_dir, entry["name"]))
+
+
 def execute(config: ExperimentConfig, out_dir) -> dict:
     """Run any scenario and write its outputs under ``out_dir``."""
+    _check_out_dirs(config, out_dir)
     if config.scenario == "corral-run":
         summary, logs = run_corral(config)
     elif config.scenario == "standalone-run":

@@ -1,19 +1,25 @@
-"""The config boundary: README's configs load; a key or value that no config
-may hold fails to load; and a mutated digest config either runs to complete
-outputs or fails before writing any."""
+"""The config boundary: README's configs load and its examples run from the
+modules the package root binds; a key or value that no config may hold fails
+to load; and a mutated digest config either runs to complete outputs or fails
+before writing any."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corral
 from corral import harness
 from corral.cli import main
 from corral.core import ConfigError
@@ -44,6 +50,22 @@ def test_readme_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_package_root_binds_only_modules():
+    # A fresh interpreter: ``import corral`` alone binds the six library
+    # modules, which is all ``bench/child.py`` reads through, and no name.
+    probe = ("import corral, json; print(json.dumps(sorted(n for n in vars(corral) "
+             "if not n.startswith('_')))); corral.harness.load_config, corral.harness.execute")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corral.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == ["bases", "core", "envs", "harness", "master", "omd"]
+    # Here ``cli`` is bound too, since the tests import it.
+    for name, value in vars(corral).items():
+        if not name.startswith("_"):
+            assert isinstance(value, types.ModuleType) and value.__name__ == f"corral.{name}"
+    assert isinstance(corral.__version__, str)
 
 
 # ---------------------------------------------------------------------------

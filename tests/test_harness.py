@@ -805,6 +805,18 @@ class TestRunSeed:
             r.per_base_regret for r in results
         ]
 
+    @pytest.mark.parametrize(
+        "runner, scenario",
+        [(run_corral, "standalone-run"), (run_standalone, "stability-test"),
+         (run_stability_test, "lowerbound-demo"), (run_lowerbound_demo, "corral-run")],
+        ids=["corral", "standalone", "stability", "demo"],
+    )
+    def test_runner_rejects_another_scenario_before_playing(self, runner, scenario):
+        cfg = ExperimentConfig.from_dict(SMALL_CONFIGS[scenario])
+        with mock.patch.object(harness, "run_seed", side_effect=AssertionError("played")):
+            with pytest.raises(ConfigError, match=f"^expected .* config, got {scenario}$"):
+                runner(cfg)
+
 
 @dataclasses.dataclass
 class ColumnLog:
@@ -1550,6 +1562,59 @@ class TestCli:
         argv = ["run", "--config", str(path)]
         err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
         assert "config is not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "key, fields",
+        [("horizon", '"horizon": 10, "horizon": 50, "environment": {"kind": "stochastic-mab", '
+                     '"means": [0.1, 0.9]}'),
+         ("means", '"horizon": 50, "environment": {"kind": "stochastic-mab", '
+                   '"means": [0.1, 0.9], "means": [0.9, 0.1]}')],
+        ids=["top", "environment"],
+    )
+    def test_repeated_key_fails_before_output(self, tmp_path, capsys, key, fields):
+        # ``json`` alone keeps a repeated key's last value.
+        path = tmp_path / "repeated.json"
+        path.write_text('{"scenario": "standalone-run", "seeds": [0], '
+                        f'"bases": [{{"kind": "exp3"}}], {fields}}}')
+        message = f"config repeats key {key!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.load_config(path)
+        argv = ["standalone", "--config", str(path)]
+        assert message in self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_fails_before_output(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        message = f"cannot read config {str(path)!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.load_config(path)
+        argv = ["run", "--config", str(path)]
+        assert message in self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+
+    @pytest.mark.parametrize("kind", ["file", "under-file", "sweep"])
+    def test_bad_out_fails_before_playing(self, tmp_path, capsys, kind):
+        # ``--out`` naming a file, or a path under one, would fail only when
+        # the outputs are written, after every seed has played.
+        if kind == "sweep":
+            # Run ``a`` could play and write in full before ``b`` failed.
+            out, blocker = tmp_path / "s", tmp_path / "s" / "b"
+            out.mkdir()
+            raw = {"scenario": "sweep", "runs": [{"name": name, "config": SMALL_STANDALONE}
+                                                 for name in ("a", "b")]}
+        else:
+            blocker, raw = tmp_path / "out", SMALL_STANDALONE
+            out = blocker if kind == "file" else blocker / "run"
+        blocker.write_text("keep\n")
+        path = self.write_config(tmp_path, raw)
+        command = "sweep" if kind == "sweep" else "standalone"
+        with mock.patch.object(harness, "run_seed", side_effect=AssertionError("played")):
+            assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output path {str(blocker)!r} exists and is not a directory\n"
+        assert blocker.read_text() == "keep\n"
+        assert not (tmp_path / "s" / "a").exists()
 
     def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys):
         # A round log takes at least 40 bytes a round: 10**11 rounds are

@@ -12,10 +12,10 @@ itself runs up to ``UniformStream.BLOCK - 1`` draws ahead, and nothing else
 may draw from it.
 
 ``Exp4`` (and so ``Exp3``, which is ``Exp4`` over the constant policies)
-reuses the action mixture ``propose`` samples from until its cumulative
-losses change. ``exp_weights`` depends only on those losses and the rate,
-which changes only in ``reset``, and finite losses that compare equal give
-bit-identical weights.
+reuses the action mixture ``propose`` samples from, and the mixture's
+partial sums it bisects, until its cumulative losses change. ``exp_weights``
+depends only on those losses and the rate, which changes only in ``reset``,
+and finite losses that compare equal give bit-identical weights.
 
 Range handling: a base expecting importance-weighted losses in ``[0, rho]``
 tunes its internal rate with ``rho`` in the denominator, which is the same
@@ -31,12 +31,14 @@ importance-weighted losses with range bound ``rho``, its regret degrades as
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 from .core import (
     ConfigError,
     FeedbackPacket,
     UniformStream,
-    sample_index,
+    last_with_mass,
 )
 
 Policy = tuple[int, ...]
@@ -137,10 +139,10 @@ class Exp4(PolicyLearner):
         self._last_arm: int | None = None
         self._last_context: int | None = None
         self._last_action_probs: list[float] | None = None
-        # propose's policy weights, its action mixture per context, and a
-        # copy of the losses they came from.
+        # propose's policy weights, its action mixture and the mixture's
+        # partial sums per context, and a copy of the losses they came from.
         self._policy_probs: list[float] = []
-        self._mixtures: dict[int, list[float]] = {}
+        self._mixtures: dict[int, tuple[list[float], list[float]]] = {}
         self._mixed_of: list[float] | None = None
 
     def distribution(self) -> list[float]:
@@ -153,13 +155,16 @@ class Exp4(PolicyLearner):
             self._mixed_of = list(self.cum_loss)
             self._policy_probs = self.distribution()
             self._mixtures = {}
-        action_probs = self._mixtures.get(context)
-        if action_probs is None:
+        cached = self._mixtures.get(context)
+        if cached is None:
             action_probs = [0.0] * self.num_arms
             for pol, w in zip(self.policies, self._policy_probs):
                 action_probs[pol[context]] += w
-            self._mixtures[context] = action_probs
-        arm = sample_index(self.rng, action_probs)
+            cached = self._mixtures[context] = action_probs, list(accumulate(action_probs))
+        action_probs, sums = cached
+        arm = bisect_right(sums, self.rng.random())  # ``sample_index``'s pick
+        if arm == self.num_arms:
+            arm = last_with_mass(action_probs)
         self._last_arm = arm
         self._last_context = context
         self._last_action_probs = action_probs

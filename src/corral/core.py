@@ -13,7 +13,8 @@ Conventions used across the package:
   sum to one within ``1e-9``.
 * A round informs only the bases it selects. Every other base receives the
   one immutable ``UNSELECTED`` packet, which carries no loss and no
-  probability.
+  probability; so too a router may reuse a selected packet it made, checked,
+  for the same raw loss and probability (``InducedRouter``'s 0.0 and 1.0).
 * A component owns the generator it is given, and nothing else may draw
   from it. A stochastic environment draws a block of rounds' uniforms in
   one call; any other component that draws uniform doubles serves them
@@ -177,12 +178,14 @@ def sample_index(rng, probs: Sequence[float]) -> int:
         acc += w
         if u < acc:
             return i
-    # u landed in the float shortfall past the accumulated sum; return the
-    # last index that carries mass.
-    for i in range(len(probs) - 1, -1, -1):
-        if probs[i] > 0.0:
-            return i
-    return len(probs) - 1
+    return last_with_mass(probs)
+
+
+def last_with_mass(probs: Sequence[float]) -> int:
+    """An inverse-CDF draw past the last partial sum: the last index with mass
+    (the last index if none has any)."""
+    last = len(probs) - 1
+    return next((i for i in range(last, -1, -1) if probs[i] > 0.0), last)
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:

@@ -739,13 +739,16 @@ class InducedRouter:
     """One base with range ``rho`` behind ``InducedEnvironment`` at sampling
     probability 1/rho, drawn from ``rng``; the round charges the emitted
     importance-weighted loss. At rho = 1 the base sees exactly what it would
-    see on its own. Only a ``logged`` router keeps its decisions."""
+    see on its own. A selected raw loss of 1.0 or +0.0 reuses the packet
+    built for it here. Only a ``logged`` router keeps its decisions."""
 
     def __init__(self, rho: float, rng, logged: bool = False):
         self.range_param = rho
         self.selection = InducedEnvironment(1.0 / rho, rng)
         self.logged = logged
         self.decision = array("q") if logged else None
+        p = self.selection.sampling_prob
+        self.reused = {raw: (FeedbackPacket(True, raw / p, p, raw),) for raw in (0.0, 1.0)}
 
     def step(self, row, proposals: list[int]):
         decision = proposals[0]
@@ -753,8 +756,11 @@ class InducedRouter:
             self.decision.append(decision)
         raw = row[decision]
         selected, emitted = self.selection.observe(raw)
-        p = self.selection.sampling_prob
-        return emitted, (FeedbackPacket(True, emitted, p, raw) if selected else UNSELECTED,), ()
+        if not selected:
+            return emitted, (UNSELECTED,), ()
+        if raw == 1.0 or (raw == 0.0 and math.copysign(1.0, raw) > 0.0):  # not -0.0
+            return emitted, self.reused[raw], ()
+        return emitted, (FeedbackPacket(True, emitted, self.selection.sampling_prob, raw),), ()
 
     def columns(self) -> dict:
         rounds = len(self.decision)
@@ -995,9 +1001,15 @@ def write_outputs(out_dir, summary: dict, logs: list[RoundLog] | None) -> None:
 
 
 def _check_out_dirs(config: ExperimentConfig, out_dir) -> None:
-    """Fail, creating nothing, if ``out_dir`` or a sweep run's subdirectory,
-    or an ancestor of either, exists but is not a directory."""
+    """Fail, creating nothing, if ``out_dir`` or a sweep run's subdirectory is
+    empty, or it or an ancestor exists but is no directory, or it holds a
+    directory named as an output file or its ``.tmp``."""
     path = os.fspath(out_dir)
+    if not path:
+        raise ConfigError("output path '' is empty")
+    for name in (ROUNDS_CSV, SUMMARY_JSON, ROUNDS_CSV + ".tmp", SUMMARY_JSON + ".tmp"):
+        if os.path.isdir(os.path.join(path, name)):
+            raise ConfigError(f"output file {os.path.join(path, name)!r} is a directory")
     while path and not os.path.isdir(path):
         if os.path.lexists(path):
             raise ConfigError(f"output path {path!r} exists and is not a directory")

@@ -1,6 +1,8 @@
 """Base algorithms: tuning, proposals, updates, resets, lock-in pair."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,7 +287,8 @@ _CACHE_STEPS = st.one_of(
 class TestProposalCache:
     """``propose`` reuses its distribution while ``cum_loss`` is unchanged.
     Whatever changes the losses, the probabilities it samples from equal a
-    fresh ``exp_weights`` bit for bit."""
+    fresh ``exp_weights`` bit for bit, and its arm is ``sample_index``'s
+    draw from them on a twin stream."""
 
     @staticmethod
     def apply(base, step):
@@ -305,22 +308,70 @@ class TestProposalCache:
     @given(st.lists(_CACHE_STEPS, max_size=40))
     def test_exp3_samples_from_fresh_weights(self, steps):
         b = Exp3(5, 1000, 1.0, named_rng(0, "b"))
+        twin = UniformStream(named_rng(0, "b"))
         for step in [("reset", 1.0)] + steps:
             self.apply(b, step)
-            b.propose(0)
+            arm = b.propose(0)
             assert b._last_action_probs == exp_weights(b.cum_loss, b.rate)
+            assert arm == sample_index(twin, b._last_action_probs)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.lists(st.tuples(_CACHE_STEPS, st.integers(0, 1)), max_size=40))
     def test_exp4_samples_from_fresh_mixture(self, steps):
         b = Exp4(POLICIES_8, 4, 2, 1000, 1.0, named_rng(0, "b"))
+        twin = UniformStream(named_rng(0, "b"))
         for step, context in [(("reset", 1.0), 0)] + steps:
             self.apply(b, step)
-            b.propose(context)
+            arm = b.propose(context)
             mixture = [0.0] * 4
             for pol, w in zip(POLICIES_8, exp_weights(b.cum_loss, b.rate)):
                 mixture[pol[context]] += w
             assert b._last_action_probs == mixture
+            assert arm == sample_index(twin, mixture)
+
+
+class FixedExp3(Exp3):
+    """``Exp3`` whose distribution is a given vector: over the constant
+    policies its mixture is that vector, bit for bit (``0.0 + w == w``)."""
+
+    def __init__(self, probs):
+        self.fixed = probs
+        super().__init__(len(probs), 100, 1.0, named_rng(0, "b"))
+
+    def distribution(self):
+        return self.fixed
+
+
+@st.composite
+def floor_scale_vectors(draw):
+    """2-8 entries normalized at the master's floor scale: entries down to
+    1/(T*M) for T up to 10**8, zero-mass entries, trailing zero mass, and
+    sums a little short of one, which leave a shortfall below one."""
+    size = draw(st.integers(2, 8))
+    floor = 1.0 / (draw(st.sampled_from([10, 10**4, 10**6, 10**8])) * size)
+    entry = st.one_of(st.just(0.0), st.just(floor), st.floats(floor, 1.0))
+    weights = draw(st.lists(entry, min_size=size, max_size=size))
+    trailing = draw(st.integers(0, size - 1))
+    weights[size - trailing:] = [0.0] * trailing
+    if not any(weights):
+        weights[0] = 1.0
+    scale = draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 - 2.0**-40]))
+    total = sum(weights)
+    return [w / total * scale for w in weights]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(floor_scale_vectors(), st.floats(0.0, 1.0, exclude_max=True))
+def test_cached_sum_draw_matches_sample_index(probs, u):
+    # Every exact partial sum, the float just below it, and the shortfall
+    # between the last sum and one, drawn again and again from one cache.
+    sums = list(itertools.accumulate(probs))
+    edges = [v for s in sums for v in (s, math.nextafter(s, 0.0)) if s < 1.0]
+    b = FixedExp3(probs)
+    for v in [u, math.nextafter(1.0, 0.0)] + edges:
+        b.rng = SimpleNamespace(random=lambda v=v: v)
+        assert b.propose(0) == sample_index(SimpleNamespace(random=lambda v=v: v), probs)
+    assert b._last_action_probs == probs
 
 
 class TestEpochGreedy:

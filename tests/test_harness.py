@@ -19,7 +19,16 @@ from hypothesis.extra.numpy import arrays
 from corral import harness
 from corral import master as corral_master
 from corral.cli import main
-from corral.core import ConfigError, IntegrityError, UniformStream, named_rng
+from corral.bases import Exp3
+from corral.core import (
+    UNSELECTED,
+    ConfigError,
+    FeedbackPacket,
+    IntegrityError,
+    UniformStream,
+    named_rng,
+)
+from corral.envs import AdversarialMAB, LowerBoundEnv
 from corral.harness import (
     ExperimentConfig,
     RoundLog,
@@ -728,6 +737,56 @@ class TestStability:
         out = run_stability_test(cfg)
         assert out["certificate_alpha"] == 0.5
         assert len(out["per_rho"]) == 2
+
+
+class TestInducedPackets:
+    """Every packet ``InducedRouter.step`` returns is ``UNSELECTED`` or equals
+    the one a router that built each packet would make, field for field
+    and with the sign of every zero."""
+
+    @staticmethod
+    def packets(env, rho, horizon=400):
+        router = harness.InducedRouter(rho, named_rng(0, "wrapper"))
+        base = Exp3(env.num_arms, horizon, rho, named_rng(0, "base"))
+        step, seen = router.step, []
+
+        def spy(row, proposals):
+            out = step(row, proposals)
+            seen.append((row[proposals[0]], out[1]))
+            return out
+
+        router.step = spy
+        harness.play(env, [base], router, horizon)
+        return router.selection.sampling_prob, seen
+
+    def check(self, env, rho):
+        p, seen = self.packets(env, rho)
+        selected = []
+        for raw, (packet,) in seen:
+            assert isinstance(packet, FeedbackPacket)
+            if packet is UNSELECTED:
+                continue
+            expected = FeedbackPacket(True, raw / p, p, raw)
+            assert packet == expected
+            for got, want in zip(packet[1:], expected[1:]):
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            selected.append(raw)
+        assert selected
+        return selected
+
+    @pytest.mark.parametrize("rho", [1.0, 4.0, 16.0])
+    def test_stochastic_mab(self, rho):
+        env = harness.build_environment(MAB_ENV, named_rng(0, "env"), 400)
+        assert set(self.check(env, rho)) == {0.0, 1.0}
+
+    def test_lower_bound(self):
+        assert set(self.check(LowerBoundEnv(named_rng(0, "env")), 1.0)) <= {0.1, 0.2, 0.3, 0.4}
+
+    def test_script_keeps_the_sign_of_zero(self):
+        values = [0.0, -0.0, 0.5, 1.0]
+        env = AdversarialMAB([[v, v] for v in values] * 100)
+        signed = [(v, math.copysign(1.0, v)) for v in self.check(env, 1.0)]
+        assert set(signed) == {(0.0, 1.0), (-0.0, -1.0), (0.5, 1.0), (1.0, 1.0)}
 
 
 class TestLowerBoundDemoSmoke:
@@ -1615,6 +1674,37 @@ class TestCli:
         assert err == f"error: output path {str(blocker)!r} exists and is not a directory\n"
         assert blocker.read_text() == "keep\n"
         assert not (tmp_path / "s" / "a").exists()
+
+    @pytest.mark.parametrize(
+        "occupied",
+        ["", "D/summary.json", "D/rounds.csv", "D/rounds.csv.tmp", "D/summary.json.tmp",
+         "sweep:D/summary.json", "sweep:D/b/summary.json", "sweep:D/b/rounds.csv.tmp"],
+    )
+    def test_out_that_cannot_take_the_outputs_fails_before_playing(
+        self, tmp_path, capsys, monkeypatch, occupied
+    ):
+        # An empty --out, or an output file (or its .tmp) that is a
+        # directory, would fail only when the outputs are written, after
+        # every seed has played: ``occupied`` is made a directory.
+        monkeypatch.chdir(tmp_path)
+        command, raw = "standalone", SMALL_STANDALONE
+        if occupied.startswith("sweep:"):
+            occupied, command = occupied[len("sweep:"):], "sweep"
+            raw = {"scenario": "sweep", "runs": [{"name": name, "config": SMALL_STANDALONE}
+                                                 for name in ("a", "b")]}
+        if occupied:
+            out, message = "D", f"output file {occupied!r} is a directory"
+            (tmp_path / occupied).mkdir(parents=True)
+        else:
+            out, message = "", "output path '' is empty"
+        path = self.write_config(tmp_path, raw)
+        before = sorted(tmp_path.rglob("*"))
+        with mock.patch.object(harness, "run_seed", side_effect=AssertionError("played")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                execute(ExperimentConfig.from_dict(raw), out)
+            assert main([command, "--config", path, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys):
         # A round log takes at least 40 bytes a round: 10**11 rounds are

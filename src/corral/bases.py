@@ -11,11 +11,12 @@ draw only uniforms serve them from a ``UniformStream``, so the generator
 itself runs up to ``UniformStream.BLOCK - 1`` draws ahead, and nothing else
 may draw from it.
 
-``Exp4`` (and so ``Exp3``, which is ``Exp4`` over the constant policies)
-reuses the action mixture ``propose`` samples from, and the mixture's
-partial sums it bisects, until its cumulative losses change. ``exp_weights``
-depends only on those losses and the rate, which changes only in ``reset``,
-and finite losses that compare equal give bit-identical weights.
+``Exp4`` reuses the action mixture ``propose`` samples from, and the
+mixture's partial sums it bisects, until its cumulative losses change; for
+``Exp3``, ``Exp4`` over the constant policies, that mixture is the policy
+distribution itself. ``exp_weights`` depends only on those losses and the
+rate, which changes only in ``reset``, and finite losses that compare equal
+give bit-identical weights.
 
 Range handling: a base expecting importance-weighted losses in ``[0, rho]``
 tunes its internal rate with ``rho`` in the denominator, which is the same
@@ -110,6 +111,8 @@ class PolicyLearner(BaseAlgorithm):
         self.num_arms = num_arms
         self.horizon = horizon
         self.rng = UniformStream(rng)
+        # Policy ``a`` alone plays arm ``a`` in every context (EXP3's table).
+        self._arms_are_policies = self.policies == [(a,) * num_contexts for a in range(num_arms)]
         self._players = [
             [[j for j, pol in enumerate(self.policies) if pol[c] == a] for a in range(num_arms)]
             for c in range(num_contexts)
@@ -157,9 +160,12 @@ class Exp4(PolicyLearner):
             self._mixtures = {}
         cached = self._mixtures.get(context)
         if cached is None:
-            action_probs = [0.0] * self.num_arms
-            for pol, w in zip(self.policies, self._policy_probs):
-                action_probs[pol[context]] += w
+            if self._arms_are_policies:
+                action_probs = self._policy_probs
+            else:
+                action_probs = [0.0] * self.num_arms
+                for pol, w in zip(self.policies, self._policy_probs):
+                    action_probs[pol[context]] += w
             cached = self._mixtures[context] = action_probs, list(accumulate(action_probs))
         action_probs, sums = cached
         arm = bisect_right(sums, self.rng.random())  # ``sample_index``'s pick
@@ -180,9 +186,10 @@ class Exp4(PolicyLearner):
 
 class Exp3(Exp4):
     """EXP4 over the constant policies (Auer et al. 2002): policy ``a`` plays
-    arm ``a`` in every context, so the action distribution is the policy
-    distribution and the rate is ``sqrt(ln K / (K*T*rho))``. ``num_contexts``
-    sizes the policy tables that a contextual baseline compares against.
+    arm ``a`` in every context, so the action mixture is the policy
+    distribution itself (``0.0 + w == w``) and the rate is
+    ``sqrt(ln K / (K*T*rho))``. ``num_contexts`` sizes the policy tables
+    that a contextual baseline compares against.
     """
 
     kind = "exp3"

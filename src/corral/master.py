@@ -216,11 +216,14 @@ def tuned_eta(regret_target: float, horizon: int, num_bases: int) -> float:
     linearly-stable base's degradation; the second caps the rate when the
     target is trivially small.
     """
-    if not regret_target > 0.0:
-        raise ConfigError(f"regret target must be > 0, got {regret_target}")
+    if not 0.0 < regret_target < math.inf:
+        raise ConfigError(f"regret_target must be finite and > 0, got {regret_target}")
     if horizon < 2:
         raise ConfigError(f"horizon must be >= 2, got {horizon}")
-    return min(
+    rate = min(
         1.0 / (40.0 * regret_target * math.log(horizon)),
         math.sqrt(num_bases / horizon),
     )
+    if not rate > 0.0:
+        raise ConfigError(f"regret_target {regret_target} tunes the learning rate to {rate}")
+    return rate

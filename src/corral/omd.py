@@ -52,8 +52,8 @@ def solve_lambda(
     best_err = math.inf
     lam = 0.5 * (lo + hi)
     for _ in range(MAX_ITERATIONS):
-        # 0 <= lo <= hi, so hi is the larger magnitude.
-        if hi - lo <= 4e-16 * max(1.0, hi):
+        # 0 <= lo <= hi, so hi is the larger magnitude (no max(): one call per iterate).
+        if hi - lo <= 4e-16 * (hi if hi > 1.0 else 1.0):
             return best_lam
         total = 0.0
         slope = 0.0
@@ -67,7 +67,7 @@ def solve_lambda(
             slope += r / (d * d)
         else:
             err = total - 1.0
-            abs_err = abs(err)
+            abs_err = err if err >= 0.0 else -err
             if abs_err <= TOLERANCE:
                 return lam
             if abs_err < best_err:

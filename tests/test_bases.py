@@ -171,6 +171,15 @@ class TestExp3:
         b = Exp3(2, 1000, 4.0, named_rng(0, "b"))
         assert b.rate == pytest.approx(math.sqrt(math.log(2) / 8000.0), abs=1e-15)
 
+    def test_mixture_is_the_policy_distribution(self):
+        # No per-context copy is built: every context samples the policy
+        # distribution itself, before and after a weight change.
+        b = Exp3(3, 100, 1.0, named_rng(0, "b"), num_contexts=2)
+        for context in (0, 1, 0):
+            b.propose(context)
+            assert b._last_action_probs is b._policy_probs
+            b.update(selected(0.5))
+
     def test_unselected_round_is_noop(self):
         b = Exp3(3, 100, 1.0, named_rng(0, "b"))
         b.propose(0)

@@ -1428,6 +1428,11 @@ class TestCli:
               "runs": [{"name": "a", "config": SMALL_RUN}]},
              "unknown sweep config keys: ['environment']"),
             ({"master": {"eta": math.inf}}, "learning rate must be finite and > 0, got inf"),
+            # Both tuned the rate to 0.0, which failed naming the learning rate.
+            ({"master": {"eta": "tuned", "regret_target": math.inf}},
+             "regret_target must be finite and > 0, got inf"),
+            ({"master": {"eta": "tuned", "regret_target": 1e308}},
+             "regret_target 1e+308 tunes the learning rate to 0.0"),
             ({"scenario": "lowerbound-demo", "demo": {"naive_eta": -50.0}},
              "naive learning rate must be finite and > 0, got -50.0"),
             ({"scenario": "lowerbound-demo", "demo": {"naive_eta": math.nan}},
@@ -1516,7 +1521,8 @@ class TestCli:
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
              "eta-missing", "arm-pair-short", "arm-pair-range", "demo-eta", "sweep-eta",
              "script-short", "sweep-script-short", "sweep-seeds", "sweep-horizon",
-             "sweep-environment", "eta-inf", "demo-naive-eta-negative", "demo-naive-eta-nan",
+             "sweep-environment", "eta-inf", "regret-target-inf", "regret-target-overflow",
+             "demo-naive-eta-negative", "demo-naive-eta-nan",
              "demo-corral-eta-negative", "demo-corral-eta-inf", "sweep-demo-naive-eta",
              "thompson-prior-nan", "thompson-prior-inf", "cond-means-nan",
              "context-probs-nan", "rho-level-nan", "rho-level-inf", "rho-level-repeated",
@@ -1541,6 +1547,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not out_dir.exists()
+
+    def test_overflowing_regret_target_fails_before_output(self, tmp_path, capsys):
+        # json reads the literal 1e400 as inf, which json.dumps never writes.
+        raw = small_config({"master": {"eta": "tuned", "regret_target": 2.0}})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw).replace('"regret_target": 2.0', '"regret_target": 1e400'))
+        message = "regret_target must be finite and > 0, got inf"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.load_config(str(path))
+        err = self.assert_fails_before_output(
+            capsys, ["run", "--config", str(path)], tmp_path / "o")
+        assert message in err
 
     @pytest.mark.parametrize(
         "names", [["a", "a"], ["../escaped"], [7], ["summary.json"], ["summary.json.tmp"]],

@@ -452,3 +452,10 @@ class TestTunedEta:
     def test_invalid_target(self):
         with pytest.raises(ConfigError):
             tuned_eta(0.0, 100, 2)
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan, 1e308])
+    def test_target_that_tunes_no_rate(self, target):
+        # inf, and a finite target whose 40 * R * ln T overflows, gave 0.0,
+        # which init_master then rejected as a learning rate.
+        with pytest.raises(ConfigError, match="regret_target"):
+            tuned_eta(target, 100, 2)

@@ -305,15 +305,15 @@ class ThompsonSampling(BaseAlgorithm):
     def propose(self, context: int) -> int:
         beta = self.rng.beta
         draws = [beta(a, b) for a, b in zip(self.ones, self.zeros)]
-        # The first minimum, as np.argmin; Beta draws are never NaN.
-        arm = min(range(self.num_arms), key=draws.__getitem__)
+        # The first entry equal to the minimum, as np.argmin; Beta draws are never NaN.
+        arm = draws.index(min(draws))
         self._last_arm = arm
         return arm
 
     def update(self, packet: FeedbackPacket) -> None:
         if not packet.selected:
             return
-        outcome = 1.0 if float(self.rng.random()) < packet.raw_loss else 0.0
+        outcome = 1.0 if self.rng.random() < packet.raw_loss else 0.0
         self.ones[self._last_arm] += outcome
         self.zeros[self._last_arm] += 1.0 - outcome
 

@@ -23,12 +23,13 @@ Conventions used across the package:
 
 Values are checked once, where they enter: config load, constructors
 (``FeedbackPacket.__new__`` among them), ``validate_simplex``, ``omd_step``
-and what reaches the master from outside it. Values computed from them in a
-round, such as the master's own ``p`` and rates, are not checked again.
+and the master's public entries. Values computed from them in a round (the
+master's ``p`` and rates, the routers' ``trusted_packet``s) are not checked again.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -120,7 +121,7 @@ class FeedbackPacket(_PacketFields):
 
 # Packets are immutable, so every unselected round shares this one.
 UNSELECTED = FeedbackPacket(False, 0.0)
-
+trusted_packet = functools.partial(tuple.__new__, FeedbackPacket)  # skips __new__'s checks
 
 def validate_simplex(p: Sequence[float]) -> list[float]:
     """Check and renormalize a probability vector.

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -74,6 +73,7 @@ from .core import (
     UniformStream,
     named_rng,
     sample_index,
+    trusted_packet,
 )
 from .envs import (
     AdversarialMAB,
@@ -470,7 +470,7 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
             build_base(spec, env, horizon, state.rho[i], named_rng(seed, f"base.{i}"))
             for i, spec in enumerate(config.bases)
         ]
-        packets = functools.partial(corral_master.build_packets, estimator=master["estimator"])
+        packets = corral_master.PACKETS[master["estimator"]]
         return [(env, bases, CorralRouter(state, named_rng(seed, "master"), packets))]
     legs = []
     for rho in config.rho_levels if config.scenario == "stability-test" else [1.0]:
@@ -693,9 +693,9 @@ def _total(per_round: float | np.ndarray, rounds: int) -> float:
 
 
 class CorralRouter:
-    """The CORRAL master samples the base; ``packets(p_bar, proposals, raw,
-    chosen)`` makes the bases' feedback from the decision-time ``p_bar``:
-    ``build_packets`` with the run's estimator, or the demo's ``naive_packets``.
+    """The CORRAL master samples the base with ``sample_index``; ``packets(p_bar,
+    proposals, raw, chosen)`` makes the bases' feedback from the decision-time
+    ``p_bar``: the run's estimator's builder, or the demo's ``naive_packets``.
 
     Each round's choice, decision and ``p_bar`` are appended to typed
     columns, and each round in which a threshold fires appends the new
@@ -712,9 +712,9 @@ class CorralRouter:
 
     def step(self, row, proposals: list[int]):
         state = self.state
-        chosen = corral_master.choose(state, self.rng)
-        decision = proposals[chosen]
         p_bar = state.p_bar
+        chosen = sample_index(self.rng, p_bar)
+        decision = proposals[chosen]
         self.chosen.append(chosen)
         self.decision.append(decision)
         self.p_bar.extend(p_bar)
@@ -760,7 +760,7 @@ class InducedRouter:
             return emitted, (UNSELECTED,), ()
         if raw == 1.0 or (raw == 0.0 and math.copysign(1.0, raw) > 0.0):  # not -0.0
             return emitted, self.reused[raw], ()
-        return emitted, (FeedbackPacket(True, emitted, self.selection.sampling_prob, raw),), ()
+        return emitted, (trusted_packet((True, emitted, self.selection.sampling_prob, raw)),), ()
 
     def columns(self) -> dict:
         rounds = len(self.decision)
@@ -799,7 +799,7 @@ def naive_packets(probs, proposals, raw: float, chosen: int) -> list[FeedbackPac
     were a genuinely observed loss, and everyone else gets ``UNSELECTED``."""
     weighted = raw / probs[chosen]
     packets = [UNSELECTED] * len(proposals)
-    packets[chosen] = FeedbackPacket(True, weighted, 1.0, weighted)
+    packets[chosen] = trusted_packet((True, weighted, 1.0, weighted))
     return packets
 
 

@@ -27,6 +27,7 @@ from .core import (
     SIMPLEX_HARD_TOL,
     UNSELECTED,
     sample_index,
+    trusted_packet,
     validate_simplex,
 )
 from .omd import solve_lambda
@@ -126,8 +127,8 @@ def build_packets(
     whose proposal equals the played decision shares the feedback, weighted
     by the total probability of that decision being played; this wastes less
     information when the decision space is small. Both are unbiased. The
-    selected bases share one packet and every other base gets
-    ``UNSELECTED``; every ``p_bar`` entry is checked once.
+    selected bases share one packet and every other base gets ``UNSELECTED``;
+    after the checks, the estimator's unchecked builder in ``PACKETS`` makes them.
     """
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}")
@@ -139,11 +140,16 @@ def build_packets(
     for x in p_bar:
         if not 0.0 < x <= 1.0:
             raise InvalidProbabilityError(f"probability must be in (0, 1], got {x}")
-    if estimator == ESTIMATOR_STANDARD:
-        prob = p_bar[chosen]
-        packets = [UNSELECTED] * len(p_bar)
-        packets[chosen] = FeedbackPacket(True, observed_loss / prob, prob, observed_loss)
-        return packets
+    return PACKETS[estimator](p_bar, proposals, observed_loss, chosen)
+
+
+def _standard_packets(p_bar, proposals, loss: float, chosen: int) -> list:
+    packets = [UNSELECTED] * len(p_bar)
+    packets[chosen] = trusted_packet((True, loss / p_bar[chosen], p_bar[chosen], loss))
+    return packets
+
+
+def _shared_packets(p_bar, proposals, loss: float, chosen: int) -> list:
     played = proposals[chosen]
     # Summed in index order; a full group can overshoot 1 by an ulp.
     prob = 0.0
@@ -151,8 +157,11 @@ def build_packets(
         if d == played:
             prob += x
     prob = min(1.0, prob)
-    shared = FeedbackPacket(True, observed_loss / prob, prob, observed_loss)
+    shared = trusted_packet((True, loss / prob, prob, loss))
     return [shared if d == played else UNSELECTED for d in proposals]
+
+
+PACKETS = {ESTIMATOR_STANDARD: _standard_packets, ESTIMATOR_SHARED: _shared_packets}
 
 
 def feedback(state: MasterState, chosen: int, observed_loss: float) -> RoundOutcome:
@@ -177,7 +186,11 @@ def feedback(state: MasterState, chosen: int, observed_loss: float) -> RoundOutc
         q = [1.0 / (1.0 / pi + r * (l - lam)) for pi, r, l in zip(p, state.eta, losses)]
         total = sum(q)
         if not (min(q) > 0.0 and abs(total - 1.0) <= SIMPLEX_HARD_TOL):
-            validate_simplex(q)  # raises the failed check's typed error
+            try:
+                validate_simplex(q)
+            except ValueError as exc:  # the failed check's typed error, with its cause
+                raise type(exc)(f"round {state.t}: {exc} at rates {state.eta}: the master's "
+                                "eta is too large for float precision") from exc
         p = [x / total for x in q]
     state.p = p
     # A convex mix of the checked q and the uniform vector needs no check.
@@ -198,12 +211,12 @@ def apply_schedule(state: MasterState) -> list[int]:
     threshold jumps to twice the current inverse probability and the base's
     learning rate is multiplied by beta. Returns the fired indices.
     """
-    fired = []
-    for i in range(state.num_bases):
-        inv = 1.0 / state.p_bar[i]
-        if inv > state.rho[i]:
-            state.rho[i] = 2.0 * inv
-            state.eta[i] = state.beta * state.eta[i]
+    fired, rho, eta = [], state.rho, state.eta
+    for i, x in enumerate(state.p_bar):
+        inv = 1.0 / x
+        if inv > rho[i]:
+            rho[i] = 2.0 * inv
+            eta[i] = state.beta * eta[i]
             fired.append(i)
     return fired
 

@@ -41,13 +41,13 @@ def solve_lambda(
     trusted (``omd_step`` checks them, ``master.feedback`` computes them from
     checked values; losses are ``>= 0``); ``p`` is renormalized unchecked.
     """
-    p = normalize(p)
     lo = min(losses)
     hi = max(losses)
     if lo == hi:
         # F(c) = sum p_i = 1 exactly for a constant loss vector.
         return float(lo)
-    terms = list(zip([1.0 / x for x in p], rates, losses))
+    total = sum(p)  # normalize(p), folded into the reciprocals
+    terms = list(zip([1.0 / (x / total) for x in p], rates, losses))
     best_lam = lo
     best_err = math.inf
     lam = 0.5 * (lo + hi)

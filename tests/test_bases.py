@@ -551,6 +551,15 @@ class TestThompsonSampling:
     # numpy's Beta sampler takes Joehnk's algorithm when both pseudo-counts
     # are <= 1 and a ratio of gamma variates otherwise. The Joehnk prior
     # stays on that path because only unselected packets are fed.
+    def test_proposes_the_first_of_tied_minima(self):
+        # Continuous Beta draws never tie, so the stream pin below cannot tell
+        # the first minimum from the last; scripted draws can.
+        script = [[0.3, 0.1, 0.1, 0.5, 0.1], [0.2, 0.9, 0.2, 0.2, 0.4], [0.0, 0.7, 0.0, 0.0, 0.0]]
+        draws = iter(itertools.chain.from_iterable(script))
+        b = ThompsonSampling([[1, 1]] * 5, 1.0, SimpleNamespace(beta=lambda a, b: next(draws)))
+        assert [b.propose(0) for _ in script] == [1, 0, 0]
+        assert next(draws, None) is None
+
     @pytest.mark.parametrize(
         "prior, learns",
         [([[1, 19], [19, 1], [40, 40]], True), ([[0.5, 0.7], [0.3, 0.9]], False)],

@@ -25,6 +25,7 @@ from corral.core import (
     ConfigError,
     FeedbackPacket,
     IntegrityError,
+    NormalizationDriftError,
     UniformStream,
     named_rng,
 )
@@ -787,6 +788,29 @@ class TestInducedPackets:
         env = AdversarialMAB([[v, v] for v in values] * 100)
         signed = [(v, math.copysign(1.0, v)) for v in self.check(env, 1.0)]
         assert set(signed) == {(0.0, 1.0), (-0.0, -1.0), (0.5, 1.0), (1.0, 1.0)}
+
+
+class TestTrustedPath:
+    """The routers draw and build packets on the trusted path: with the
+    checked entries ``choose`` and ``build_packets`` made to raise, every
+    master run plays to the end and writes the same bytes."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [dict(SMALL_RUN, horizon=400, master={"eta": 0.5, "estimator": estimator})
+         for estimator in corral_master.ESTIMATORS] + [dict(SMALL_DEMO, horizon=400)],
+        ids=[*corral_master.ESTIMATORS, "lowerbound-demo"],
+    )
+    def test_routers_call_no_checked_entry(self, tmp_path, raw):
+        config = ExperimentConfig.from_dict(raw)
+        execute(config, tmp_path / "plain")
+        checked = AssertionError("a router called a checked entry")
+        with mock.patch.object(corral_master, "build_packets", side_effect=checked), \
+                mock.patch.object(corral_master, "choose", side_effect=checked):
+            execute(config, tmp_path / "patched")
+        for name in ("rounds.csv", "summary.json"):
+            assert (tmp_path / "patched" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
 
 
 class TestLowerBoundDemoSmoke:
@@ -1578,6 +1602,19 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out_dir.exists()
         return err
+
+    @pytest.mark.parametrize("eta", [1e10, 1e12])
+    def test_eta_too_large_for_float_precision_fails_naming_it(self, tmp_path, capsys, eta):
+        # At 1e9 this run plays; at 1e10 and past it the OMD step's q drifts
+        # from sum one at round 4, which failed naming no key.
+        raw = {"scenario": "corral-run", "horizon": 2000, "seeds": [0],
+               "environment": {"kind": "stochastic-mab", "means": [0.2, 0.8]},
+               "bases": [{"kind": "exp3"}, {"kind": "ucb1"}], "master": {"eta": eta}}
+        with pytest.raises(NormalizationDriftError):
+            run_corral(ExperimentConfig.from_dict(raw))
+        path = self.write_config(tmp_path, raw)
+        err = self.assert_fails_before_output(capsys, ["run", "--config", path], tmp_path / "o")
+        assert err.startswith("error: round 4: ") and "the master's eta is too large" in err
 
     def test_demo_ratio_without_half_regret_fails_before_output(self, tmp_path, capsys):
         # At horizon 2 both masters of seeds 6 and 7 have no regret at T/2,

@@ -13,6 +13,7 @@ from corral.core import (
     ConfigError,
     ContractError,
     DegenerateDistributionError,
+    FeedbackPacket,
     InvalidLossError,
     InvalidProbabilityError,
     NormalizationDriftError,
@@ -34,6 +35,7 @@ from corral.master import (
     init_master,
     tuned_eta,
 )
+from corral.harness import InducedRouter, naive_packets
 from corral.omd import solve_lambda
 
 
@@ -185,6 +187,95 @@ class TestBuildPackets:
                     assert expected[i] == pytest.approx(
                         decision_losses[proposals[i]], abs=1e-12
                     )
+
+
+@st.composite
+def packet_rounds(draw):
+    """A round's ``p_bar`` as ``feedback`` mixes it, with entries down to the
+    1/(T*M) floor, proposals that repeat, and a loss that may be a signed zero."""
+    m = draw(st.integers(2, 6))
+    horizon = draw(st.integers(2, 10**9))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    gamma = 1.0 / horizon
+    p_bar = normalize([(1.0 - gamma) * x + gamma / m for x in normalize(weights)])
+    proposals = draw(st.one_of(
+        st.just([0] * m), st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+    loss = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)))
+    return p_bar, proposals, loss, draw(st.integers(0, m - 1))
+
+
+def reference_packets(p_bar, proposals, loss, chosen, estimator):
+    """Each estimator's packets by definition, every selected one made checked."""
+    if estimator == ESTIMATOR_STANDARD:
+        hits = [i == chosen for i in range(len(p_bar))]
+    else:
+        hits = [d == proposals[chosen] for d in proposals]
+    prob = 0.0
+    for x, hit in zip(p_bar, hits):
+        if hit:
+            prob += x
+    prob = min(1.0, prob)
+    packet = FeedbackPacket(True, loss / prob, prob, loss)
+    return [packet if hit else UNSELECTED for hit in hits]
+
+
+def packet_bits(packets):
+    """Each packet's type and fields, floats by ``float.hex`` (so the sign of zero counts)."""
+    return [
+        (type(packet), [v.hex() if isinstance(v, float) else v for v in packet])
+        for packet in packets
+    ]
+
+
+def assert_rechecked(packets):
+    """Every selected packet passes ``FeedbackPacket``'s checks again."""
+    for packet in packets:
+        if packet.selected:
+            assert FeedbackPacket(*packet) == packet
+
+
+class TestTrustedBuilders:
+    """The routers' unchecked packet builders give the checked entry's packets,
+    field for field, and every packet they select would pass the checks."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(packet_rounds())
+    def test_estimator_builders_match_build_packets(self, instance):
+        p_bar, proposals, loss, chosen = instance
+        for estimator in (ESTIMATOR_STANDARD, ESTIMATOR_SHARED):
+            packets = master.PACKETS[estimator](p_bar, proposals, loss, chosen)
+            expected = build_packets(p_bar, proposals, loss, chosen, estimator)
+            assert packet_bits(packets) == packet_bits(expected)
+            assert packet_bits(packets) == packet_bits(
+                reference_packets(p_bar, proposals, loss, chosen, estimator))
+            assert_rechecked(packets)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(packet_rounds())
+    def test_naive_packets_match_checked_packets(self, instance):
+        probs, proposals, raw, chosen = instance
+        weighted = raw / probs[chosen]
+        expected = [UNSELECTED] * len(probs)
+        expected[chosen] = FeedbackPacket(True, weighted, 1.0, weighted)
+        packets = naive_packets(probs, proposals, raw, chosen)
+        assert packet_bits(packets) == packet_bits(expected)
+        assert_rechecked(packets)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.floats(1.0, 1e9),
+        st.one_of(st.just(-0.0), st.floats(0.0, 1.0).filter(lambda x: x not in (0.0, 1.0))),
+    )
+    def test_induced_packets_match_checked_packets(self, rho, raw):
+        router = InducedRouter(rho, named_rng(0, "wrapper"))
+        router.selection.rng = FakeRng(0.0)  # every round selected
+        p = router.selection.sampling_prob
+        emitted, packets, resets = router.step([raw], [0])
+        assert packet_bits(packets) == packet_bits([FeedbackPacket(True, raw / p, p, raw)])
+        assert emitted == raw / p and resets == ()
+        assert_rechecked(packets)
 
 
 class TestFeedbackAndSchedule:
@@ -434,6 +525,19 @@ class TestFeedbackPinnedToReference:
         with pytest.raises(error):
             feedback(state, 1, 0.7)
         assert state.p == [1.0 / 3] * 3 and state.t == 1
+
+    @pytest.mark.parametrize("shift, error",
+                             [(0.5, NormalizationDriftError), (1e9, DegenerateDistributionError)])
+    def test_failed_step_names_round_rates_and_eta(self, monkeypatch, shift, error):
+        solver = master.solve_lambda
+        monkeypatch.setattr(master, "solve_lambda", lambda *args: solver(*args) + shift)
+        state = init_master(0.1, 3, 1000)
+        feedback(state, 0, 0.0)  # a zero loss takes no step
+        with pytest.raises(error) as info:
+            feedback(state, 1, 0.7)
+        message = str(info.value)
+        assert message.startswith("round 2: ") and "rates [0.1, 0.1, 0.1]" in message
+        assert "the master's eta is too large" in message
 
 
 class TestTunedEta:

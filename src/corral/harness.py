@@ -12,9 +12,9 @@ induced leg at sampling probability one), plays each through ``play`` and
 returns a picklable ``SeedResult`` of leg regrets and, for a run that writes
 rows, one ``RoundLog`` of columns and its leg's index. Each runner summarizes.
 
-Config schema (see the README for worked examples). Every level takes only
-the keys its table below gives for its kind (``_SCENARIO_KEYS`` for the top
-level, by ``scenario``); ``[key]`` is optional::
+Config schema (see the README for worked examples). ``_LEVELS`` gives each
+level's keys by its kind (the top level's by ``scenario``), ``_VALUES`` every
+other key's JSON type and depth; ``[key]`` is optional::
 
     scenario      "corral-run" | "standalone-run" | "stability-test" |
                   "lowerbound-demo" | "sweep"
@@ -94,50 +94,64 @@ CSV_BLOCK = 1024
 # Configuration
 # ---------------------------------------------------------------------------
 
-# Each config level's keys, by the value of its kind key; see ``_check_spec``.
+# Each key that holds an object or a list of objects: the object's name in
+# messages, whether the key holds a list, its kind key, and its rows of key
+# groups by the kind key's value; see ``_check_spec``. "config" is also the
+# document itself.
 # A ``None`` row takes a spec whose kind is absent or not a string.
 _PLAYED = [("horizon",), ("seeds",)]
-_SCENARIO_KEYS = {
-    "corral-run": [*_PLAYED, ("environment",), ("bases",), ("master",)],
-    "standalone-run": [*_PLAYED, ("environment",), ("bases",)],
-    "stability-test": [*_PLAYED, ("environment",), ("bases",), ("rho_levels",)],
-    "lowerbound-demo": [*_PLAYED, ("demo", None)],
-    "sweep": [("runs",)],
+_LEVELS = {
+    "config": ("config", False, "scenario", {
+        "corral-run": [*_PLAYED, ("environment",), ("bases",), ("master",)],
+        "standalone-run": [*_PLAYED, ("environment",), ("bases",)],
+        "stability-test": [*_PLAYED, ("environment",), ("bases",), ("rho_levels",)],
+        "lowerbound-demo": [*_PLAYED, ("demo", None)],
+        "sweep": [("runs",)],
+    }),
+    "runs": ("sweep run", True, None, {None: [("name",), ("config",)]}),
+    # By "eta": a fixed rate, or "tuned" to a regret target.
+    "master": ("master", False, "eta", {
+        None: [("eta",), ("estimator", None), ("restart_policy", None)],
+        "tuned": [("regret_target",), ("estimator", None), ("restart_policy", None)],
+    }),
+    "demo": ("demo", False, None, {None: [("corral_eta", None), ("naive_eta", None)]}),
+    "environment": ("environment", False, "kind", {
+        "stochastic-mab": [("means", "means_prior")],
+        "adversarial-mab": [("script", "script_csv")],
+        "stochastic-contextual": [("context_probs",), ("cond_means",), ("policies",)],
+        "lower-bound": [],
+    }),
+    "bases": ("base", True, "kind", {
+        "exp3": [], "ucb1": [], "exp4": [("policies",)], "epoch-greedy": [("policies",)],
+        "thompson": [("prior",)], "pathological": [("arm_pair",)],
+    }),
 }
-_RUN_KEYS = {None: [("name",), ("config",)]}
-# By "eta": a fixed rate, or "tuned" to a regret target.
-_MASTER_KEYS = {
-    None: [("eta",), ("estimator", None), ("restart_policy", None)],
-    "tuned": [("regret_target",), ("estimator", None), ("restart_policy", None)],
-}
-_DEMO_KEYS = {None: [("corral_eta", None), ("naive_eta", None)]}
-_ENV_KEYS = {
-    "stochastic-mab": [("means", "means_prior")],
-    "adversarial-mab": [("script", "script_csv")],
-    "stochastic-contextual": [("context_probs",), ("cond_means",), ("policies",)],
-    "lower-bound": [],
-}
-_BASE_KEYS = {
-    "exp3": [],
-    "exp4": [("policies",)],
-    "epoch-greedy": [("policies",)],
-    "thompson": [("prior",)],
-    "ucb1": [],
-    "pathological": [("arm_pair",)],
-}
+# Every other key's JSON type and depth, by rows of keys that nest 0 (one
+# value), 1 (a list) or 2 (a table, a list of lists) deep. Besides numbers,
+# "eta" takes the string "tuned".
+_VALUES = {key: (kind, depth) for kind, rows in {
+    "string": ["scenario kind estimator restart_policy script_csv name"],
+    "integer": ["horizon", "seeds arm_pair", "policies"],
+    "number": ["eta regret_target corral_eta naive_eta", "rho_levels means context_probs",
+               "means_prior script cond_means prior"],
+}.items() for depth, keys in enumerate(rows) for key in keys.split()}
 # Each base kind's class; its ``alpha`` is every such base's exponent.
 _BASE_CLASSES = {
     b.kind: b for b in (Exp3, Exp4, EpochGreedy, ThompsonSampling, Ucb1, PathologicalBase)
 }
 
 
-def _check_spec(spec, table: dict, key: str | None, what: str) -> None:
-    """Reject a spec that is not an object or whose kind, the value of
-    ``key``, has no row in ``table``. Besides ``key``, the spec must hold
-    exactly one key of each group of its row, or at most one of a group
-    that ends in None, and no other key."""
+def _check_spec(spec, level: str = "config") -> None:
+    """Reject a spec of ``level`` (a key of ``_LEVELS``) that is not an object
+    or whose kind, the value of the level's kind key, has no row. Besides the
+    kind key, the spec must hold exactly one key of each group of its row, or
+    at most one of a group that ends in None, and no other key. Then each
+    value is checked in order: by ``_check_value``, or a level's by recursion."""
+    what, _, key, table = _LEVELS[level]
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be an object, got {type(spec).__name__}")
+    if key in spec:
+        _check_value(spec[key], key)
     kind = spec.get(key)
     row = kind if isinstance(kind, str) else None
     if row not in table:
@@ -153,50 +167,45 @@ def _check_spec(spec, table: dict, key: str | None, what: str) -> None:
         if found > 1 or found < (group[-1] is not None):
             bound = "at most" if group[-1] is None else "exactly"
             raise ConfigError(f"{name} needs {bound} one of {keys}")
+    for k, value in spec.items():
+        if k in _VALUES:
+            _check_value(value, k)
+        elif _LEVELS[k][1] and not isinstance(value, list):
+            raise ConfigError(f"{k} takes a list, got {type(value).__name__}")
+        else:
+            for entry in value if _LEVELS[k][1] else [value]:
+                _check_spec(entry, k)
 
 
-# The only keys that take strings ("eta" takes "tuned"), the integer keys,
-# and how deep each value key nests: 0 for one value, 1 for a list, 2 for a
-# table (a list of lists); any other key holds objects, whose keys are walked.
-_STRING_KEYS = {"scenario", "kind", "restart_policy", "estimator", "script_csv", "name"}
-_INTEGER_KEYS = {"horizon", "seeds", "policies", "arm_pair"}
-_DEPTHS = {
-    **dict.fromkeys(_STRING_KEYS | {"horizon", "eta", "regret_target", "corral_eta", "naive_eta"}, 0),
-    **dict.fromkeys(["seeds", "rho_levels", "means", "context_probs", "arm_pair"], 1),
-    **dict.fromkeys(["means_prior", "script", "cond_means", "policies", "prior"], 2),
-}
-
-
-def _check_values(value, key=None, depth=-1) -> None:
-    """Reject a raw config value not of its key's JSON type and ``_DEPTHS``
-    (``depth``, the key's unless given, is what nests inside ``value``):
-    Python reads ``true`` as 1 and ``"0.5"`` as 0.5; ``int`` truncates 1.9."""
-    depth = _DEPTHS.get(key) if depth == -1 else depth
-    integer = key in _INTEGER_KEYS
-    if isinstance(value, (dict, list, tuple)) and depth is None:
-        children = value.items() if isinstance(value, dict) else ((key, v) for v in value)
-        for k, v in children:
-            _check_values(v, k)
-    elif isinstance(value, (dict, list, tuple)) and _DEPTHS[key] == 0:
+def _check_value(value, key: str, depth: int | None = None) -> None:
+    """Reject a raw config value not of its key's JSON type and depth in
+    ``_VALUES`` (``depth``, the key's unless given, is what nests inside
+    ``value``): Python reads ``true`` as 1 and ``"0.5"`` as 0.5; ``int``
+    truncates 1.9."""
+    kind, top = _VALUES[key]
+    depth = top if depth is None else depth
+    if isinstance(value, (dict, list, tuple)) and not top:
         raise ConfigError(f"{key} takes one value, got {type(value).__name__}")
     elif isinstance(value, (list, tuple)) and depth:
         # One set of types per list, and a table's cells as one list: a long
         # script costs no call per cell or row.
         kinds = set(map(type, value))
         if depth == 2 and kinds <= {list, tuple}:
-            _check_values(list(itertools.chain.from_iterable(value)), key, 1)
-        elif depth == 2 or not kinds <= ({int} if integer else {int, float}):
+            _check_value(list(itertools.chain.from_iterable(value)), key, 1)
+        elif depth == 2 or not kinds <= ({int} if kind == "integer" else {int, float}):
             for v in value:
-                _check_values(v, key, depth - 1)
+                _check_value(v, key, depth - 1)
     elif isinstance(value, str):
-        if key not in _STRING_KEYS and (key, value) != ("eta", "tuned"):
+        if kind != "string" and (key, value) != ("eta", "tuned"):
             raise ConfigError(f"{key} takes no string, got {value!r}")
+    elif kind == "string":
+        raise ConfigError(f"{key} takes a string, got {value!r}")
     elif isinstance(value, bool) or not isinstance(
-        value, numbers.Integral if integer else numbers.Real
+        value, numbers.Integral if kind == "integer" else numbers.Real
     ):
-        raise ConfigError(f"{key} takes {'integers' if integer else 'numbers'}, got {value!r}")
+        raise ConfigError(f"{key} takes {kind}s, got {value!r}")
     elif depth:
-        raise ConfigError(f"{key} takes {('a list', 'a table')[_DEPTHS[key] - 1]}, got {value!r}")
+        raise ConfigError(f"{key} takes {('a list', 'a table')[top - 1]}, got {value!r}")
 
 
 @dataclass
@@ -214,27 +223,30 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
-            _check_spec(raw, _SCENARIO_KEYS, "scenario", "config")
-            if raw["scenario"] == "sweep":
-                # A sweep's runs are walked by their own ``from_dict``.
-                cfg = cls("sweep", runs=[_sweep_run(r) for r in raw["runs"]])
-            else:
-                _check_values(raw)
-                cfg = cls(
-                    scenario=raw["scenario"],
-                    horizon=int(raw["horizon"]),
-                    seeds=[int(s) for s in raw["seeds"]],
-                    environment=raw.get("environment", {}),
-                    bases=list(raw.get("bases", [])),
-                    master=raw.get("master", {}),
-                    rho_levels=[float(r) for r in raw.get("rho_levels", [])],
-                    demo=raw.get("demo", {}),
-                )
-            cfg.validate()
+            _check_spec(raw)
+            return cls._from_checked(raw)
         except CorralError:
             raise
         except (TypeError, ValueError, KeyError, RecursionError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
+
+    @classmethod
+    def _from_checked(cls, raw: dict) -> "ExperimentConfig":
+        """The validated config of a document ``_check_spec`` has walked; a
+        sweep's runs are built the same way, and not walked again."""
+        cfg = cls(
+            scenario=raw["scenario"],
+            horizon=int(raw.get("horizon", 0)),
+            seeds=[int(s) for s in raw.get("seeds", [])],
+            environment=raw.get("environment", {}),
+            bases=list(raw.get("bases", [])),
+            master=raw.get("master", {}),
+            rho_levels=[float(r) for r in raw.get("rho_levels", [])],
+            demo=raw.get("demo", {}),
+            runs=[dict(entry, config=cls._from_checked(entry["config"]))
+                  for entry in raw.get("runs", [])],
+        )
+        cfg.validate()
         return cfg
 
     def validate(self) -> None:
@@ -243,7 +255,15 @@ class ExperimentConfig:
         if self.scenario == "sweep":
             if not self.runs:
                 raise ConfigError("sweep needs a nonempty 'runs' list")
+            # Each run writes to the subdirectory of its name, beside the sweep's own
+            # summary file and its temporary twin; a lone surrogate names no path.
             names = [entry["name"] for entry in self.runs]
+            reserved = ("", ".", "..", SUMMARY_JSON, SUMMARY_JSON + ".tmp")
+            for name in names:
+                if (name in reserved or set(name) & {"/", "\0", os.sep, os.altsep}
+                        or any("\ud800" <= c <= "\udfff" for c in name)):
+                    raise ConfigError("sweep run name must be one path component not in "
+                                      f"{reserved}, got {name!r}")
             if len(set(names)) != len(names):
                 raise ConfigError(f"sweep run names must be distinct, got {names}")
             return
@@ -251,12 +271,10 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         _check_seeds(self.seeds)
         if self.scenario == "lowerbound-demo":
-            _check_spec(self.demo, _DEMO_KEYS, None, "demo")
             default_eta = corral_master.tuned_eta(math.sqrt(self.horizon), self.horizon, 2)
             self.demo = {"corral_eta": float(self.demo.get("corral_eta", default_eta)),
                          "naive_eta": float(self.demo.get("naive_eta", 1e-4))}
         else:
-            _check_spec(self.environment, _ENV_KEYS, "kind", "environment")
             spec = self.environment
             if spec["kind"] == "adversarial-mab":
                 # Every seed plays this one array; no parsed row is kept.
@@ -266,8 +284,6 @@ class ExperimentConfig:
                                     "script": np.asarray(script, dtype=np.float64)}
                 # Every row is checked, also the rows past the horizon.
                 AdversarialMAB(self.environment["script"])
-            for spec in self.bases:
-                _check_spec(spec, _BASE_KEYS, "kind", "base")
             if self.scenario != "corral-run":
                 if len(self.bases) != 1:
                     raise ConfigError(f"{self.scenario} needs exactly 1 base algorithm")
@@ -275,7 +291,6 @@ class ExperimentConfig:
                 raise ConfigError("corral-run needs at least 2 base algorithms")
             else:
                 # The table admits a regret target only beside "eta": "tuned".
-                _check_spec(self.master, _MASTER_KEYS, "eta", "master")
                 eta, target = self.master["eta"], self.master.get("regret_target")
                 if target is not None:
                     eta = corral_master.tuned_eta(float(target), self.horizon, len(self.bases))
@@ -337,21 +352,6 @@ def _read_script_csv(path) -> np.ndarray:
         raise ConfigError(f"cannot read script_csv {path!r}: {exc}") from exc
 
 
-def _sweep_run(entry) -> dict:
-    """A sweep's ``{"name", "config"}`` entry with its config parsed and
-    checked, once: ``with_seed_offset`` and ``execute`` use the result."""
-    _check_spec(entry, _RUN_KEYS, None, "sweep run")
-    # Each run writes to the subdirectory of its name, beside the sweep's
-    # own summary file and that file's temporary twin.
-    name = entry["name"]
-    reserved = ("", ".", "..", SUMMARY_JSON, SUMMARY_JSON + ".tmp")
-    if (not isinstance(name, str) or name in reserved
-            or set(name) & {"/", "\0", os.sep, os.altsep}):
-        raise ConfigError(f"sweep run name must be one path component not in {reserved}, "
-                          f"got {name!r}")
-    return {"name": name, "config": ExperimentConfig.from_dict(entry["config"])}
-
-
 def _unique_keys(pairs: list[tuple]) -> dict:
     """A JSON object's pairs as a dict; ``json`` would keep a repeated key's last."""
     obj = {}
@@ -372,7 +372,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config nests too deeply") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 

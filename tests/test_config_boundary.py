@@ -52,6 +52,37 @@ def test_readme_python_examples_run(capsys):
     assert capsys.readouterr().out
 
 
+def readme_table(header):
+    """The cells of each body row of README's table under ``header``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+
+
+def test_readme_key_tables_match_the_loader():
+    # The top-level keys by scenario, and the type and depth of every value.
+    _, _, kind_key, rows = harness._LEVELS["config"]
+    expected = {scenario: ({kind_key}.union(*(g for g in groups if g[-1] is not None)),
+                           {k for g in groups if g[-1] is None for k in g[:-1]})
+                for scenario, groups in rows.items()}
+    readme = {}
+    for scenario, keys in readme_table("| Scenario | Keys |"):
+        names = re.findall(r"`([^`]+)`", keys)
+        readme[scenario.strip("`")] = ({n for n in names if not n.startswith("[")},
+                                       {n.strip("[]") for n in names if n.startswith("[")})
+    assert readme == expected
+    values = {}
+    for kind, *cells in readme_table("| Type | One value | A list | A table |"):
+        for depth, cell in enumerate(cells):
+            for key in re.findall(r"`([^`]+)`", cell):
+                assert key not in values
+                values[key] = (kind, depth)
+    assert values == harness._VALUES
+
+
 def test_package_root_binds_only_modules():
     # A fresh interpreter: ``import corral`` alone binds the six library
     # modules, which is all ``bench/child.py`` reads through, and no name.
@@ -249,6 +280,56 @@ def assert_failed_partway(config, out):
         assert_complete(last["config"], out / last["name"])
     else:
         assert_failed_partway(last["config"], out / last["name"])
+
+
+def typed_paths(value, path=()):
+    """The path of every entry of ``value`` whose key ``_VALUES`` types."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        if key in harness._VALUES:
+            yield path + (key,)
+        else:
+            yield from typed_paths(child, path + (key,))
+
+
+# Scalars of another JSON type than each type's, none of them "tuned".
+MISTYPED = {"string": [5, 0.5, True, False, None],
+            "integer": [0.5, 1.0, "1", True, None],
+            "number": ["0.5", "x", True, False, None]}
+
+
+@st.composite
+def mistyped(draw, key, value):
+    """A value of the wrong JSON type for ``key`` at its depth, or ``value``
+    nested one level too deep or (for a list key) too shallow."""
+    kind, depth = harness._VALUES[key]
+    change = draw(st.sampled_from(["type", "deeper"] + ["shallower"] * bool(depth)))
+    if change == "deeper":
+        return [value]
+    if change == "shallower":
+        return value[0]
+    bad = draw(st.sampled_from(MISTYPED[kind]))
+    for _ in range(depth):
+        bad = [bad]
+    return bad
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_each_typed_key_rejects_a_wrong_type_or_depth(data):
+    # Drawn from ``_VALUES``: a key added to the table is fuzzed here too.
+    doc = data.draw(digest_configs())
+    for path in typed_paths(doc):
+        key = path[-1]
+        variant = copy.deepcopy(doc)
+        at(variant, path[:-1])[key] = data.draw(mistyped(key, at(doc, path)))
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} takes "):
+            ExperimentConfig.from_dict(variant)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

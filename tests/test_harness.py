@@ -171,13 +171,13 @@ class TestConfigValidation:
 
     def test_sweep_walks_each_run_config_once(self, monkeypatch):
         walked = []
-        check = harness._check_values
+        check = harness._check_spec
 
-        def recording(value, *args):
-            walked.append(value)
-            return check(value, *args)
+        def recording(spec, *args):
+            walked.append(spec)
+            return check(spec, *args)
 
-        monkeypatch.setattr(harness, "_check_values", recording)
+        monkeypatch.setattr(harness, "_check_spec", recording)
         runs = [{"name": "one", "config": dict(SMALL_RUN, environment=dict(MAB_ENV))},
                 {"name": "two", "config": dict(SMALL_RUN, environment=dict(MAB_ENV))}]
         ExperimentConfig.from_dict({"scenario": "sweep", "runs": runs})
@@ -221,12 +221,26 @@ class TestConfigValidation:
             ({"environment": {"kind": "adversarial-mab",
                               "script": [[0.0, 1.0]] * 99 + [[0, True]]}},
              "script takes numbers, got True"),
+            # String keys took numbers, and a boolean or null failed as a number.
+            ({"environment": {"kind": True}}, "kind takes a string, got True"),
+            ({"bases": [{"kind": None}, {"kind": "ucb1"}]}, "kind takes a string, got None"),
+            ({"master": {"eta": 0.05, "estimator": True}}, "estimator takes a string, got True"),
+            ({"master": {"eta": 0.05, "restart_policy": 1}},
+             "restart_policy takes a string, got 1"),
+            ({"environment": {"kind": "adversarial-mab", "script_csv": 5}},
+             "script_csv takes a string, got 5"),
+            ({"scenario": "sweep", "runs": [{"name": "a", "config": dict(SMALL_RUN, scenario=2)}]},
+             "scenario takes a string, got 2"),
+            ({"scenario": "sweep", "runs": [{"name": 7, "config": SMALL_RUN}]},
+             "name takes a string, got 7"),
         ],
         ids=["rho-levels", "rho-level-string", "eta-bool", "eta-string",
              "regret-target-string", "demo-naive-eta-string", "demo-corral-eta-bool",
              "means", "mean-string", "thompson-prior", "context-probs-string",
              "arm-pair", "arm-pair-fraction", "env-policies", "exp4-policies",
-             "script-bool"],
+             "script-bool", "env-kind-bool", "base-kind-null", "estimator-bool",
+             "restart-policy-number", "script-csv-number", "scenario-number",
+             "run-name-number"],
     )
     def test_non_json_numbers_rejected(self, overrides, message):
         # Each of these loaded with the value read as a number (or truncated).
@@ -236,9 +250,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "names",
         [["a", "a"], ["../escaped"], [7], [""], ["."], [".."], ["a/b"], ["a", "a\0b"],
-         ["summary.json"], ["summary.json.tmp"]],
+         ["summary.json"], ["summary.json.tmp"], ["a", "b\ud800"]],
         ids=["duplicate", "parent-escape", "number", "empty", "dot", "dot-dot", "slash",
-             "nul", "sweep-summary", "sweep-summary-tmp"],
+             "nul", "sweep-summary", "sweep-summary-tmp", "lone-surrogate"],
     )
     def test_sweep_run_names_are_distinct_path_components(self, names):
         runs = [{"name": name, "config": SMALL_RUN} for name in names]
@@ -1585,10 +1599,14 @@ class TestCli:
         assert message in err
 
     @pytest.mark.parametrize(
-        "names", [["a", "a"], ["../escaped"], [7], ["summary.json"], ["summary.json.tmp"]],
-        ids=["duplicate", "parent-escape", "number", "summary", "summary-tmp"],
+        "names", [["a", "a"], ["../escaped"], [7], ["summary.json"], ["summary.json.tmp"],
+                  ["a", "b\ud800"]],
+        ids=["duplicate", "parent-escape", "number", "summary", "summary-tmp",
+             "lone-surrogate"],
     )
     def test_bad_sweep_run_name_writes_nothing(self, tmp_path, capsys, names):
+        # A lone surrogate (the JSON "b\ud800") once passed the load, so run
+        # "a" played and wrote its outputs before "b" failed to make its directory.
         runs = [{"name": name, "config": SMALL_RUN} for name in names]
         path = self.write_config(tmp_path, {"scenario": "sweep", "runs": runs})
         out_dir = tmp_path / "out" / "sweep"
@@ -1635,6 +1653,17 @@ class TestCli:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         argv = ["run", "--config", str(path)]
+        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+
+    def test_integer_past_the_digit_limit_fails_before_output(self, tmp_path, capsys):
+        # Python converts no integer literal of more than 4,300 digits: json
+        # raised that as a bare ValueError, which escaped as a traceback.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(SMALL_STANDALONE).replace('"horizon": 50',
+                                                             '"horizon": ' + "9" * 5000))
+        with pytest.raises(ConfigError):
+            harness.load_config(path)
+        argv = ["standalone", "--config", str(path)]
         self.assert_fails_before_output(capsys, argv, tmp_path / "o")
 
     def test_non_utf8_config_fails_before_output(self, tmp_path, capsys):

@@ -6,11 +6,12 @@ round of every seed, floats at 17 significant digits so files are
 byte-stable) and one ``summary.json`` per run. Seeds are independent: every
 component draws from its own named stream, so identical configs and seeds
 reproduce output byte for byte and aggregation is order-independent. One
-function, ``run_seed``, plays a seed of any scenario: it builds the seed's
-``(env, bases, router)`` legs with ``build_legs`` (a standalone leg is an
-induced leg at sampling probability one), plays each through ``play`` and
-returns a picklable ``SeedResult`` of leg regrets and, for a run that writes
-rows, one ``RoundLog`` of columns and its leg's index. Each runner summarizes.
+function, ``run_seed``, plays a seed of any scenario: ``build_legs`` builds
+its environment and one router per leg, each with its bases (a standalone leg
+is an induced leg at sampling probability one), ``play`` plays every leg over
+one realization, and ``run_seed`` returns a picklable ``SeedResult`` of leg
+regrets and, for a run that writes rows, one ``RoundLog`` of columns and its
+leg's index. Each runner summarizes.
 
 Config schema (see the README for worked examples). ``_LEVELS`` gives each
 level's keys by its kind (the top level's by ``scenario``), ``_VALUES`` every
@@ -76,6 +77,7 @@ from .core import (
     trusted_packet,
 )
 from .envs import (
+    BLOCK,
     AdversarialMAB,
     Environment,
     InducedEnvironment,
@@ -192,6 +194,11 @@ def _check_value(value, key: str, depth: int | None = None) -> None:
         kinds = set(map(type, value))
         if depth == 2 and kinds <= {list, tuple}:
             _check_value(list(itertools.chain.from_iterable(value)), key, 1)
+            widths = sorted(set(map(len, value)))
+            if len(widths) > 1:
+                raise ConfigError(f"{key} rows must have one length, got lengths {widths}")
+            if key in ("prior", "means_prior") and widths not in ([], [2]):  # Beta pseudo-counts
+                raise ConfigError(f"{key} rows must be [a, b] pairs, got rows of {widths[0]}")
         elif depth == 2 or not kinds <= ({int} if kind == "integer" else {int, float}):
             for v in value:
                 _check_value(v, key, depth - 1)
@@ -312,10 +319,9 @@ class ExperimentConfig:
             if len(set(self.rho_levels)) != len(self.rho_levels):
                 raise ConfigError(f"rho levels must be distinct, got {self.rho_levels}")
         # Build seed 0's legs (nothing sized by the horizon) so bad values fail here.
-        legs = build_legs(self, self.seeds[0])
         # Every seed's round log, 40 + 8 * bases bytes a round, is held until
         # the outputs are written; a stability test logs no rounds.
-        widths = [len(bases) for _, bases, router in legs if router.logged]
+        widths = [len(r.bases) for r in build_legs(self, self.seeds[0])[1] if r.logged]
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if widths and len(self.seeds) * self.horizon * (40 + 8 * widths[0]) > memory:
             raise ConfigError(f"the round logs of a horizon of {self.horizon} do not fit in memory")
@@ -436,32 +442,28 @@ def build_base(
     return PathologicalBase(pair, rng)
 
 
-def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
-    """The ``(env, bases, router)`` legs ``seed`` plays, in order, from its
-    named streams: one for a corral run; an induced leg at probability one for
-    a standalone run, and at 1/rho for each rho level of a stability test; and
-    the demo's naive, corral and matched standalone legs, which share one
-    environment (it draws only when built). The router of the leg a run
-    logs, its only corral or standalone leg or the demo's corral leg, is
-    ``logged``."""
+def build_legs(config: ExperimentConfig, seed: int) -> tuple[Environment, list]:
+    """The environment ``seed`` plays and one router per leg, in order, from
+    its named streams: a corral run's master; an induced router at probability
+    one for a standalone run, and at 1/rho for each rho level of a stability
+    test; and the demo's naive, corral and matched standalone routers. Only
+    the router of the leg a run logs is ``logged``."""
     horizon = config.horizon
     if config.scenario == "lowerbound-demo":
         env = LowerBoundEnv(named_rng(seed, "env"))
         state = corral_master.init_master(config.demo["corral_eta"], 2, horizon)
-        masters = {
-            "naive": NaiveRouter(2, config.demo["naive_eta"], named_rng(seed, "naive.master")),
-            "corral": CorralRouter(state, named_rng(seed, "corral.master"), naive_packets),
-        }
-        legs = [
-            (env, [PathologicalBase(pair, named_rng(seed, f"{name}.base.{i}"))
-                   for i, pair in enumerate([(0, 1), (2, 3)])], router)
-            for name, router in masters.items()
-        ]
+        naive, corral = ([PathologicalBase(pair, named_rng(seed, f"{name}.base.{i}"))
+                          for i, pair in enumerate([(0, 1), (2, 3)])]
+                         for name in ("naive", "corral"))
         # Matched standalone: the base whose pair carries the cheap losses.
         base = PathologicalBase(env.cheap_pair, named_rng(seed, "standalone.base"))
-        return legs + [(env, [base], InducedRouter(1.0, named_rng(seed, "standalone.wrapper")))]
+        return env, [
+            NaiveRouter(naive, config.demo["naive_eta"], named_rng(seed, "naive.master")),
+            CorralRouter(corral, state, named_rng(seed, "corral.master"), naive_packets),
+            InducedRouter(base, 1.0, named_rng(seed, "standalone.wrapper")),
+        ]
+    env = build_environment(config.environment, named_rng(seed, "env"), horizon)
     if config.scenario == "corral-run":
-        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
         master = config.master
         state = corral_master.init_master(
             master["eta"], len(config.bases), horizon, master["restart_policy"])
@@ -471,14 +473,13 @@ def build_legs(config: ExperimentConfig, seed: int) -> list[tuple]:
             for i, spec in enumerate(config.bases)
         ]
         packets = corral_master.PACKETS[master["estimator"]]
-        return [(env, bases, CorralRouter(state, named_rng(seed, "master"), packets))]
-    legs = []
-    for rho in config.rho_levels if config.scenario == "stability-test" else [1.0]:
-        env = build_environment(config.environment, named_rng(seed, "env"), horizon)
-        base = build_base(config.bases[0], env, horizon, rho, named_rng(seed, "base.0"))
-        logged = config.scenario == "standalone-run"
-        legs.append((env, [base], InducedRouter(rho, named_rng(seed, "wrapper"), logged)))
-    return legs
+        return env, [CorralRouter(bases, state, named_rng(seed, "master"), packets)]
+    logged = config.scenario == "standalone-run"
+    return env, [
+        InducedRouter(build_base(config.bases[0], env, horizon, rho, named_rng(seed, "base.0")),
+                      rho, named_rng(seed, "wrapper"), logged)
+        for rho in (config.rho_levels if config.scenario == "stability-test" else [1.0])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -682,14 +683,13 @@ def _total(per_round: float | np.ndarray, rounds: int) -> float:
 # The round loop and its feedback routers
 # ---------------------------------------------------------------------------
 #
-# A router plays one round from the bases' proposals: ``step(row,
-# proposals)`` picks whose proposal is played, reads its loss in the round's
-# ``row`` of losses, and returns the loss the round charges, one packet per
-# base, and the ``(base, range)`` resets to apply after every base has
-# updated. A ``logged`` router keeps
-# its rounds' choices and schedule, and ``columns()`` returns them as the
-# matching ``RoundLog`` fields. A router that samples owns the generator
-# it is given and serves its uniforms through a ``UniformStream``.
+# A router is a leg: it holds its ``bases``, and ``step(ctx, row)`` plays a
+# whole round and returns the loss it charges. Every base proposes, the router
+# picks whose proposal is played and reads its loss in ``row``, the bases
+# update in index order, and then the master's restarts reset theirs. A
+# ``logged`` router keeps its rounds' choices and schedule, and ``columns()``
+# returns them as the matching ``RoundLog`` fields. A router that samples owns
+# the generator it is given and serves its uniforms through a ``UniformStream``.
 
 
 class CorralRouter:
@@ -703,15 +703,17 @@ class CorralRouter:
 
     logged = True
 
-    def __init__(self, state, rng, packets):
+    def __init__(self, bases, state, rng, packets):
+        self.bases = bases
         self.state = state
         self.rng = UniformStream(rng)
         self.packets = packets
         self.chosen, self.decision, self.p_bar = array("q"), array("q"), array("d")
         self.schedule = [(0, list(state.eta), list(state.rho), [])]
 
-    def step(self, row, proposals: list[int]):
-        state = self.state
+    def step(self, ctx, row) -> float:
+        bases, state = self.bases, self.state
+        proposals = [b.propose(ctx) for b in bases]
         p_bar = state.p_bar
         chosen = sample_index(self.rng, p_bar)
         decision = proposals[chosen]
@@ -723,8 +725,11 @@ class CorralRouter:
         if outcome.doublings:
             entry = (len(self.chosen), list(state.eta), list(state.rho), outcome.doublings)
             self.schedule.append(entry)
-        resets = [(i, state.rho[i]) for i in outcome.restarts] if outcome.restarts else ()
-        return raw, self.packets(p_bar, proposals, raw, chosen), resets
+        for base, packet in zip(bases, self.packets(p_bar, proposals, raw, chosen)):
+            base.update(packet)
+        for i in outcome.restarts:
+            bases[i].reset(state.rho[i])
+        return raw
 
     def columns(self) -> dict:
         return {
@@ -742,25 +747,29 @@ class InducedRouter:
     see on its own. A selected raw loss of 1.0 or +0.0 reuses the packet
     built for it here. Only a ``logged`` router keeps its decisions."""
 
-    def __init__(self, rho: float, rng, logged: bool = False):
+    def __init__(self, base, rho: float, rng, logged: bool = False):
+        self.bases = [base]
         self.range_param = rho
         self.selection = InducedEnvironment(1.0 / rho, rng)
         self.logged = logged
         self.decision = array("q") if logged else None
         p = self.selection.sampling_prob
-        self.reused = {raw: (FeedbackPacket(True, raw / p, p, raw),) for raw in (0.0, 1.0)}
+        self.reused = {raw: FeedbackPacket(True, raw / p, p, raw) for raw in (0.0, 1.0)}
 
-    def step(self, row, proposals: list[int]):
-        decision = proposals[0]
+    def step(self, ctx, row) -> float:
+        base = self.bases[0]
+        decision = base.propose(ctx)
         if self.logged:
             self.decision.append(decision)
         raw = row[decision]
         selected, emitted = self.selection.observe(raw)
         if not selected:
-            return emitted, (UNSELECTED,), ()
-        if raw == 1.0 or (raw == 0.0 and math.copysign(1.0, raw) > 0.0):  # not -0.0
-            return emitted, self.reused[raw], ()
-        return emitted, (trusted_packet((True, emitted, self.selection.sampling_prob, raw)),), ()
+            base.update(UNSELECTED)
+        elif raw == 1.0 or (raw == 0.0 and math.copysign(1.0, raw) > 0.0):  # not -0.0
+            base.update(self.reused[raw])
+        else:
+            base.update(trusted_packet((True, emitted, self.selection.sampling_prob, raw)))
+        return emitted
 
     def columns(self) -> dict:
         rounds = len(self.decision)
@@ -778,19 +787,24 @@ class NaiveRouter:
 
     logged = False
 
-    def __init__(self, num_bases: int, rate: float, rng):
+    def __init__(self, bases, rate: float, rng):
         if not 0.0 < rate < math.inf:
             raise ConfigError(f"naive learning rate must be finite and > 0, got {rate}")
+        self.bases = bases
         self.rate = rate
         self.rng = UniformStream(rng)
-        self.cum_est = [0.0] * num_bases
+        self.cum_est = [0.0] * len(bases)
 
-    def step(self, row, proposals: list[int]):
+    def step(self, ctx, row) -> float:
+        bases = self.bases
+        proposals = [b.propose(ctx) for b in bases]
         probs = exp_weights(self.cum_est, self.rate)
         chosen = sample_index(self.rng, probs)
         raw = row[proposals[chosen]]
         self.cum_est[chosen] += raw / probs[chosen]
-        return raw, naive_packets(probs, proposals, raw, chosen), ()
+        for base, packet in zip(bases, naive_packets(probs, proposals, raw, chosen)):
+            base.update(packet)
+        return raw
 
 
 def naive_packets(probs, proposals, raw: float, chosen: int) -> list[FeedbackPacket]:
@@ -803,19 +817,19 @@ def naive_packets(probs, proposals, raw: float, chosen: int) -> list[FeedbackPac
     return packets
 
 
-def play(env, bases, router, horizon) -> np.ndarray:
-    """Play ``env.rounds(horizon)``; return the loss each round charged."""
-    step = router.step
-    losses = array("d")
-    charge = losses.append
-    for ctx, row in env.rounds(horizon):
-        raw, packets, resets = step(row, [b.propose(ctx) for b in bases])
-        for base, packet in zip(bases, packets):
-            base.update(packet)
-        for i, range_param in resets:
-            bases[i].reset(range_param)
-        charge(raw)
-    return np.frombuffer(losses)
+def play(env, routers, horizon) -> list[np.ndarray]:
+    """Play ``env.rounds(horizon)`` with every router in turn, ``BLOCK`` rounds
+    at a time through a ``tee``, which a lone router streams; return the
+    losses each router's rounds charged."""
+    rounds = env.rounds(horizon)
+    losses = [array("d") for _ in routers]
+    for _ in range(0, horizon, BLOCK):
+        blocks = itertools.tee(itertools.islice(rounds, BLOCK), len(routers))
+        for router, charged, block in zip(routers, losses, blocks):
+            step, charge = router.step, charged.append
+            for ctx, row in block:
+                charge(step(ctx, row))
+    return [np.frombuffer(charged) for charged in losses]
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +843,9 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     running total."""
     horizon, half = config.horizon, config.horizon // 2
     result = SeedResult(seed)
-    for leg, (env, bases, router) in enumerate(build_legs(config, seed)):
-        baseline = union_baseline(env, bases)
-        losses = play(env, bases, router, horizon)
+    env, routers = build_legs(config, seed)
+    for leg, (router, losses) in enumerate(zip(routers, play(env, routers, horizon))):
+        baseline = union_baseline(env, router.bases)
         cum_loss = np.cumsum(losses)
         result.regrets.append((
             float(cum_loss[half - 1]) - _total(baseline, half),
@@ -846,7 +860,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
             result.logged_leg = leg
         if config.scenario == "corral-run":
             result.per_base_regret = [
-                float(cum_loss[-1]) - _total(union_baseline(env, [b]), horizon) for b in bases
+                float(cum_loss[-1]) - _total(union_baseline(env, [b]), horizon)
+                for b in router.bases
             ]
     return result
 

@@ -248,6 +248,25 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(small_config(overrides))
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"environment": {"kind": "adversarial-mab", "script": [[0.0, 1.0]] * 99 + [[0.5]]}},
+             "script rows must have one length, got lengths [1, 2]"),
+            ({"environment": dict(CONTEXTUAL_ENV, cond_means=[[0.2, 0.7], [0.6, 0.3, 0.1]])},
+             "cond_means rows must have one length, got lengths [2, 3]"),
+            ({"bases": [{"kind": "thompson", "prior": [[1], [1]]}, {"kind": "ucb1"}]},
+             "prior rows must be [a, b] pairs, got rows of 1"),
+            ({"environment": {"kind": "stochastic-mab", "means_prior": [[1], [2]]}},
+             "means_prior rows must be [a, b] pairs, got rows of 1"),
+        ],
+        ids=["script", "cond-means", "prior", "means-prior"],
+    )
+    def test_ragged_table_names_its_key(self, overrides, message):
+        # Each of these failed as a "malformed config value" naming no key.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(small_config(overrides))
+
+    @pytest.mark.parametrize(
         "names",
         [["a", "a"], ["../escaped"], [7], [""], ["."], [".."], ["a/b"], ["a", "a\0b"],
          ["summary.json"], ["summary.json.tmp"], ["a", "b\ud800"]],
@@ -755,29 +774,38 @@ class TestStability:
 
 
 class TestInducedPackets:
-    """Every packet ``InducedRouter.step`` returns is ``UNSELECTED`` or equals
-    the one a router that built each packet would make, field for field
-    and with the sign of every zero."""
+    """Every packet ``InducedRouter.step`` gives its base is ``UNSELECTED`` or
+    equals the one a router that built each packet would make, field for
+    field and with the sign of every zero."""
 
     @staticmethod
     def packets(env, rho, horizon=400):
-        router = harness.InducedRouter(rho, named_rng(0, "wrapper"))
         base = Exp3(env.num_arms, horizon, rho, named_rng(0, "base"))
-        step, seen = router.step, []
+        router = harness.InducedRouter(base, rho, named_rng(0, "wrapper"))
+        step, propose, update = router.step, base.propose, base.update
+        rows, decisions, packets = [], [], []
 
-        def spy(row, proposals):
-            out = step(row, proposals)
-            seen.append((row[proposals[0]], out[1]))
-            return out
+        def spy_step(ctx, row):
+            rows.append(row)
+            return step(ctx, row)
 
-        router.step = spy
-        harness.play(env, [base], router, horizon)
+        def spy_propose(ctx):
+            decisions.append(propose(ctx))
+            return decisions[-1]
+
+        def spy_update(packet):
+            packets.append(packet)
+            update(packet)
+
+        router.step, base.propose, base.update = spy_step, spy_propose, spy_update
+        harness.play(env, [router], horizon)
+        seen = [(row[d], packet) for row, d, packet in zip(rows, decisions, packets, strict=True)]
         return router.selection.sampling_prob, seen
 
     def check(self, env, rho):
         p, seen = self.packets(env, rho)
         selected = []
-        for raw, (packet,) in seen:
+        for raw, packet in seen:
             assert isinstance(packet, FeedbackPacket)
             if packet is UNSELECTED:
                 continue
@@ -860,6 +888,63 @@ PER_SEED_CONFIGS = {
     "stability-test": SMALL_STABILITY,
     "lowerbound-demo": SMALL_DEMO,
 }
+
+
+def every_router(env, horizon: int) -> list:
+    """A router of each kind on ``env``, each with its own bases, from seed
+    3's named streams: a corral master at a rate at which thresholds fire,
+    the naive master, and induced routers at rho 4 and, logged, at rho 1."""
+    specs = [{"kind": "exp3"}, {"kind": "exp4", "policies": [[0, 1], [1, 0]]},
+             {"kind": "thompson", "prior": [[1, 1], [2, 1]]}]
+    # The bases' and the master's horizon only tunes rates; a master needs 2.
+    tuned = max(horizon, 2)
+
+    def bases(name, rho):
+        return [harness.build_base(spec, env, tuned, rho, named_rng(3, f"{name}.base.{i}"))
+                for i, spec in enumerate(specs)]
+
+    state = corral_master.init_master(2.0, len(specs), tuned)
+    return [
+        harness.CorralRouter(bases("corral", state.rho[0]), state, named_rng(3, "corral"),
+                             corral_master.PACKETS["shared"]),
+        harness.NaiveRouter(bases("naive", 1.0), 0.1, named_rng(3, "naive")),
+        harness.InducedRouter(bases("rho4", 4.0)[1], 4.0, named_rng(3, "wrapper.4")),
+        harness.InducedRouter(bases("rho1", 1.0)[2], 1.0, named_rng(3, "wrapper.1"), True),
+    ]
+
+
+class TestPlay:
+    """``play`` runs every router over one realization of its environment, a
+    block at a time, and each router plays as if it were alone."""
+
+    @pytest.mark.parametrize("horizon", [1, 1023, 1024, 1025, 2500])
+    def test_each_router_plays_as_if_alone(self, horizon):
+        def environment():
+            return harness.build_environment(CONTEXTUAL_ENV, named_rng(3, "env"), horizon)
+
+        env = environment()
+        routers = every_router(env, horizon)
+        together = harness.play(env, routers, horizon)
+        assert len(together) == len(routers)
+        for i, (router, losses) in enumerate(zip(routers, together)):
+            env = environment()
+            alone = every_router(env, horizon)[i]
+            assert len(losses) == horizon
+            assert bits(harness.play(env, [alone], horizon)) == bits([losses])
+            if router.logged:
+                expected, got = alone.columns(), router.columns()
+                assert bits(list(got.values())) == bits(list(expected.values()))
+        # The master's thresholds fired, so its bases were reset mid-play.
+        assert len(routers[0].schedule) > 1 or horizon == 1
+
+    def test_a_stability_test_builds_one_environment_per_seed(self):
+        cfg = ExperimentConfig.from_dict(
+            dict(SMALL_STABILITY, seeds=[0, 1, 2], rho_levels=[1.0, 2.0, 4.0]))
+        with mock.patch.object(harness, "build_environment",
+                               wraps=harness.build_environment) as built:
+            summary = run_stability_test(cfg)
+        assert built.call_count == 3
+        assert len(summary["per_rho"]) == 3
 
 
 class TestRunSeed:
@@ -1027,8 +1112,13 @@ def reference_compute_regret(results: list[SeedResult], horizon: int) -> dict:
 
 class ReferenceCorralRouter:
     """The list-built router, kept verbatim below this docstring but for the
-    ``logged`` flag ``run_seed`` reads and the round's loss, read from its
-    row of losses: ``CorralRouter`` must log exactly its columns.
+    ``logged`` flag ``run_seed`` reads, the round's loss, read from its row of
+    losses, the ``bases`` it holds, and its ``step``, which plays the whole
+    round as ``play`` did before routers held their bases: every base
+    proposes, ``route`` (the router's ``step`` of then) picks the base and
+    returns the charged loss, one packet per base and the resets, every base
+    updates in index order, and the resets apply. ``CorralRouter`` must log
+    exactly its columns.
 
     The CORRAL master samples the base; ``packets(p_bar, proposals, raw,
     chosen)`` makes the bases' feedback from the decision-time ``p_bar``:
@@ -1036,7 +1126,8 @@ class ReferenceCorralRouter:
 
     logged = True
 
-    def __init__(self, state, rng, packets):
+    def __init__(self, bases, state, rng, packets):
+        self.bases = bases
         self.state = state
         self.rng = UniformStream(rng)
         self.packets = packets
@@ -1044,7 +1135,16 @@ class ReferenceCorralRouter:
         self.fired = np.zeros((state.horizon, state.num_bases), dtype=bool)
         self._schedule = list(state.eta), list(state.rho)
 
-    def step(self, row, proposals: list[int]):
+    def step(self, ctx, row):
+        bases = self.bases
+        raw, packets, resets = self.route(row, [b.propose(ctx) for b in bases])
+        for base, packet in zip(bases, packets):
+            base.update(packet)
+        for i, range_param in resets:
+            bases[i].reset(range_param)
+        return raw
+
+    def route(self, row, proposals: list[int]):
         state = self.state
         chosen = corral_master.choose(state, self.rng)
         decision = proposals[chosen]
@@ -1074,8 +1174,8 @@ class ReferenceInducedRouter(harness.InducedRouter):
     """``InducedRouter`` with its decisions in a list and the list-built
     ``columns``, kept verbatim."""
 
-    def __init__(self, rho: float, rng, logged: bool = False):
-        super().__init__(rho, rng, logged)
+    def __init__(self, base, rho: float, rng, logged: bool = False):
+        super().__init__(base, rho, rng, logged)
         self.decision = []
 
     def columns(self) -> dict:
@@ -1090,22 +1190,22 @@ class ReferenceInducedRouter(harness.InducedRouter):
         }
 
 
-def reference_play(env, bases, router, horizon) -> np.ndarray:
-    """The list-built ``play``, kept verbatim below this docstring but for
-    the rounds, read from ``env.rounds``.
+def reference_play(env, routers, horizon) -> list[np.ndarray]:
+    """The list-built ``play``, leg by leg: the rounds are realized once, as
+    one list, and each router plays all of them before the next starts; each
+    router's ``step`` plays the whole round.
 
-    Play ``horizon`` rounds; return the loss each round charged."""
-    step = router.step
-    losses: list[float] = []
-    charge = losses.append
-    for ctx, row in env.rounds(horizon):
-        raw, packets, resets = step(row, [b.propose(ctx) for b in bases])
-        for base, packet in zip(bases, packets):
-            base.update(packet)
-        for i, range_param in resets:
-            bases[i].reset(range_param)
-        charge(raw)
-    return np.array(losses)
+    Play ``horizon`` rounds; return the losses each router's rounds charged."""
+    rounds = list(env.rounds(horizon))
+    played = []
+    for router in routers:
+        step = router.step
+        losses: list[float] = []
+        charge = losses.append
+        for ctx, row in rounds:
+            charge(step(ctx, row))
+        played.append(np.array(losses))
+    return played
 
 
 def reference_log(cfg: ExperimentConfig, seed: int) -> ColumnLog:
@@ -1200,11 +1300,11 @@ class TestRoundColumns:
     @pytest.mark.parametrize("scenario", sorted(PER_SEED_CONFIGS))
     def test_only_the_logged_leg_keeps_its_decisions(self, scenario):
         cfg = ExperimentConfig.from_dict(PER_SEED_CONFIGS[scenario])
-        legs = harness.build_legs(cfg, 0)
+        env, routers = harness.build_legs(cfg, 0)
         logged = {"stability-test": [False, False], "lowerbound-demo": [False, True, False]}
-        assert [router.logged for _, _, router in legs] == logged.get(scenario, [True])
-        for env, bases, router in legs:
-            harness.play(env, bases, router, cfg.horizon)
+        assert [router.logged for router in routers] == logged.get(scenario, [True])
+        harness.play(env, routers, cfg.horizon)
+        for router in routers:
             kept = getattr(router, "decision", None)
             assert len(kept) == cfg.horizon if router.logged else kept is None
 

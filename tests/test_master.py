@@ -236,6 +236,22 @@ def assert_rechecked(packets):
             assert FeedbackPacket(*packet) == packet
 
 
+class RecordingBase:
+    """A base that always proposes arm 0 and records the packets and resets it gets."""
+
+    def __init__(self):
+        self.packets, self.resets = [], []
+
+    def propose(self, context):
+        return 0
+
+    def update(self, packet):
+        self.packets.append(packet)
+
+    def reset(self, range_param):
+        self.resets.append(range_param)
+
+
 class TestTrustedBuilders:
     """The routers' unchecked packet builders give the checked entry's packets,
     field for field, and every packet they select would pass the checks."""
@@ -269,12 +285,14 @@ class TestTrustedBuilders:
         st.one_of(st.just(-0.0), st.floats(0.0, 1.0).filter(lambda x: x not in (0.0, 1.0))),
     )
     def test_induced_packets_match_checked_packets(self, rho, raw):
-        router = InducedRouter(rho, named_rng(0, "wrapper"))
+        base = RecordingBase()
+        router = InducedRouter(base, rho, named_rng(0, "wrapper"))
         router.selection.rng = FakeRng(0.0)  # every round selected
         p = router.selection.sampling_prob
-        emitted, packets, resets = router.step([raw], [0])
+        emitted = router.step(0, [raw])
+        packets = base.packets
         assert packet_bits(packets) == packet_bits([FeedbackPacket(True, raw / p, p, raw)])
-        assert emitted == raw / p and resets == ()
+        assert emitted == raw / p and base.resets == []
         assert_rechecked(packets)
 
 

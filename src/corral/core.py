@@ -13,8 +13,8 @@ Conventions used across the package:
   sum to one within ``1e-9``.
 * A round informs only the bases it selects. Every other base receives the
   one immutable ``UNSELECTED`` packet, which carries no loss and no
-  probability; so too a router may reuse a selected packet it made, checked,
-  for the same raw loss and probability (``InducedRouter``'s 0.0 and 1.0).
+  probability; so too a selected packet may be handed out again, checked
+  once, for the same raw loss and probability (``InducedEnvironment``'s).
 * A component owns the generator it is given, and nothing else may draw
   from it. A stochastic environment draws a block of rounds' uniforms in
   one call; any other component that draws uniform doubles serves them
@@ -24,7 +24,7 @@ Conventions used across the package:
 Values are checked once, where they enter: config load, constructors
 (``FeedbackPacket.__new__`` among them), ``validate_simplex``, ``omd_step``
 and the master's public entries. Values computed from them in a round (the
-master's ``p`` and rates, the routers' ``trusted_packet``s) are not checked again.
+master's ``p`` and rates, every ``trusted_packet``) are not checked again.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class ConfigError(CorralError, ValueError):
 
 
 class ContractError(CorralError, ValueError):
-    """A caller violated an interface contract (wrong shapes, dead state)."""
+    """A caller violated an interface contract (wrong shapes, inconsistent packets)."""
 
 
 class InvalidLossError(CorralError, ValueError):

@@ -17,17 +17,18 @@ the contextual one with one context, and draws no context uniform.
 
 ``InducedEnvironment`` is the selection step of the induced environment:
 with probability ``p`` a round's raw loss is revealed inflated by ``1 / p``,
-otherwise the round emits zero.
+otherwise nothing; it makes the packet that its base sees.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, UniformStream
+from .core import ConfigError, FeedbackPacket, UNSELECTED, UniformStream, trusted_packet
 
 # Rounds an environment realizes at a time.
 BLOCK = 1024
@@ -182,10 +183,12 @@ class InducedEnvironment:
     """The selection step of the induced environment.
 
     Each round draws the selection event with constant probability
-    ``sampling_prob``: on success it reveals the raw loss divided by it, on
-    failure zero. The probability must lie in (0, 1] -- a zero selection
-    probability leaves the weighted loss undefined, so it is rejected rather
-    than given ad-hoc semantics.
+    ``sampling_prob``; ``observe`` returns ``UNSELECTED`` on failure and on
+    success the packet of the raw loss divided by it: for 1.0 and +0.0 the
+    one built and checked here, for any other loss (-0.0 among them) a new
+    ``trusted_packet``. The probability must lie in (0, 1] -- a zero
+    selection probability leaves the weighted loss undefined, so it is
+    rejected rather than given ad-hoc semantics.
     """
 
     def __init__(self, sampling_prob: float, rng):
@@ -194,9 +197,13 @@ class InducedEnvironment:
             raise ConfigError(f"sampling probability must be in (0, 1], got {prob}")
         self.sampling_prob = prob
         self.rng = UniformStream(rng)
+        self.reused = {raw: FeedbackPacket(True, raw / prob, prob, raw) for raw in (0.0, 1.0)}
 
-    def observe(self, raw: float) -> tuple[bool, float]:
-        """Reveal (selected, emitted weighted loss) for a round's raw loss."""
-        if self.rng.random() < self.sampling_prob:
-            return True, raw / self.sampling_prob
-        return False, 0.0
+    def observe(self, raw: float) -> FeedbackPacket:
+        """The packet a round's raw loss shows the base."""
+        p = self.sampling_prob
+        if self.rng.random() >= p:
+            return UNSELECTED
+        if raw == 1.0 or (raw == 0.0 and math.copysign(1.0, raw) > 0.0):  # not -0.0
+            return self.reused[raw]
+        return trusted_packet((True, raw / p, p, raw))

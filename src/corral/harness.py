@@ -234,7 +234,7 @@ class ExperimentConfig:
             return cls._from_checked(raw)
         except CorralError:
             raise
-        except (TypeError, ValueError, KeyError, RecursionError) as exc:
+        except (TypeError, ValueError, OverflowError, KeyError, RecursionError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
 
     @classmethod
@@ -742,10 +742,10 @@ class CorralRouter:
 
 class InducedRouter:
     """One base with range ``rho`` behind ``InducedEnvironment`` at sampling
-    probability 1/rho, drawn from ``rng``; the round charges the emitted
-    importance-weighted loss. At rho = 1 the base sees exactly what it would
-    see on its own. A selected raw loss of 1.0 or +0.0 reuses the packet
-    built for it here. Only a ``logged`` router keeps its decisions."""
+    probability 1/rho, drawn from ``rng``: the selection's ``observe`` makes
+    the packet the base sees, and the round charges its weighted loss. At
+    rho = 1 the base sees exactly what it would see on its own. Only a
+    ``logged`` router keeps its decisions."""
 
     def __init__(self, base, rho: float, rng, logged: bool = False):
         self.bases = [base]
@@ -753,23 +753,15 @@ class InducedRouter:
         self.selection = InducedEnvironment(1.0 / rho, rng)
         self.logged = logged
         self.decision = array("q") if logged else None
-        p = self.selection.sampling_prob
-        self.reused = {raw: FeedbackPacket(True, raw / p, p, raw) for raw in (0.0, 1.0)}
 
     def step(self, ctx, row) -> float:
         base = self.bases[0]
         decision = base.propose(ctx)
         if self.logged:
             self.decision.append(decision)
-        raw = row[decision]
-        selected, emitted = self.selection.observe(raw)
-        if not selected:
-            base.update(UNSELECTED)
-        elif raw == 1.0 or (raw == 0.0 and math.copysign(1.0, raw) > 0.0):  # not -0.0
-            base.update(self.reused[raw])
-        else:
-            base.update(trusted_packet((True, emitted, self.selection.sampling_prob, raw)))
-        return emitted
+        packet = self.selection.observe(row[decision])
+        base.update(packet)
+        return packet.weighted_loss
 
     def columns(self) -> dict:
         rounds = len(self.decision)

@@ -1,15 +1,15 @@
 """The CORRAL master: log-barrier OMD over base algorithms.
 
-Each round ``choose`` samples a base algorithm from the smoothed
-distribution ``p_bar``, whose suggestion is played; ``build_packets`` makes
+Each round the caller draws a base from the smoothed distribution ``p_bar``
+with ``core.sample_index`` and plays its suggestion; ``build_packets`` makes
 the importance-weighted feedback packet for every base from the
 decision-time ``p_bar``; and ``feedback`` is the rest of the round in one
 function: the log-barrier OMD step, the mix, and a per-base threshold /
-learning-rate doubling schedule: whenever ``1 / p_bar_i`` exceeds the
-base's threshold, the threshold doubles past it and the base's learning
-rate is multiplied by ``beta = e^(1/ln T)``, which caps total inflation at
-a factor of five over any horizon. Under the restart-on-doubling policy the
-base is also reset with the new threshold as its loss-range parameter.
+learning-rate doubling schedule: whenever ``1 / p_bar_i`` exceeds the base's
+threshold, the threshold doubles past it and the base's learning rate is
+multiplied by ``beta = e^(1/ln T)``, which caps total inflation at a factor
+of five over any horizon. Under the restart-on-doubling policy the base is
+also reset with the new threshold as its loss-range parameter.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .core import (
     InvalidProbabilityError,
     SIMPLEX_HARD_TOL,
     UNSELECTED,
-    sample_index,
     trusted_packet,
     validate_simplex,
 )
@@ -103,14 +102,6 @@ def init_master(
         p_bar=list(uniform),
         restart_policy=restart_policy,
     )
-
-
-def choose(state: MasterState, rng) -> int:
-    """Sample a base from ``p_bar`` by exact inverse-CDF; the caller plays
-    that base's proposal."""
-    if state.t > state.horizon:
-        raise ContractError(f"master is past its horizon ({state.horizon})")
-    return sample_index(rng, state.p_bar)
 
 
 def build_packets(

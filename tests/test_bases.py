@@ -711,9 +711,9 @@ class TestStabilityExponentPower:
                     cum = 0.0
                     for ctx, losses in env.rounds(horizon):
                         raw = losses[base.propose(ctx)]
-                        sel, emitted = selection.observe(raw)
-                        base.update(selected(raw, selection.sampling_prob) if sel else UNSELECTED)
-                        cum += emitted
+                        packet = selection.observe(raw)
+                        base.update(packet)
+                        cum += packet.weighted_loss
                     regs.append(cum - env.baseline() * horizon)
                 means.append(np.mean(regs))
             return float(np.polyfit(np.log([1.0, 4.0, 16.0]), np.log(means), 1)[0])

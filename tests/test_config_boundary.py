@@ -1,8 +1,9 @@
 """The config boundary: README's configs load and its examples run from the
 modules the package root binds; a key or value that no config may hold fails
 to load; and a mutated digest config either runs to complete outputs or fails
-before writing any."""
+before writing any. Every module but the root reads each name it imports."""
 
+import ast
 import contextlib
 import copy
 import io
@@ -97,6 +98,27 @@ def test_package_root_binds_only_modules():
         if not name.startswith("_"):
             assert isinstance(value, types.ModuleType) and value.__name__ == f"corral.{name}"
     assert isinstance(corral.__version__, str)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # The root binds its modules for others to read; in any other module an
+    # import that no code reads is left behind by code that moved away.
+    unused = {}
+    for path in sorted(pathlib.Path(corral.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert unused == {}
 
 
 # ---------------------------------------------------------------------------

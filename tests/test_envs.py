@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corral.core import ConfigError, UniformStream, named_rng, sample_index
+from corral.core import (
+    ConfigError,
+    FeedbackPacket,
+    UNSELECTED,
+    UniformStream,
+    named_rng,
+    sample_index,
+)
 from corral.envs import (
     AdversarialMAB,
     Environment,
@@ -323,14 +330,14 @@ class TestInducedEnvironment:
         inner_twin = StochasticMAB([0.3, 0.6], named_rng(10, "env"))
         selection = InducedEnvironment(1.0, named_rng(10, "wrapper"))
         for (_, losses), (_, twin_losses) in zip(inner.rounds(200), inner_twin.rounds(200)):
-            selected, emitted = selection.observe(losses[0])
-            assert selected
-            assert emitted == twin_losses[0]
+            packet = selection.observe(losses[0])
+            assert packet.selected
+            assert packet.weighted_loss == twin_losses[0]
 
     def test_quarter_probability_scales_by_four(self):
         env = AdversarialMAB([[0.8, 0.0]] * 10)
         selection = InducedEnvironment(0.25, named_rng(11, "wrapper"))
-        seen = {selection.observe(losses[0]) for _, losses in env.rounds(10)}
+        seen = {selection.observe(losses[0])[:2] for _, losses in env.rounds(10)}
         assert seen <= {(True, 3.2), (False, 0.0)}
         assert (True, 3.2) in seen
 
@@ -346,7 +353,7 @@ class TestInducedEnvironment:
         env = StochasticMAB([0.3, 0.6], named_rng(1, "env"))
         selection = InducedEnvironment(0.25, named_rng(1, "wrapper"))
         n = 100_000
-        total = sum(selection.observe(losses[0])[1] for _, losses in env.rounds(n))
+        total = sum(selection.observe(losses[0]).weighted_loss for _, losses in env.rounds(n))
         assert abs(total / n - 0.3) <= 0.02
 
     def test_schedule_validation(self):
@@ -360,7 +367,39 @@ class TestInducedEnvironment:
         selection = InducedEnvironment(0.5, named_rng(13, "wrapper"))
         twin = named_rng(13, "wrapper")
         for _ in range(3_000):
-            assert selection.observe(0.4) == ((True, 0.8) if twin.random() < 0.5 else (False, 0.0))
+            packet = selection.observe(0.4)
+            assert packet[:2] == ((True, 0.8) if twin.random() < 0.5 else (False, 0.0))
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.one_of(st.sampled_from([1.0, 1e-9]), st.floats(1e-9, 1.0)),
+        st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                 min_size=1, max_size=40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_observe_returns_the_checked_packet(self, prob, raws, seed):
+        # Against a twin generator's uniforms: a selected round's packet is
+        # the checked one field for field, sign of zero included; any other
+        # round's is UNSELECTED. The 1.0 and +0.0 packets are one object each.
+        def hexed(packet):
+            return [x.hex() if isinstance(x, float) else x for x in packet]
+
+        selection = InducedEnvironment(prob, named_rng(seed, "wrapper"))
+        twin = named_rng(seed, "wrapper")
+        shared, negative_zero = {}, []
+        for raw in raws:
+            packet = selection.observe(raw)
+            if not twin.random() < prob:
+                assert packet is UNSELECTED
+                continue
+            assert type(packet) is FeedbackPacket
+            assert hexed(packet) == hexed(FeedbackPacket(True, raw / prob, prob, raw))
+            if raw in (0.0, 1.0) and math.copysign(1.0, raw) > 0.0:
+                assert shared.setdefault(raw.hex(), packet) is packet
+            elif raw == 0.0:
+                negative_zero.append(packet)
+        assert not any(p is q for p in negative_zero for q in shared.values())
 
 
 class TestRawLossRangeFuzz:

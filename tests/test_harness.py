@@ -28,6 +28,7 @@ from corral.core import (
     NormalizationDriftError,
     UniformStream,
     named_rng,
+    sample_index,
 )
 from corral.envs import AdversarialMAB, LowerBoundEnv
 from corral.harness import (
@@ -63,6 +64,9 @@ SMALL_STANDALONE = {
 }
 SMALL_STABILITY = dict(SMALL_STANDALONE, scenario="stability-test", rho_levels=[1.0, 4.0])
 SMALL_DEMO = {"scenario": "lowerbound-demo", "horizon": 50, "seeds": [0]}
+# An integer literal past the largest float, and what loading one reports.
+HUGE = 10**400
+TOO_LARGE = "malformed config value: int too large to convert to float"
 SMALL_CONFIGS = {
     "corral-run": SMALL_RUN,
     "standalone-run": SMALL_STANDALONE,
@@ -833,9 +837,9 @@ class TestInducedPackets:
 
 
 class TestTrustedPath:
-    """The routers draw and build packets on the trusted path: with the
-    checked entries ``choose`` and ``build_packets`` made to raise, every
-    master run plays to the end and writes the same bytes."""
+    """The routers build packets on the trusted path: with the checked
+    entry ``build_packets`` made to raise, every master run plays to the
+    end and writes the same bytes."""
 
     @pytest.mark.parametrize(
         "raw",
@@ -847,8 +851,7 @@ class TestTrustedPath:
         config = ExperimentConfig.from_dict(raw)
         execute(config, tmp_path / "plain")
         checked = AssertionError("a router called a checked entry")
-        with mock.patch.object(corral_master, "build_packets", side_effect=checked), \
-                mock.patch.object(corral_master, "choose", side_effect=checked):
+        with mock.patch.object(corral_master, "build_packets", side_effect=checked):
             execute(config, tmp_path / "patched")
         for name in ("rounds.csv", "summary.json"):
             assert (tmp_path / "patched" / name).read_bytes() == (
@@ -1146,7 +1149,7 @@ class ReferenceCorralRouter:
 
     def route(self, row, proposals: list[int]):
         state = self.state
-        chosen = corral_master.choose(state, self.rng)
+        chosen = sample_index(self.rng, state.p_bar)
         decision = proposals[chosen]
         p_bar = state.p_bar
         # ``feedback`` replaces ``p_bar``, and changes ``eta`` and ``rho`` only
@@ -1654,6 +1657,24 @@ class TestCli:
              "context_probs takes numbers, got [0.5, 0.5]"),
             ({"bases": [{"kind": "thompson", "prior": [1, 1]}, {"kind": "exp3"}]},
              "prior takes a table, got 1"),
+            # A 400-digit integer is past the largest float: each raised a
+            # bare OverflowError, which escaped as a traceback.
+            ({"scenario": "sweep", "runs": [
+                {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, HUGE])},
+            ]}, TOO_LARGE),
+            ({"master": {"eta": HUGE}}, TOO_LARGE),
+            ({"master": {"eta": "tuned", "regret_target": HUGE}}, TOO_LARGE),
+            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": HUGE}}, TOO_LARGE),
+            ({"environment": {"kind": "adversarial-mab", "script": [[0, HUGE]] * 50}},
+             TOO_LARGE),
+            ({"environment": {"kind": "stochastic-mab", "means": [0.1, HUGE]}}, TOO_LARGE),
+            ({"environment": {"kind": "stochastic-mab", "means_prior": [[1, HUGE], [1, 1]]}},
+             TOO_LARGE),
+            ({"bases": [{"kind": "thompson", "prior": [[HUGE, 1], [1, 1]]}, {"kind": "exp3"}]},
+             TOO_LARGE),
+            ({"scenario": "sweep", "runs": [
+                {"name": "a", "config": dict(SMALL_STABILITY, horizon=HUGE)},
+            ]}, TOO_LARGE),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -1671,7 +1692,9 @@ class TestCli:
              "means-prior-inf", "script-nan-past-horizon", "sweep-run-pairs",
              "eta-list", "horizon-list", "demo-corral-eta-list", "script-csv-list",
              "seeds-nested", "rho-levels-nested", "arm-pair-nested", "context-probs-nested",
-             "prior-flat"],
+             "prior-flat", "huge-rho-level", "huge-eta", "huge-regret-target",
+             "huge-naive-eta", "huge-script-cell", "huge-means", "huge-means-prior",
+             "huge-thompson-prior", "huge-stability-horizon"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides, message):
         raw = small_config(overrides)

@@ -20,6 +20,7 @@ from corral.core import (
     UNSELECTED,
     named_rng,
     normalize,
+    sample_index,
     validate_simplex,
 )
 from corral.master import (
@@ -30,7 +31,6 @@ from corral.master import (
     RoundOutcome,
     apply_schedule,
     build_packets,
-    choose,
     feedback,
     init_master,
     tuned_eta,
@@ -78,26 +78,22 @@ class TestInitMaster:
 
 
 class TestChoose:
+    """The routers draw a base from the master's ``p_bar`` with ``sample_index``."""
+
     def test_inverse_cdf_two_bases(self):
         state = init_master(0.01, 2, 100)
         gamma = state.gamma
         state.p_bar = [1.0 - gamma / 2.0, gamma / 2.0]
         proposals = [5, 7]
-        out = choose(state, FakeRng(0.5))
+        out = sample_index(FakeRng(0.5), state.p_bar)
         assert (out, proposals[out]) == (0, 5)
 
     def test_inverse_cdf_uniform_four(self):
         state = init_master(0.01, 4, 100)
         proposals = [10, 11, 12, 13]
-        out = choose(state, FakeRng(0.6))
+        out = sample_index(FakeRng(0.6), state.p_bar)
         assert out == 2
         assert proposals[out] == 12
-
-    def test_dead_state(self):
-        state = init_master(0.01, 2, 100)
-        state.t = 101
-        with pytest.raises(ContractError):
-            choose(state, FakeRng(0.1))
 
     def test_empirical_frequency(self):
         # 1e5 draws from (0.2, 0.8); binomial concentration keeps the
@@ -105,7 +101,7 @@ class TestChoose:
         state = init_master(0.01, 2, 10**6)
         state.p_bar = [0.2, 0.8]
         rng = named_rng(11, "master")
-        hits = sum(1 for _ in range(100_000) if choose(state, rng) == 0)
+        hits = sum(1 for _ in range(100_000) if sample_index(rng, state.p_bar) == 0)
         assert 0.195 <= hits / 100_000 <= 0.205
 
 
@@ -341,7 +337,7 @@ class TestFeedbackAndSchedule:
         rng = named_rng(13, "swing")
         doubling_counts = [0, 0]
         for t in range(horizon):
-            c = choose(state, rng)
+            c = sample_index(rng, state.p_bar)
             loss = 1.0 if (t // 25) % 2 == c else 0.0
             out = feedback(state, c, loss)
             for i in out.doublings:
@@ -362,7 +358,7 @@ class TestFeedbackAndSchedule:
             rng = named_rng(21, "master")
             trace = []
             for t in range(200):
-                c = choose(state, rng)
+                c = sample_index(rng, state.p_bar)
                 out = feedback(state, c, (t % 7) / 7.0)
                 trace.append((c, tuple(state.p_bar), tuple(state.eta), tuple(out.restarts)))
             return trace

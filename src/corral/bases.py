@@ -1,15 +1,18 @@
-"""Base bandit algorithms behind a uniform propose / update / reset contract.
+"""Base bandit algorithms behind a uniform propose / update / idle / reset contract.
 
 Every base proposes a decision for the current context, consumes one
 ``FeedbackPacket`` per round (a selected one, or the shared ``UNSELECTED``
 packet, which carries nothing but still marks a round), and can be reset
 with a new loss-range parameter ``rho``. ``update`` follows the round's
-``propose`` and trusts its packet, which ``FeedbackPacket`` has checked. A
-reset re-initializes all learned state and re-tunes internal rates for the
-new range; the component's random stream keeps its position. A base owns the generator it is given: those that
-draw only uniforms serve them from a ``UniformStream``, so the generator
-itself runs up to ``UniformStream.BLOCK - 1`` draws ahead, and nothing else
-may draw from it.
+``propose`` and trusts its packet, which ``FeedbackPacket`` has checked.
+``idle(context)`` plays a whole round that does not select the base: it has
+exactly the effect of ``propose(context)`` then ``update(UNSELECTED)``, and
+a base may do it with less work (``Exp4`` only draws its proposal's
+uniform). A reset re-initializes all learned state and re-tunes internal
+rates for the new range; the component's random stream keeps its position.
+A base owns the generator it is given: those that draw only uniforms serve
+them from a ``UniformStream``, so the generator itself runs up to
+``UniformStream.BLOCK - 1`` draws ahead, and nothing else may draw from it.
 
 ``Exp4`` reuses the action mixture ``propose`` samples from, and the
 mixture's partial sums it bisects, until its cumulative losses change; for
@@ -38,6 +41,7 @@ from itertools import accumulate
 from .core import (
     ConfigError,
     FeedbackPacket,
+    UNSELECTED,
     UniformStream,
     last_with_mass,
 )
@@ -75,6 +79,11 @@ class BaseAlgorithm:
 
     def update(self, packet: FeedbackPacket) -> None:
         raise NotImplementedError
+
+    def idle(self, context: int) -> None:
+        """A round that does not select this base."""
+        self.propose(context)
+        self.update(UNSELECTED)
 
     def reset(self, range_param: float) -> None:
         raise NotImplementedError
@@ -175,6 +184,11 @@ class Exp4(PolicyLearner):
         self._last_context = context
         self._last_action_probs = action_probs
         return arm
+
+    def idle(self, context: int) -> None:
+        # An unselected round changes only the stream's position: the cache
+        # and the ``_last_*`` fields are recomputed before anything reads them.
+        self.rng.random()
 
     def update(self, packet: FeedbackPacket) -> None:
         if not packet.selected:

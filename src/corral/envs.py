@@ -17,7 +17,8 @@ the contextual one with one context, and draws no context uniform.
 
 ``InducedEnvironment`` is the selection step of the induced environment:
 with probability ``p`` a round's raw loss is revealed inflated by ``1 / p``,
-otherwise nothing; it makes the packet that its base sees.
+otherwise nothing. ``selects()`` draws whether a round is selected, and
+``observe(raw)`` makes the packet a selected round shows its base.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, FeedbackPacket, UNSELECTED, UniformStream, trusted_packet
+from .core import ConfigError, FeedbackPacket, UniformStream, trusted_packet
 
 # Rounds an environment realizes at a time.
 BLOCK = 1024
@@ -182,13 +183,14 @@ class LowerBoundEnv(Environment):
 class InducedEnvironment:
     """The selection step of the induced environment.
 
-    Each round draws the selection event with constant probability
-    ``sampling_prob``; ``observe`` returns ``UNSELECTED`` on failure and on
-    success the packet of the raw loss divided by it: for 1.0 and +0.0 the
+    Each round's ``selects()`` draws the selection event, one uniform, with
+    constant probability ``sampling_prob``. A selected round's ``observe``
+    returns the packet of the raw loss divided by it: for 1.0 and +0.0 the
     one built and checked here, for any other loss (-0.0 among them) a new
-    ``trusted_packet``. The probability must lie in (0, 1] -- a zero
-    selection probability leaves the weighted loss undefined, so it is
-    rejected rather than given ad-hoc semantics.
+    ``trusted_packet``. An unselected round shows its base nothing. The
+    probability must lie in (0, 1] -- a zero selection probability leaves
+    the weighted loss undefined, so it is rejected rather than given ad-hoc
+    semantics.
     """
 
     def __init__(self, sampling_prob: float, rng):
@@ -199,11 +201,13 @@ class InducedEnvironment:
         self.rng = UniformStream(rng)
         self.reused = {raw: FeedbackPacket(True, raw / prob, prob, raw) for raw in (0.0, 1.0)}
 
+    def selects(self) -> bool:
+        """Whether this round is selected; at probability one, always."""
+        return self.rng.random() < self.sampling_prob
+
     def observe(self, raw: float) -> FeedbackPacket:
-        """The packet a round's raw loss shows the base."""
-        p = self.sampling_prob
-        if self.rng.random() >= p:
-            return UNSELECTED
+        """The packet a selected round's raw loss shows the base."""
         if raw == 1.0 or (raw == 0.0 and math.copysign(1.0, raw) > 0.0):  # not -0.0
             return self.reused[raw]
+        p = self.sampling_prob
         return trusted_packet((True, raw / p, p, raw))

@@ -67,6 +67,7 @@ from .bases import (
 )
 from .core import (
     ConfigError,
+    ContractError,
     CorralError,
     FeedbackPacket,
     IntegrityError,
@@ -137,6 +138,8 @@ _VALUES = {key: (kind, depth) for kind, rows in {
     "number": ["eta regret_target corral_eta naive_eta", "rho_levels means context_probs",
                "means_prior script cond_means prior"],
 }.items() for depth, keys in enumerate(rows) for key in keys.split()}
+# The least integer that ``float`` rejects: half an ulp past the largest float.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 # Each base kind's class; its ``alpha`` is every such base's exponent.
 _BASE_CLASSES = {
     b.kind: b for b in (Exp3, Exp4, EpochGreedy, ThompsonSampling, Ucb1, PathologicalBase)
@@ -183,14 +186,16 @@ def _check_value(value, key: str, depth: int | None = None) -> None:
     """Reject a raw config value not of its key's JSON type and depth in
     ``_VALUES`` (``depth``, the key's unless given, is what nests inside
     ``value``): Python reads ``true`` as 1 and ``"0.5"`` as 0.5; ``int``
-    truncates 1.9."""
+    truncates 1.9. An integer too large for a float fails here too, naming
+    its key, not where a float is first made of it."""
     kind, top = _VALUES[key]
     depth = top if depth is None else depth
     if isinstance(value, (dict, list, tuple)) and not top:
         raise ConfigError(f"{key} takes one value, got {type(value).__name__}")
     elif isinstance(value, (list, tuple)) and depth:
         # One set of types per list, and a table's cells as one list: a long
-        # script costs no call per cell or row.
+        # float script costs no call per cell or row. Only an integer can be
+        # too large for a float, so a list holding one is checked by cell.
         kinds = set(map(type, value))
         if depth == 2 and kinds <= {list, tuple}:
             _check_value(list(itertools.chain.from_iterable(value)), key, 1)
@@ -199,7 +204,7 @@ def _check_value(value, key: str, depth: int | None = None) -> None:
                 raise ConfigError(f"{key} rows must have one length, got lengths {widths}")
             if key in ("prior", "means_prior") and widths not in ([], [2]):  # Beta pseudo-counts
                 raise ConfigError(f"{key} rows must be [a, b] pairs, got rows of {widths[0]}")
-        elif depth == 2 or not kinds <= ({int} if kind == "integer" else {int, float}):
+        elif depth == 2 or not kinds <= (set() if kind == "integer" else {float}):
             for v in value:
                 _check_value(v, key, depth - 1)
     elif isinstance(value, str):
@@ -213,6 +218,9 @@ def _check_value(value, key: str, depth: int | None = None) -> None:
         raise ConfigError(f"{key} takes {kind}s, got {value!r}")
     elif depth:
         raise ConfigError(f"{key} takes {('a list', 'a table')[top - 1]}, got {value!r}")
+    elif isinstance(value, int) and abs(value) >= _FLOAT_OVERFLOW:
+        raise ConfigError(f"{key} takes {kind}s a float can hold, "
+                          f"got an integer of {len(str(abs(value)))} digits")
 
 
 @dataclass
@@ -686,7 +694,9 @@ def _total(per_round: float | np.ndarray, rounds: int) -> float:
 # A router is a leg: it holds its ``bases``, and ``step(ctx, row)`` plays a
 # whole round and returns the loss it charges. Every base proposes, the router
 # picks whose proposal is played and reads its loss in ``row``, the bases
-# update in index order, and then the master's restarts reset theirs. A
+# update in index order, and then the master's restarts reset theirs. The
+# induced router draws its selection first: a round that does not select its
+# base is the base's ``idle``, which stands for that propose and update. A
 # ``logged`` router keeps its rounds' choices and schedule, and ``columns()``
 # returns them as the matching ``RoundLog`` fields. A router that samples owns
 # the generator it is given and serves its uniforms through a ``UniformStream``.
@@ -742,12 +752,18 @@ class CorralRouter:
 
 class InducedRouter:
     """One base with range ``rho`` behind ``InducedEnvironment`` at sampling
-    probability 1/rho, drawn from ``rng``: the selection's ``observe`` makes
-    the packet the base sees, and the round charges its weighted loss. At
-    rho = 1 the base sees exactly what it would see on its own. Only a
-    ``logged`` router keeps its decisions."""
+    probability 1/rho, drawn from ``rng``. A selected round proposes, and the
+    selection's ``observe`` makes the packet the base sees; the round charges
+    its weighted loss. An unselected round idles the base and charges 0.0,
+    ``UNSELECTED``'s weighted loss. The base's stream and the selection's are
+    independent, so drawing the selection first moves no draw. At rho = 1
+    every round is selected and the base sees exactly what it would see on
+    its own. Only a ``logged`` router keeps its decisions, so it plays at
+    rho = 1, where every round has one."""
 
     def __init__(self, base, rho: float, rng, logged: bool = False):
+        if logged and rho != 1.0:
+            raise ContractError(f"a logged induced router plays at rho 1, got {rho}")
         self.bases = [base]
         self.range_param = rho
         self.selection = InducedEnvironment(1.0 / rho, rng)
@@ -755,11 +771,14 @@ class InducedRouter:
         self.decision = array("q") if logged else None
 
     def step(self, ctx, row) -> float:
-        base = self.bases[0]
+        base, selection = self.bases[0], self.selection
+        if not selection.selects():
+            base.idle(ctx)
+            return 0.0
         decision = base.propose(ctx)
         if self.logged:
             self.decision.append(decision)
-        packet = self.selection.observe(row[decision])
+        packet = selection.observe(row[decision])
         base.update(packet)
         return packet.weighted_loss
 

@@ -29,6 +29,8 @@ from corral.core import (
     named_rng,
     sample_index,
 )
+from corral.envs import StochasticContextual
+from corral.harness import _BASE_CLASSES, build_base
 
 POLICIES_8 = [
     (0, 1), (0, 0), (1, 1), (2, 3), (3, 2), (1, 0), (2, 2), (3, 3),
@@ -337,6 +339,67 @@ class TestProposalCache:
                 mixture[pol[context]] += w
             assert b._last_action_probs == mixture
             assert arm == sample_index(twin, mixture)
+
+
+# One event of a script that twin bases play: a selected round (its context,
+# raw loss and selection probability), an unselected round (its context), a
+# reset, or a direct write to ``cum_loss`` (EXP3 and EXP4 only).
+_IDLE_EVENTS = st.one_of(
+    st.tuples(st.just("selected"), st.integers(0, 1),
+              st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 1.0]), st.floats(0.0, 1.0)),
+              st.sampled_from([1.0, 0.25, 0.0625])),
+    st.tuples(st.just("unselected"), st.integers(0, 1)),
+    st.tuples(st.just("reset"), st.sampled_from([1.0, 4.0, 16.0])),
+    st.tuples(st.just("write"), st.integers(0, 7), st.sampled_from([0.0, 0.5, 7.25])),
+)
+# A spec of every base kind for a 4-arm, 2-context environment.
+_IDLE_SPECS = {
+    "exp3": {"kind": "exp3"},
+    "exp4": {"kind": "exp4", "policies": POLICIES_8},
+    "epoch-greedy": {"kind": "epoch-greedy", "policies": POLICIES_8},
+    "thompson": {"kind": "thompson", "prior": [[1, 1], [2, 1], [1, 2], [3, 3]]},
+    "ucb1": {"kind": "ucb1"},
+    "pathological": {"kind": "pathological", "arm_pair": [1, 2]},
+}
+
+
+class TestIdle:
+    """``idle(ctx)`` has exactly the effect of ``propose(ctx)`` then
+    ``update(UNSELECTED)``: twin bases, one idling and one proposing on each
+    unselected round, propose the same arms on every selected round and
+    leave their streams at the same place."""
+
+    def test_specs_cover_every_kind(self):
+        assert set(_IDLE_SPECS) == set(_BASE_CLASSES)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(sorted(_IDLE_SPECS)), st.lists(_IDLE_EVENTS, max_size=60),
+           st.integers(0, 2**32 - 1))
+    def test_idle_is_propose_then_unselected_update(self, kind, events, seed):
+        env = StochasticContextual([0.5, 0.5], [[0.2, 0.6, 0.8, 0.4], [0.7, 0.3, 0.5, 0.1]],
+                                   [(0, 0)], named_rng(seed, "env"))
+        gens = [named_rng(seed, "base.0") for _ in range(2)]
+        idler, twin = (build_base(_IDLE_SPECS[kind], env, 500, 1.0, gen) for gen in gens)
+        for event in events:
+            if event[0] == "selected":
+                _, ctx, raw, prob = event
+                assert idler.propose(ctx) == twin.propose(ctx)
+                idler.update(selected(raw, prob))
+                twin.update(selected(raw, prob))
+            elif event[0] == "unselected":
+                idler.idle(event[1])
+                twin.propose(event[1])
+                twin.update(UNSELECTED)
+            elif event[0] == "reset":
+                idler.reset(event[1])
+                twin.reset(event[1])
+            elif isinstance(idler, Exp4):
+                _, index, value = event
+                for base in (idler, twin):
+                    base.cum_loss[index % len(base.cum_loss)] = value
+        # Ucb1 keeps no stream: its generator is left untouched.
+        streams = [getattr(base, "rng", gen) for base, gen in zip((idler, twin), gens)]
+        assert streams[0].random() == streams[1].random()
 
 
 class FixedExp3(Exp3):
@@ -711,7 +774,7 @@ class TestStabilityExponentPower:
                     cum = 0.0
                     for ctx, losses in env.rounds(horizon):
                         raw = losses[base.propose(ctx)]
-                        packet = selection.observe(raw)
+                        packet = selection.observe(raw) if selection.selects() else UNSELECTED
                         base.update(packet)
                         cum += packet.weighted_loss
                     regs.append(cum - env.baseline() * horizon)

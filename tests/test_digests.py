@@ -109,6 +109,14 @@ CONFIGS = {
         "bases": [{"kind": "exp3"}],
         "rho_levels": [1.0, 3.0, 8.0],
     },
+    "stability-epoch-greedy": {
+        "scenario": "stability-test",
+        "horizon": 500,
+        "seeds": [0, 1, 2],
+        "environment": CONTEXTUAL_ENV,
+        "bases": [{"kind": "epoch-greedy", "policies": POLICIES}],
+        "rho_levels": [1.0, 3.0, 8.0],
+    },
     "stability-exp4": {
         "scenario": "stability-test",
         "horizon": 500,
@@ -172,6 +180,9 @@ DIGESTS = {
     "lowerbound-demo": {
         "rounds.csv": "894a0f51e6020e78111d13af4b9655e7560f6f3a80f86468889927ed8898e769",
         "summary.json": "473c51d666197a90dd1329ac26164fcf83196c7502c7f74d95a98e8678c2e7ac",
+    },
+    "stability-epoch-greedy": {
+        "summary.json": "4645d5f421a6006f49e771bc83dc0e040ecf454f315c8a46c91157bc760fbd77",
     },
     "stability-exp3": {
         "summary.json": "114d519c53fe1f5e2cdd88c65e4c7f3e92e1bd63bd78ef8cece7f908a17e547e",

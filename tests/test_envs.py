@@ -330,6 +330,7 @@ class TestInducedEnvironment:
         inner_twin = StochasticMAB([0.3, 0.6], named_rng(10, "env"))
         selection = InducedEnvironment(1.0, named_rng(10, "wrapper"))
         for (_, losses), (_, twin_losses) in zip(inner.rounds(200), inner_twin.rounds(200)):
+            assert selection.selects()
             packet = selection.observe(losses[0])
             assert packet.selected
             assert packet.weighted_loss == twin_losses[0]
@@ -337,7 +338,8 @@ class TestInducedEnvironment:
     def test_quarter_probability_scales_by_four(self):
         env = AdversarialMAB([[0.8, 0.0]] * 10)
         selection = InducedEnvironment(0.25, named_rng(11, "wrapper"))
-        seen = {selection.observe(losses[0])[:2] for _, losses in env.rounds(10)}
+        seen = {(selection.observe(losses[0]) if selection.selects() else UNSELECTED)[:2]
+                for _, losses in env.rounds(10)}
         assert seen <= {(True, 3.2), (False, 0.0)}
         assert (True, 3.2) in seen
 
@@ -353,7 +355,8 @@ class TestInducedEnvironment:
         env = StochasticMAB([0.3, 0.6], named_rng(1, "env"))
         selection = InducedEnvironment(0.25, named_rng(1, "wrapper"))
         n = 100_000
-        total = sum(selection.observe(losses[0]).weighted_loss for _, losses in env.rounds(n))
+        total = sum(selection.observe(losses[0]).weighted_loss
+                    for _, losses in env.rounds(n) if selection.selects())
         assert abs(total / n - 0.3) <= 0.02
 
     def test_schedule_validation(self):
@@ -363,11 +366,12 @@ class TestInducedEnvironment:
             InducedEnvironment(1.5, named_rng(12, "wrapper"))
 
     def test_draws_one_uniform_a_round(self):
-        # Selected or not, a round takes one scalar draw from the generator.
+        # Selected or not, a round's ``selects`` takes one scalar draw from
+        # the generator, and ``observe`` takes none.
         selection = InducedEnvironment(0.5, named_rng(13, "wrapper"))
         twin = named_rng(13, "wrapper")
         for _ in range(3_000):
-            packet = selection.observe(0.4)
+            packet = selection.observe(0.4) if selection.selects() else UNSELECTED
             assert packet[:2] == ((True, 0.8) if twin.random() < 0.5 else (False, 0.0))
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -379,9 +383,10 @@ class TestInducedEnvironment:
         st.integers(0, 2**32 - 1),
     )
     def test_observe_returns_the_checked_packet(self, prob, raws, seed):
-        # Against a twin generator's uniforms: a selected round's packet is
-        # the checked one field for field, sign of zero included; any other
-        # round's is UNSELECTED. The 1.0 and +0.0 packets are one object each.
+        # Against a twin generator's uniforms: ``selects`` draws the round's
+        # selection, and a selected round's packet is the checked one field
+        # for field, sign of zero included. The 1.0 and +0.0 packets are one
+        # object each.
         def hexed(packet):
             return [x.hex() if isinstance(x, float) else x for x in packet]
 
@@ -389,10 +394,12 @@ class TestInducedEnvironment:
         twin = named_rng(seed, "wrapper")
         shared, negative_zero = {}, []
         for raw in raws:
-            packet = selection.observe(raw)
+            selected = selection.selects()
             if not twin.random() < prob:
-                assert packet is UNSELECTED
+                assert not selected
                 continue
+            assert selected
+            packet = selection.observe(raw)
             assert type(packet) is FeedbackPacket
             assert hexed(packet) == hexed(FeedbackPacket(True, raw / prob, prob, raw))
             if raw in (0.0, 1.0) and math.copysign(1.0, raw) > 0.0:

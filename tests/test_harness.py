@@ -23,6 +23,7 @@ from corral.bases import Exp3
 from corral.core import (
     UNSELECTED,
     ConfigError,
+    ContractError,
     FeedbackPacket,
     IntegrityError,
     NormalizationDriftError,
@@ -64,9 +65,15 @@ SMALL_STANDALONE = {
 }
 SMALL_STABILITY = dict(SMALL_STANDALONE, scenario="stability-test", rho_levels=[1.0, 4.0])
 SMALL_DEMO = {"scenario": "lowerbound-demo", "horizon": 50, "seeds": [0]}
-# An integer literal past the largest float, and what loading one reports.
+# An integer literal past the largest float, and what loading one as ``key``
+# reports.
 HUGE = 10**400
-TOO_LARGE = "malformed config value: int too large to convert to float"
+
+
+def too_large(key, kind="numbers"):
+    return f"{key} takes {kind} a float can hold, got an integer of 401 digits"
+
+
 SMALL_CONFIGS = {
     "corral-run": SMALL_RUN,
     "standalone-run": SMALL_STANDALONE,
@@ -780,13 +787,14 @@ class TestStability:
 class TestInducedPackets:
     """Every packet ``InducedRouter.step`` gives its base is ``UNSELECTED`` or
     equals the one a router that built each packet would make, field for
-    field and with the sign of every zero."""
+    field and with the sign of every zero. A round the base idles counts as
+    an ``UNSELECTED`` one."""
 
     @staticmethod
     def packets(env, rho, horizon=400):
         base = Exp3(env.num_arms, horizon, rho, named_rng(0, "base"))
         router = harness.InducedRouter(base, rho, named_rng(0, "wrapper"))
-        step, propose, update = router.step, base.propose, base.update
+        step, propose, update, idle = router.step, base.propose, base.update, base.idle
         rows, decisions, packets = [], [], []
 
         def spy_step(ctx, row):
@@ -801,9 +809,16 @@ class TestInducedPackets:
             packets.append(packet)
             update(packet)
 
-        router.step, base.propose, base.update = spy_step, spy_propose, spy_update
+        def spy_idle(ctx):
+            decisions.append(None)
+            packets.append(UNSELECTED)
+            idle(ctx)
+
+        router.step, base.propose, base.update, base.idle = (
+            spy_step, spy_propose, spy_update, spy_idle)
         harness.play(env, [router], horizon)
-        seen = [(row[d], packet) for row, d, packet in zip(rows, decisions, packets, strict=True)]
+        seen = [(None if d is None else row[d], packet)
+                for row, d, packet in zip(rows, decisions, packets, strict=True)]
         return router.selection.sampling_prob, seen
 
     def check(self, env, rho):
@@ -834,6 +849,15 @@ class TestInducedPackets:
         env = AdversarialMAB([[v, v] for v in values] * 100)
         signed = [(v, math.copysign(1.0, v)) for v in self.check(env, 1.0)]
         assert set(signed) == {(0.0, 1.0), (-0.0, -1.0), (0.5, 1.0), (1.0, 1.0)}
+
+
+def test_logged_induced_router_plays_at_rho_one():
+    # Only a standalone run logs its induced leg, and it plays at rho 1,
+    # where every round is selected and has a decision to log.
+    base = Exp3(2, 50, 4.0, named_rng(0, "base"))
+    with pytest.raises(ContractError, match="a logged induced router plays at rho 1, got 4.0"):
+        harness.InducedRouter(base, 4.0, named_rng(0, "wrapper"), logged=True)
+    assert harness.InducedRouter(base, 1.0, named_rng(0, "wrapper"), logged=True).logged
 
 
 class TestTrustedPath:
@@ -1658,23 +1682,25 @@ class TestCli:
             ({"bases": [{"kind": "thompson", "prior": [1, 1]}, {"kind": "exp3"}]},
              "prior takes a table, got 1"),
             # A 400-digit integer is past the largest float: each raised a
-            # bare OverflowError, which escaped as a traceback.
+            # bare OverflowError, which escaped as a traceback, and then
+            # failed naming no key.
             ({"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, HUGE])},
-            ]}, TOO_LARGE),
-            ({"master": {"eta": HUGE}}, TOO_LARGE),
-            ({"master": {"eta": "tuned", "regret_target": HUGE}}, TOO_LARGE),
-            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": HUGE}}, TOO_LARGE),
+            ]}, too_large("rho_levels")),
+            ({"master": {"eta": HUGE}}, too_large("eta")),
+            ({"master": {"eta": "tuned", "regret_target": HUGE}}, too_large("regret_target")),
+            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": HUGE}}, too_large("naive_eta")),
             ({"environment": {"kind": "adversarial-mab", "script": [[0, HUGE]] * 50}},
-             TOO_LARGE),
-            ({"environment": {"kind": "stochastic-mab", "means": [0.1, HUGE]}}, TOO_LARGE),
+             too_large("script")),
+            ({"environment": {"kind": "stochastic-mab", "means": [0.1, HUGE]}},
+             too_large("means")),
             ({"environment": {"kind": "stochastic-mab", "means_prior": [[1, HUGE], [1, 1]]}},
-             TOO_LARGE),
+             too_large("means_prior")),
             ({"bases": [{"kind": "thompson", "prior": [[HUGE, 1], [1, 1]]}, {"kind": "exp3"}]},
-             TOO_LARGE),
+             too_large("prior")),
             ({"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, horizon=HUGE)},
-            ]}, TOO_LARGE),
+            ]}, too_large("horizon", "integers")),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",

@@ -10,6 +10,13 @@ threshold, the threshold doubles past it and the base's learning rate is
 multiplied by ``beta = e^(1/ln T)``, which caps total inflation at a factor
 of five over any horizon. Under the restart-on-doubling policy the base is
 also reset with the new threshold as its loss-range parameter.
+
+Two bases take a scalar path through ``feedback`` (and through
+``solve_lambda``): the same float operations in the same order as the
+generic path, so the same state bit for bit, without its per-round lists.
+It exists for speed alone: Python 3.11 gives each comprehension its own
+frame, and at two entries that overhead, not the arithmetic, is most of a
+round.
 """
 
 from __future__ import annotations
@@ -125,6 +132,8 @@ def build_packets(
         raise ConfigError(f"unknown estimator {estimator!r}")
     if len(proposals) != len(p_bar):
         raise ContractError(f"expected {len(p_bar)} proposals, got {len(proposals)}")
+    if not 0 <= chosen < len(p_bar):
+        raise ContractError(f"chosen base {chosen} is not in 0..{len(p_bar) - 1}")
     # NaN and +-inf fail the range comparisons themselves.
     if not 0.0 <= observed_loss <= 1.0:
         raise InvalidLossError(f"observed loss must be in [0, 1], got {observed_loss}")
@@ -159,40 +168,79 @@ def feedback(state: MasterState, chosen: int, observed_loss: float) -> RoundOutc
     """One master round on base ``chosen``'s observed loss: ``omd_step``'s step
     on the one-hot standard estimate, without its input checks (only the new
     ``q`` is checked), the mix with uniform and the schedule. Mutates ``state``
-    and returns the round's schedule events; ``state.p_bar`` is replaced, not
-    mutated, so the decision-time ``p_bar`` the caller read for
-    ``build_packets`` stays valid. The caller resets the bases listed in
+    and returns the round's schedule events; ``state.p`` and ``state.p_bar``
+    are replaced, not mutated, so the decision-time ``p_bar`` the caller read
+    for ``build_packets`` stays valid. The caller resets the bases listed in
     ``restarts`` with the base's new threshold as range parameter.
     """
+    if not 0 <= chosen < state.num_bases:
+        raise ContractError(f"chosen base {chosen} is not in 0..{state.num_bases - 1}")
     if not 0.0 <= observed_loss <= 1.0:
         raise InvalidLossError(f"observed loss must be in [0, 1], got {observed_loss}")
     weighted = observed_loss / state.p_bar[chosen]
-    total = sum(state.p)
-    p = [x / total for x in state.p]
-    # The one-hot loss (M >= 2 entries) is constant, which leaves p as it is, iff this is 0.
-    if weighted != 0.0:
-        losses = [0.0] * state.num_bases
-        losses[chosen] = weighted
-        lam = solve_lambda(p, losses, state.eta)
-        q = [1.0 / (1.0 / pi + r * (l - lam)) for pi, r, l in zip(p, state.eta, losses)]
-        total = sum(q)
-        if not (min(q) > 0.0 and abs(total - 1.0) <= SIMPLEX_HARD_TOL):
-            try:
-                validate_simplex(q)
-            except ValueError as exc:  # the failed check's typed error, with its cause
-                raise type(exc)(f"round {state.t}: {exc} at rates {state.eta}: the master's "
-                                "eta is too large for float precision") from exc
-        p = [x / total for x in q]
-    state.p = p
-    # A convex mix of the checked q and the uniform vector needs no check.
-    mix = state.gamma / state.num_bases
-    p_bar = [(1.0 - state.gamma) * x + mix for x in p]
-    total = sum(p_bar)
-    state.p_bar = [x / total for x in p_bar]
+    if state.num_bases == 2:
+        _two_base_step(state, chosen, weighted)
+    else:
+        total = sum(state.p)
+        p = [x / total for x in state.p]
+        # The one-hot loss (M >= 2 entries) is constant, which leaves p as it is, iff this is 0.
+        if weighted != 0.0:
+            losses = [0.0] * state.num_bases
+            losses[chosen] = weighted
+            lam = solve_lambda(p, losses, state.eta)
+            q = [1.0 / (1.0 / pi + r * (l - lam)) for pi, r, l in zip(p, state.eta, losses)]
+            total = sum(q)
+            if not (min(q) > 0.0 and abs(total - 1.0) <= SIMPLEX_HARD_TOL):
+                _reject_step(state, q)
+            p = [x / total for x in q]
+        state.p = p
+        # A convex mix of the checked q and the uniform vector needs no check.
+        mix = state.gamma / state.num_bases
+        p_bar = [(1.0 - state.gamma) * x + mix for x in p]
+        total = sum(p_bar)
+        state.p_bar = [x / total for x in p_bar]
     doublings = apply_schedule(state)
     restarts = list(doublings) if state.restart_policy == RESTART_ON_DOUBLING else []
     state.t += 1
     return RoundOutcome(doublings, restarts)
+
+
+def _two_base_step(state: MasterState, chosen: int, weighted: float) -> None:
+    """``feedback``'s step and mix at M = 2, on scalars: each sum is ``a + b``
+    (``sum`` adds from the int 0, and ``0 + a == a``) and every other
+    expression is the generic path's, in index order."""
+    p0, p1 = state.p
+    total = p0 + p1
+    p0 = p0 / total
+    p1 = p1 / total
+    if weighted != 0.0:
+        l0, l1 = (weighted, 0.0) if chosen == 0 else (0.0, weighted)
+        lam = solve_lambda([p0, p1], [l0, l1], state.eta)
+        r0, r1 = state.eta
+        q0 = 1.0 / (1.0 / p0 + r0 * (l0 - lam))
+        q1 = 1.0 / (1.0 / p1 + r1 * (l1 - lam))
+        total = q0 + q1
+        if not (q0 > 0.0 and q1 > 0.0 and abs(total - 1.0) <= SIMPLEX_HARD_TOL):
+            _reject_step(state, [q0, q1])
+        p0 = q0 / total
+        p1 = q1 / total
+    state.p = [p0, p1]
+    keep = 1.0 - state.gamma
+    mix = state.gamma / 2
+    b0 = keep * p0 + mix
+    b1 = keep * p1 + mix
+    total = b0 + b1
+    state.p_bar = [b0 / total, b1 / total]
+
+
+def _reject_step(state: MasterState, q: list[float]) -> None:
+    """Raise ``validate_simplex``'s typed error on an OMD step ``q`` that
+    failed the guard, naming the round, the rates and ``eta``."""
+    try:
+        validate_simplex(q)
+    except ValueError as exc:  # the failed check's typed error, with its cause
+        raise type(exc)(f"round {state.t}: {exc} at rates {state.eta}: the master's "
+                        "eta is too large for float precision") from exc
 
 
 def apply_schedule(state: MasterState) -> list[int]:

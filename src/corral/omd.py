@@ -12,6 +12,12 @@ where the normalization multiplier ``lam`` is the root of
 which lies in ``[min_i loss_i, max_i loss_i]``. F is strictly increasing in
 ``lam`` wherever all denominators stay positive, so the root is unique and a
 bracketed line search finds it.
+
+Two coordinates take a scalar path, ``_solve_two``: the same line search with
+its inner loop unrolled, the same float operations in the same order, so the
+same iterates bit for bit. It exists for speed alone: Python 3.11 gives each
+comprehension its own frame, and at two entries that overhead, not the
+arithmetic, is most of a solve.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ def solve_lambda(
         # F(c) = sum p_i = 1 exactly for a constant loss vector.
         return float(lo)
     total = sum(p)  # normalize(p), folded into the reciprocals
+    if len(p) == 2:
+        return _solve_two(1.0 / (p[0] / total), 1.0 / (p[1] / total),
+                          rates[0], rates[1], losses[0], losses[1], lo, hi)
     terms = list(zip([1.0 / (x / total) for x in p], rates, losses))
     best_lam = lo
     best_err = math.inf
@@ -82,7 +91,50 @@ def solve_lambda(
                 lam = newton
                 continue
         lam = 0.5 * (lo + hi)
-    raise SolverConvergenceError(
+    raise _not_converged(best_err)
+
+
+def _solve_two(ip0, ip1, r0, r1, l0, l1, lo: float, hi: float) -> float:
+    """``solve_lambda``'s line search over two coordinates, given the
+    reciprocals of the renormalized ``p``: its inner loop unrolled in index
+    order. ``0.0 + x == x`` for the positive ``1 / d_i``, so the sums and
+    every iterate are the generic loop's, bit for bit. Testing both poles
+    before the first slope term raises nothing the generic loop would not:
+    ``ip_i >= 1``, so a positive ``d_i`` is at least 2**-53 and ``d_i * d_i``
+    cannot underflow to a zero divisor."""
+    best_lam = lo
+    best_err = math.inf
+    lam = 0.5 * (lo + hi)
+    for _ in range(MAX_ITERATIONS):
+        if hi - lo <= 4e-16 * (hi if hi > 1.0 else 1.0):
+            return best_lam
+        d0 = ip0 + r0 * (l0 - lam)
+        d1 = ip1 + r1 * (l1 - lam)
+        if d0 <= 0.0 or d1 <= 0.0:
+            hi = lam
+        else:
+            err = (1.0 / d0 + 1.0 / d1) - 1.0
+            abs_err = err if err >= 0.0 else -err
+            if abs_err <= TOLERANCE:
+                return lam
+            if abs_err < best_err:
+                best_err = abs_err
+                best_lam = lam
+            if err < 0.0:
+                lo = lam
+            else:
+                hi = lam
+            slope = r0 / (d0 * d0) + r1 / (d1 * d1)
+            newton = lam - err / slope if slope > 0.0 else lam
+            if lo < newton < hi:
+                lam = newton
+                continue
+        lam = 0.5 * (lo + hi)
+    raise _not_converged(best_err)
+
+
+def _not_converged(best_err: float) -> SolverConvergenceError:
+    return SolverConvergenceError(
         f"no lambda with |F-1| <= {TOLERANCE} after {MAX_ITERATIONS} iterations "
         f"(best {best_err})"
     )

@@ -117,6 +117,13 @@ class TestBuildPackets:
             build_packets([0.5, 0.5], [1, 2], observed, 0, estimator)
 
     @pytest.mark.parametrize("estimator", [ESTIMATOR_STANDARD, ESTIMATOR_SHARED])
+    @pytest.mark.parametrize("m, chosen", [(2, -1), (2, 2), (3, -1), (3, 3)])
+    def test_rejects_chosen_outside_bases(self, estimator, m, chosen):
+        # -1 would index the last base, and M past the end.
+        with pytest.raises(ContractError, match="chosen base"):
+            build_packets([1.0 / m] * m, list(range(m)), 0.3, chosen, estimator)
+
+    @pytest.mark.parametrize("estimator", [ESTIMATOR_STANDARD, ESTIMATOR_SHARED])
     @pytest.mark.parametrize("chosen", [0, 1])
     def test_rejects_zero_probability(self, estimator, chosen):
         # Selected or not, a zero probability is a typed error, not a division.
@@ -309,6 +316,24 @@ class TestFeedbackAndSchedule:
         with pytest.raises(InvalidLossError):
             feedback(state, 0, 1.5)
 
+    @pytest.mark.parametrize("m, chosen", [(2, -1), (2, 2), (3, -1), (3, 3)])
+    def test_feedback_rejects_chosen_outside_bases(self, m, chosen):
+        # Both paths (M = 2 on scalars, M = 3 generic), before any state changes.
+        state = init_master(0.1, m, 100)
+        before = state_bits(state)
+        with pytest.raises(ContractError, match="chosen base"):
+            feedback(state, chosen, 0.7)
+        assert state_bits(state) == before
+
+    @pytest.mark.parametrize("loss", [0.0, 0.7])
+    def test_two_base_round_replaces_p_and_p_bar(self, loss):
+        # CorralRouter builds packets from the decision-time p_bar after feedback.
+        state = init_master(0.1, 2, 100)
+        p, p_bar = state.p, state.p_bar
+        feedback(state, 1, loss)
+        assert state.p is not p and state.p_bar is not p_bar
+        assert p == p_bar == [0.5, 0.5]
+
     def test_round_advances_and_mixes(self):
         state = init_master(0.01, 2, 100)
         outcome = feedback(state, 0, 0.8)
@@ -450,21 +475,24 @@ def mixed(p, gamma):
     return normalize([(1.0 - gamma) * x + gamma / m for x in p])
 
 
-# Raw losses a round may observe, and some it must reject.
+# Raw losses a round may observe, and some it must reject. Zero and -0.0
+# take no OMD step.
 ROUND_LOSSES = st.one_of(
     st.floats(0.0, 1.0),
-    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([0.0, -0.0, 1.0]),
     st.sampled_from([-1e-300, -0.5, 1.0 + 2**-52, 2.0, math.inf, -math.inf, math.nan]),
 )
 
 
 @st.composite
 def master_scale_rounds(draw):
-    """A master at horizon T up to 1e8 over M up to 32 bases, some of whose
+    """A master at horizon T up to 1e8 over M up to 32 bases (two, which
+    ``feedback`` plays on scalars, about half the time), some of whose
     ``p_bar`` entries sit at the 1/(T*M) floor, with rates inflated up to
-    5x, then a run of rounds of any base and loss."""
+    5x and thresholds near the inverse probabilities, then a run of rounds of
+    any base and loss."""
     horizon = draw(st.integers(2, 10**8))
-    m = draw(st.integers(2, 32))
+    m = draw(st.just(2) | st.integers(2, 32))
     policy = draw(st.sampled_from([RESTART_ON_DOUBLING, NEVER_RESTART]))
     state = init_master(draw(st.floats(1e-6, 1.0)), m, horizon, restart_policy=policy)
     at_floor = draw(st.integers(1, m - 1))
@@ -475,6 +503,10 @@ def master_scale_rounds(draw):
     state.p_bar = mixed(state.p, state.gamma)
     inflation = draw(st.lists(st.floats(1.0, 5.0), min_size=m, max_size=m))
     state.eta = [state.eta0 * x for x in inflation]
+    # Thresholds at 2M or around 1/p_bar_i, so a round can fire any base's
+    # threshold, or every base's, even at M = 2.
+    near = draw(st.lists(st.none() | st.floats(0.5, 2.0), min_size=m, max_size=m))
+    state.rho = [2.0 * m if f is None else f / x for f, x in zip(near, state.p_bar)]
     rounds = draw(st.lists(st.tuples(st.integers(0, m - 1), ROUND_LOSSES), min_size=4, max_size=24))
     return state, rounds
 
@@ -524,33 +556,37 @@ class TestFeedbackPinnedToReference:
                 )
             assert state_bits(state) == state_bits(expected_state)
 
-    @pytest.mark.parametrize(
-        "shift, error",
-        [(3e-4, NormalizationDriftError), (0.5, NormalizationDriftError),
-         (1e9, DegenerateDistributionError)],
-        ids=["small-drift", "drift", "past-pole"],
-    )
-    def test_solver_output_is_guarded(self, monkeypatch, shift, error):
+    @pytest.mark.parametrize("shift, error, m", [
+        pytest.param(shift, error, m, id=name + suffix)
+        for m, suffix in [(3, ""), (2, "-two-bases")]
+        for shift, error, name in [(3e-4, NormalizationDriftError, "small-drift"),
+                                   (0.5, NormalizationDriftError, "drift"),
+                                   (1e9, DegenerateDistributionError, "past-pole")]
+    ])
+    def test_solver_output_is_guarded(self, monkeypatch, shift, error, m):
         # A multiplier off the root gives a q that fails validate_simplex;
         # the round fails with its typed error, like the reference's step.
         solver = master.solve_lambda
         monkeypatch.setattr(master, "solve_lambda", lambda *args: solver(*args) + shift)
-        state = init_master(0.1, 3, 1000)
+        state = init_master(0.1, m, 1000)
         with pytest.raises(error):
             feedback(state, 1, 0.7)
-        assert state.p == [1.0 / 3] * 3 and state.t == 1
+        assert state.p == [1.0 / m] * m and state.t == 1
 
-    @pytest.mark.parametrize("shift, error",
-                             [(0.5, NormalizationDriftError), (1e9, DegenerateDistributionError)])
-    def test_failed_step_names_round_rates_and_eta(self, monkeypatch, shift, error):
+    @pytest.mark.parametrize("shift, error, m", [
+        pytest.param(shift, error, m, id=f"{shift}-{error.__name__}{suffix}")
+        for m, suffix in [(3, ""), (2, "-two-bases")]
+        for shift, error in [(0.5, NormalizationDriftError), (1e9, DegenerateDistributionError)]
+    ])
+    def test_failed_step_names_round_rates_and_eta(self, monkeypatch, shift, error, m):
         solver = master.solve_lambda
         monkeypatch.setattr(master, "solve_lambda", lambda *args: solver(*args) + shift)
-        state = init_master(0.1, 3, 1000)
+        state = init_master(0.1, m, 1000)
         feedback(state, 0, 0.0)  # a zero loss takes no step
         with pytest.raises(error) as info:
             feedback(state, 1, 0.7)
         message = str(info.value)
-        assert message.startswith("round 2: ") and "rates [0.1, 0.1, 0.1]" in message
+        assert message.startswith("round 2: ") and f"rates {[0.1] * m}" in message
         assert "the master's eta is too large" in message
 
 

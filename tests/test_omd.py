@@ -126,12 +126,12 @@ class TestOmdStep:
 
 
 @st.composite
-def master_scale_instances(draw):
+def master_scale_instances(draw, sizes=st.integers(2, 32)):
     """An OMD step as the master takes it at scale: horizon T up to 1e8 and
     M up to 32 bases, some coordinates of p at the 1/(T*M) smoothing floor,
     a one-hot importance-weighted loss up to T*M and rates inflated up to 5x."""
     horizon = draw(st.integers(2, 10**8))
-    m = draw(st.integers(2, 32))
+    m = draw(sizes)
     floor = 1.0 / (horizon * m)
     at_floor = draw(st.integers(1, m - 1))
     size = m - at_floor
@@ -213,13 +213,13 @@ def reference_solve_lambda(
 
 
 @st.composite
-def restart_scale_instances(draw):
+def restart_scale_instances(draw, sizes=st.integers(2, 4)):
     """A step as ``adversarial-restart`` takes it: few bases, a master rate
     near 1 inflated up to 5x and a one-hot loss far above ``1 / (eta * p_i)``.
     The other coordinates' poles then sit inside the bracket, so the line
     search hits poles and its Newton steps leave the bracket."""
     horizon = draw(st.integers(2, 10**5))
-    m = draw(st.integers(2, 4))
+    m = draw(sizes)
     floor = 1.0 / (horizon * m)
     weights = draw(st.lists(st.floats(floor, 1.0), min_size=m, max_size=m))
     p = [w / sum(weights) for w in weights]
@@ -231,15 +231,18 @@ def restart_scale_instances(draw):
 
 
 @st.composite
-def spread_loss_instances(draw):
+def spread_loss_instances(draw, sizes=st.integers(2, 16)):
     """Any nonnegative loss vector, not only the master's one-hot ones."""
-    m = draw(st.integers(2, 16))
+    m = draw(sizes)
     weights = draw(st.lists(st.floats(1e-9, 1.0), min_size=m, max_size=m))
     # -0.0 passes omd_step's checks; st.floats(0.0, ...) never draws it.
     loss = st.floats(0.0, 1e6) | st.just(-0.0)
     losses = draw(st.lists(loss, min_size=m, max_size=m))
     rates = draw(st.lists(st.floats(1e-6, 10.0), min_size=m, max_size=m))
     return [w / sum(weights) for w in weights], losses, rates
+
+
+TWO = st.just(2)
 
 
 def solver_outcome(solve, instance):
@@ -252,10 +255,13 @@ def solver_outcome(solve, instance):
 
 
 class TestSolverPinnedToReference:
-    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    # Half the draws take two coordinates, which solve_lambda solves on scalars.
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
     @given(
         st.one_of(
-            master_scale_instances(), restart_scale_instances(), spread_loss_instances()
+            master_scale_instances(), restart_scale_instances(), spread_loss_instances(),
+            master_scale_instances(TWO), restart_scale_instances(TWO),
+            spread_loss_instances(TWO),
         )
     )
     def test_same_lambda_bit_for_bit(self, instance):

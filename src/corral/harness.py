@@ -765,7 +765,6 @@ class InducedRouter:
         if logged and rho != 1.0:
             raise ContractError(f"a logged induced router plays at rho 1, got {rho}")
         self.bases = [base]
-        self.range_param = rho
         self.selection = InducedEnvironment(1.0 / rho, rng)
         self.logged = logged
         self.decision = array("q") if logged else None
@@ -787,8 +786,8 @@ class InducedRouter:
         return {
             "chosen": np.zeros(rounds, dtype=np.int64),
             "decision": np.frombuffer(self.decision, dtype=np.int64),
-            "p_bar": np.full((rounds, 1), 1.0 / self.range_param),
-            "schedule": [(0, [0.0], [self.range_param], [])],
+            "p_bar": np.full((rounds, 1), 1.0),
+            "schedule": [(0, [0.0], [1.0], [])],
         }
 
 
@@ -1028,18 +1027,25 @@ def write_outputs(out_dir, summary: dict, logs: list[RoundLog] | None) -> None:
 
 def _check_out_dirs(config: ExperimentConfig, out_dir) -> None:
     """Fail, creating nothing, if ``out_dir`` or a sweep run's subdirectory is
-    empty, or it or an ancestor exists but is no directory, or it holds a
-    directory named as an output file or its ``.tmp``."""
+    empty, or it or an ancestor exists but is no directory, or a missing one
+    has a name longer than its filesystem takes, or it holds a directory
+    named as an output file or its ``.tmp``."""
     path = os.fspath(out_dir)
     if not path:
         raise ConfigError("output path '' is empty")
     for name in (ROUNDS_CSV, SUMMARY_JSON, ROUNDS_CSV + ".tmp", SUMMARY_JSON + ".tmp"):
         if os.path.isdir(os.path.join(path, name)):
             raise ConfigError(f"output file {os.path.join(path, name)!r} is a directory")
+    missing = []
     while path and not os.path.isdir(path):
         if os.path.lexists(path):
             raise ConfigError(f"output path {path!r} exists and is not a directory")
+        missing.append(path)
         path = os.path.dirname(path)
+    name_max = os.pathconf(path or ".", "PC_NAME_MAX")
+    for path in missing:
+        if len(os.fsencode(os.path.basename(path))) > name_max:
+            raise ConfigError(f"output path {path!r} has a name longer than {name_max} bytes")
     for entry in config.runs:
         _check_out_dirs(entry["config"], os.path.join(out_dir, entry["name"]))
 

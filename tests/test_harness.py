@@ -4,8 +4,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
 import pickle
 import re
+import tomllib
 import tracemalloc
 import warnings
 from unittest import mock
@@ -72,6 +75,14 @@ HUGE = 10**400
 
 def too_large(key, kind="numbers"):
     return f"{key} takes {kind} a float can hold, got an integer of 401 digits"
+
+
+def edited(raw: dict, old: str, new: str) -> bytes:
+    """``raw`` as JSON text with ``old`` replaced by ``new``: text that
+    ``json.dumps`` never writes."""
+    text = json.dumps(raw)
+    assert old in text
+    return text.replace(old, new).encode()
 
 
 SMALL_CONFIGS = {
@@ -1203,6 +1214,7 @@ class ReferenceInducedRouter(harness.InducedRouter):
 
     def __init__(self, base, rho: float, rng, logged: bool = False):
         super().__init__(base, rho, rng, logged)
+        self.range_param = rho
         self.decision = []
 
     def columns(self) -> dict:
@@ -1553,7 +1565,7 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides, message",
+        "source, message",
         [
             ({"bases": [{"kind": "exp4"}, {"kind": "exp3"}]},
              "exp4 base needs exactly one of ['policies']"),
@@ -1701,6 +1713,35 @@ class TestCli:
             ({"scenario": "sweep", "runs": [
                 {"name": "a", "config": dict(SMALL_STABILITY, horizon=HUGE)},
             ]}, too_large("horizon", "integers")),
+            ({"scenario": "standalone-run",
+              "environment": {"kind": "adversarial-mab", "script": [[0.2, 0.8], [0.5]]}},
+             "script rows must have one length, got lengths [1, 2]"),
+            # A round log takes at least 40 bytes a round: 10**11 rounds are
+            # 4 TB, past any machine this runs on. Nothing is allocated for
+            # the horizon when the config is checked.
+            ({"horizon": 10**11},
+             "the round logs of a horizon of 100000000000 do not fit in memory"),
+            ({"scenario": "lowerbound-demo", "horizon": 10**11},
+             "the round logs of a horizon of 100000000000 do not fit in memory"),
+            ({"bogus": 1}, "unknown corral-run config keys: ['bogus']"),
+            # Config text, not overrides. A UTF-16 byte-order mark is not UTF-8.
+            (b"\xff\xfe{", "config is not UTF-8 text"),
+            (b'{"scenario": ', "config is not valid JSON"),
+            # ``json`` alone keeps a repeated key's last value.
+            (edited(SMALL_STANDALONE, '"horizon": 50', '"horizon": 10, "horizon": 50'),
+             "config repeats key 'horizon'"),
+            (edited(SMALL_STANDALONE, '"means": [0.1, 0.9]',
+                    '"means": [0.1, 0.9], "means": [0.9, 0.1]'),
+             "config repeats key 'means'"),
+            (b"[" * 100_000 + b"]" * 100_000, "config nests too deeply"),
+            # Python converts no integer literal of more than 4,300 digits:
+            # json raised that as a bare ValueError, which escaped as a
+            # traceback.
+            (edited(SMALL_STANDALONE, '"horizon": 50', '"horizon": ' + "9" * 5000),
+             "config is not valid JSON: Exceeds the limit (4300 digits)"),
+            # json reads the literal 1e400 as inf, which json.dumps never writes.
+            (edited(SMALL_RUN, '"eta": 0.05', '"eta": "tuned", "regret_target": 1e400'),
+             "regret_target must be finite and > 0, got inf"),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -1720,32 +1761,28 @@ class TestCli:
              "seeds-nested", "rho-levels-nested", "arm-pair-nested", "context-probs-nested",
              "prior-flat", "huge-rho-level", "huge-eta", "huge-regret-target",
              "huge-naive-eta", "huge-script-cell", "huge-means", "huge-means-prior",
-             "huge-thompson-prior", "huge-stability-horizon"],
+             "huge-thompson-prior", "huge-stability-horizon", "script-ragged",
+             "horizon-past-memory", "demo-horizon-past-memory", "unknown-key", "not-utf8",
+             "json-truncated", "repeated-key-top", "repeated-key-environment", "deep-nesting",
+             "integer-past-digit-limit", "regret-target-1e400"],
     )
-    def test_malformed_config_fails_before_output(self, tmp_path, capsys, overrides, message):
-        raw = small_config(overrides)
-        path = self.write_config(tmp_path, raw)
+    def test_malformed_config_fails_before_output(self, tmp_path, capsys, source, message):
+        # ``source`` is overrides of a small config, or the config file's bytes.
+        if isinstance(source, bytes):
+            path, command = tmp_path / "config.json", "run"
+            path.write_bytes(source)
+        else:
+            raw = small_config(source)
+            path = self.write_config(tmp_path, raw)
+            command = {"corral-run": "run", "standalone-run": "standalone",
+                       "lowerbound-demo": "lowerbound-demo", "sweep": "sweep"}[raw["scenario"]]
         with pytest.raises(ConfigError, match=re.escape(message)):
             harness.load_config(path)
         out_dir = tmp_path / "o"
-        command = {"corral-run": "run", "standalone-run": "standalone",
-                   "lowerbound-demo": "lowerbound-demo", "sweep": "sweep"}
-        assert main([command[raw["scenario"]], "--config", path, "--out", str(out_dir)]) == 1
+        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not out_dir.exists()
-
-    def test_overflowing_regret_target_fails_before_output(self, tmp_path, capsys):
-        # json reads the literal 1e400 as inf, which json.dumps never writes.
-        raw = small_config({"master": {"eta": "tuned", "regret_target": 2.0}})
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw).replace('"regret_target": 2.0', '"regret_target": 1e400'))
-        message = "regret_target must be finite and > 0, got inf"
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            harness.load_config(str(path))
-        err = self.assert_fails_before_output(
-            capsys, ["run", "--config", str(path)], tmp_path / "o")
-        assert message in err
 
     @pytest.mark.parametrize(
         "names", [["a", "a"], ["../escaped"], [7], ["summary.json"], ["summary.json.tmp"],
@@ -1770,18 +1807,27 @@ class TestCli:
         assert not out_dir.exists()
         return err
 
-    @pytest.mark.parametrize("eta", [1e10, 1e12])
-    def test_eta_too_large_for_float_precision_fails_naming_it(self, tmp_path, capsys, eta):
+    @pytest.mark.parametrize(
+        "eta, num_bases",
+        [pytest.param(eta, 2, id=str(eta)) for eta in (1e10, 1e12)]
+        + [pytest.param(eta, 3, id=f"{eta}-three-bases") for eta in (1e10, 1e12)],
+    )
+    def test_eta_too_large_for_float_precision_fails_naming_it(
+        self, tmp_path, capsys, eta, num_bases
+    ):
         # At 1e9 this run plays; at 1e10 and past it the OMD step's q drifts
-        # from sum one at round 4, which failed naming no key.
+        # from sum one at round 4 over two bases (the master's scalar path)
+        # and round 5 over three (its generic path), which failed naming no key.
+        bases = [{"kind": "exp3"}, {"kind": "ucb1"}, {"kind": "exp3"}][:num_bases]
         raw = {"scenario": "corral-run", "horizon": 2000, "seeds": [0],
                "environment": {"kind": "stochastic-mab", "means": [0.2, 0.8]},
-               "bases": [{"kind": "exp3"}, {"kind": "ucb1"}], "master": {"eta": eta}}
+               "bases": bases, "master": {"eta": eta}}
         with pytest.raises(NormalizationDriftError):
             run_corral(ExperimentConfig.from_dict(raw))
         path = self.write_config(tmp_path, raw)
         err = self.assert_fails_before_output(capsys, ["run", "--config", path], tmp_path / "o")
-        assert err.startswith("error: round 4: ") and "the master's eta is too large" in err
+        assert err.startswith(f"error: round {num_bases + 2}: ")
+        assert "the master's eta is too large" in err
 
     def test_demo_ratio_without_half_regret_fails_before_output(self, tmp_path, capsys):
         # At horizon 2 both masters of seeds 6 and 7 have no regret at T/2,
@@ -1797,33 +1843,6 @@ class TestCli:
         path = self.write_config(tmp_path, SMALL_RUN)
         argv = ["run", "--config", path, "--seed-offset", "-1"]
         self.assert_fails_before_output(capsys, argv, tmp_path / "o")
-
-    def test_deep_nesting_fails_before_output(self, tmp_path, capsys):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000 + "]" * 100_000)
-        argv = ["run", "--config", str(path)]
-        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
-
-    def test_integer_past_the_digit_limit_fails_before_output(self, tmp_path, capsys):
-        # Python converts no integer literal of more than 4,300 digits: json
-        # raised that as a bare ValueError, which escaped as a traceback.
-        path = tmp_path / "long.json"
-        path.write_text(json.dumps(SMALL_STANDALONE).replace('"horizon": 50',
-                                                             '"horizon": ' + "9" * 5000))
-        with pytest.raises(ConfigError):
-            harness.load_config(path)
-        argv = ["standalone", "--config", str(path)]
-        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
-
-    def test_non_utf8_config_fails_before_output(self, tmp_path, capsys):
-        # A UTF-16 byte-order mark is not UTF-8: a typed error, not a traceback.
-        path = tmp_path / "utf16.json"
-        path.write_bytes(b"\xff\xfe{")
-        with pytest.raises(ConfigError, match="config is not UTF-8 text"):
-            harness.load_config(path)
-        argv = ["run", "--config", str(path)]
-        err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
-        assert "config is not UTF-8 text" in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
     def test_unreadable_script_csv_fails_before_output(self, tmp_path, capsys, kind):
@@ -1846,34 +1865,6 @@ class TestCli:
                                               tmp_path / "o")
         assert message in err
 
-    def test_malformed_json_fails_before_output(self, tmp_path, capsys):
-        path = tmp_path / "truncated.json"
-        path.write_text('{"scenario": ')
-        with pytest.raises(ConfigError, match="config is not valid JSON"):
-            harness.load_config(path)
-        argv = ["run", "--config", str(path)]
-        err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
-        assert "config is not valid JSON" in err
-
-    @pytest.mark.parametrize(
-        "key, fields",
-        [("horizon", '"horizon": 10, "horizon": 50, "environment": {"kind": "stochastic-mab", '
-                     '"means": [0.1, 0.9]}'),
-         ("means", '"horizon": 50, "environment": {"kind": "stochastic-mab", '
-                   '"means": [0.1, 0.9], "means": [0.9, 0.1]}')],
-        ids=["top", "environment"],
-    )
-    def test_repeated_key_fails_before_output(self, tmp_path, capsys, key, fields):
-        # ``json`` alone keeps a repeated key's last value.
-        path = tmp_path / "repeated.json"
-        path.write_text('{"scenario": "standalone-run", "seeds": [0], '
-                        f'"bases": [{{"kind": "exp3"}}], {fields}}}')
-        message = f"config repeats key {key!r}"
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            harness.load_config(path)
-        argv = ["standalone", "--config", str(path)]
-        assert message in self.assert_fails_before_output(capsys, argv, tmp_path / "o")
-
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config_fails_before_output(self, tmp_path, capsys, kind):
         path = tmp_path / "config.json"
@@ -1885,28 +1876,40 @@ class TestCli:
         argv = ["run", "--config", str(path)]
         assert message in self.assert_fails_before_output(capsys, argv, tmp_path / "o")
 
-    @pytest.mark.parametrize("kind", ["file", "under-file", "sweep"])
+    @pytest.mark.parametrize(
+        "kind", ["file", "under-file", "sweep", "long-name", "sweep-long-name"]
+    )
     def test_bad_out_fails_before_playing(self, tmp_path, capsys, kind):
-        # ``--out`` naming a file, or a path under one, would fail only when
-        # the outputs are written, after every seed has played.
-        if kind == "sweep":
-            # Run ``a`` could play and write in full before ``b`` failed.
-            out, blocker = tmp_path / "s", tmp_path / "s" / "b"
+        # ``--out`` naming a file, a path under one, or a name longer than
+        # the filesystem takes would fail only when the outputs are written,
+        # after every seed has played. In a sweep, run ``a`` could play and
+        # write in full before ``b`` failed.
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        name = "x" * (name_max + 1) if kind.endswith("long-name") else "b"
+        out, command, raw = tmp_path / "out", "standalone", SMALL_STANDALONE
+        if kind.startswith("sweep"):
             out.mkdir()
-            raw = {"scenario": "sweep", "runs": [{"name": name, "config": SMALL_STANDALONE}
-                                                 for name in ("a", "b")]}
+            command = "sweep"
+            raw = {"scenario": "sweep", "runs": [{"name": run, "config": SMALL_STANDALONE}
+                                                 for run in ("a", name)]}
+        bad = out / name
+        if kind.endswith("long-name"):
+            message = f"output path {str(bad)!r} has a name longer than {name_max} bytes"
         else:
-            blocker, raw = tmp_path / "out", SMALL_STANDALONE
-            out = blocker if kind == "file" else blocker / "run"
-        blocker.write_text("keep\n")
+            blocker = bad if kind == "sweep" else out
+            blocker.write_text("keep\n")
+            message = f"output path {str(blocker)!r} exists and is not a directory"
         path = self.write_config(tmp_path, raw)
-        command = "sweep" if kind == "sweep" else "standalone"
+
+        def tree():
+            return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+        before = tree()
+        target = bad if kind in ("under-file", "long-name") else out
         with mock.patch.object(harness, "run_seed", side_effect=AssertionError("played")):
-            assert main([command, "--config", path, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: output path {str(blocker)!r} exists and is not a directory\n"
-        assert blocker.read_text() == "keep\n"
-        assert not (tmp_path / "s" / "a").exists()
+            assert main([command, "--config", path, "--out", str(target)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert tree() == before
 
     @pytest.mark.parametrize(
         "occupied",
@@ -1939,20 +1942,10 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_horizon_past_memory_fails_before_output(self, tmp_path, capsys):
-        # A round log takes at least 40 bytes a round: 10**11 rounds are
-        # 4 TB, past any machine this runs on. Nothing is allocated for the
-        # horizon when the config is checked.
-        for command, raw in (("run", SMALL_RUN), ("lowerbound-demo", SMALL_DEMO)):
-            path = self.write_config(tmp_path, dict(raw, horizon=10**11))
-            argv = [command, "--config", path]
-            err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
-            assert "horizon of 100000000000 do not fit in memory" in err
-
-    def test_invalid_config_reports_error(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, {"scenario": "corral-run", "bogus": 1})
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert "error" in capsys.readouterr().err
+    def test_console_script_is_main(self):
+        # CI runs the installed script only to check pip's wrapper around it.
+        with open(pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"] == {"corral": "corral.cli:main"}
 
     def test_seed_offset_matches_shifted_config(self, tmp_path):
         base = {

@@ -144,6 +144,10 @@ class StochasticMAB(StochasticContextual):
     context_draws = 0
 
     def __init__(self, means: Sequence[float], rng):
+        if len(means) < 2:
+            raise ConfigError(f"stochastic-mab needs at least 2 arms, got {len(means)}")
+        if not all(0.0 <= m <= 1.0 for m in means):
+            raise ConfigError(f"means must lie in [0, 1], got {list(means)}")
         super().__init__([1.0], [means], [(a,) for a in range(len(means))], rng)
 
 

@@ -1,42 +1,22 @@
 """Experiment runner: wiring, seeded trials, regret accounting, CSV/JSON output.
 
-A single JSON document configures every scenario; unknown keys are errors so
-sweep typos fail loudly. The runner writes one ``rounds.csv`` (one row per
-round of every seed, floats at 17 significant digits so files are
-byte-stable) and one ``summary.json`` per run. Seeds are independent: every
-component draws from its own named stream, so identical configs and seeds
-reproduce output byte for byte and aggregation is order-independent. One
-function, ``run_seed``, plays a seed of any scenario: ``build_legs`` builds
-its environment and one router per leg, each with its bases (a standalone leg
-is an induced leg at sampling probability one), ``play`` plays every leg over
-one realization, and ``run_seed`` returns a picklable ``SeedResult`` of leg
-regrets and, for a run that writes rows, one ``RoundLog`` of columns and its
-leg's index. Each runner summarizes.
+A single JSON document configures every scenario. Its schema is ``_LEVELS``
+(each level's keys by its kind) and ``_VALUES`` (every other key's JSON type
+and depth); README's key tables describe them. Loading fills in the defaults
+and a tuned rate: ``master`` becomes ``{"eta", "estimator",
+"restart_policy"}`` and ``demo`` ``{"corral_eta", "naive_eta"}``.
 
-Config schema (see the README for worked examples). ``_LEVELS`` gives each
-level's keys by its kind (the top level's by ``scenario``), ``_VALUES`` every
-other key's JSON type and depth; ``[key]`` is optional::
-
-    scenario      "corral-run" | "standalone-run" | "stability-test" |
-                  "lowerbound-demo" | "sweep"
-    horizon       rounds (>= 2)
-    seeds         nonempty list of distinct integers in [0, 2**64)
-    environment   {"kind": "stochastic-mab", "means": [...] | "means_prior": [[a, b], ...]}
-                  {"kind": "adversarial-mab", "script": [[...]] | "script_csv": path}
-                  (at least ``horizon`` rows; the first ``horizon`` are played)
-                  {"kind": "stochastic-contextual", "context_probs": [...],
-                   "cond_means": [[...]], "policies": [[...]]}
-                  {"kind": "lower-bound"}
-    bases         list of {"kind": "exp3" | "exp4" | "epoch-greedy" | "thompson" |
-                  "ucb1" | "pathological", ...kind params}: 2+ in a corral run, else 1
-    master        (corral-run) {"eta": float, ["estimator"], ["restart_policy"]}
-                  or {"eta": "tuned", "regret_target": float, [...the same]}
-    rho_levels    (stability-test) list of distinct range bounds >= 1
-    demo          (lowerbound-demo) [{["corral_eta": float], ["naive_eta": float]}]
-    runs          (sweep, beside only "scenario") list of {"name": str, "config": {...}}
-
-Loading fills in the defaults and a tuned rate: ``master`` becomes ``{"eta",
-"estimator", "restart_policy"}`` and ``demo`` ``{"corral_eta", "naive_eta"}``.
+The runner writes one ``rounds.csv`` (one row per round of every seed, floats
+at 17 significant digits so files are byte-stable) and one ``summary.json``
+per run. Seeds are independent: every component draws from its own named
+stream, so identical configs and seeds reproduce output byte for byte and
+aggregation is order-independent. One function, ``run_seed``, plays a seed of
+any scenario: ``build_legs`` builds its environment and one router per leg,
+each with its bases (a standalone leg is an induced leg at sampling
+probability one), ``play`` plays every leg over one realization, and
+``run_seed`` returns a picklable ``SeedResult`` of leg regrets and, for a run
+that writes rows, one ``RoundLog`` of columns and its leg's index. Each
+runner summarizes.
 """
 
 from __future__ import annotations
@@ -220,7 +200,7 @@ def _check_value(value, key: str, depth: int | None = None) -> None:
         raise ConfigError(f"{key} takes {('a list', 'a table')[top - 1]}, got {value!r}")
     elif isinstance(value, int) and abs(value) >= _FLOAT_OVERFLOW:
         raise ConfigError(f"{key} takes {kind}s a float can hold, "
-                          f"got an integer of {len(str(abs(value)))} digits")
+                          f"got an integer of {len(repr(value).lstrip('-'))} digits")
 
 
 @dataclass
@@ -376,10 +356,26 @@ def _unique_keys(pairs: list[tuple]) -> dict:
     return obj
 
 
+# An int that shows as its literal; named ``int`` for the messages that name a type.
+_LiteralInt = type("int", (int,), {"__repr__": lambda self: self.text})
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)``, or for a literal past ``int``'s digit limit the least int
+    of its sign that no float holds, which ``_check_value`` rejects by key."""
+    try:
+        return int(text)
+    except ValueError:
+        value = _LiteralInt(-_FLOAT_OVERFLOW if text[0] == "-" else _FLOAT_OVERFLOW)
+        value.text = text
+        return value
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+        raw = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_parse_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {os.fspath(path)!r}: {exc}") from exc
     except RecursionError as exc:

@@ -1,7 +1,8 @@
 """The config boundary: README's configs load and its examples run from the
 modules the package root binds; a key or value that no config may hold fails
 to load; and a mutated digest config either runs to complete outputs or fails
-before writing any. Every module but the root reads each name it imports."""
+before writing any. Every module but the root, and every test file, reads
+each name it imports."""
 
 import ast
 import contextlib
@@ -26,13 +27,11 @@ from corral.cli import main
 from corral.core import ConfigError
 from corral.harness import ExperimentConfig
 from test_digests import CONFIGS
+from test_harness import COMMANDS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # The most rounds a mutated config may play.
 MAX_HORIZON = 200
-SUBCOMMANDS = {"corral-run": "run", "standalone-run": "standalone",
-               "stability-test": "stability-test", "lowerbound-demo": "lowerbound-demo",
-               "sweep": "sweep"}
 
 
 def test_readme_configs_load(tmp_path):
@@ -101,10 +100,13 @@ def test_package_root_binds_only_modules():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # The root binds its modules for others to read; in any other module an
-    # import that no code reads is left behind by code that moved away.
+    # The root binds its modules for others to read; in any other module or
+    # test file an import that no code reads is left behind by code that
+    # moved away.
     unused = {}
-    for path in sorted(pathlib.Path(corral.__file__).parent.glob("*.py")):
+    paths = [*pathlib.Path(corral.__file__).parent.glob("*.py"),
+             *pathlib.Path(__file__).parent.glob("*.py")]
+    for path in sorted(paths):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -375,7 +377,7 @@ def test_mutated_config_runs_whole_or_fails_before_output(tmp_path_factory, data
         config = None
     if config is not None and played(config) > MAX_HORIZON:
         return
-    command = SUBCOMMANDS[config.scenario] if config else "run"
+    command = COMMANDS[config.scenario] if config else "run"
     with contextlib.redirect_stderr(io.StringIO()) as stderr:
         code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
     err = stderr.getvalue()

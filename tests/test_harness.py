@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from corral import harness
 from corral import master as corral_master
-from corral.cli import main
+from corral.cli import _SUBCOMMANDS, main
 from corral.bases import Exp3
 from corral.core import (
     UNSELECTED,
@@ -85,6 +85,8 @@ def edited(raw: dict, old: str, new: str) -> bytes:
     return text.replace(old, new).encode()
 
 
+# The subcommand that runs each scenario.
+COMMANDS = {scenario: command for command, scenario in _SUBCOMMANDS.items()}
 SMALL_CONFIGS = {
     "corral-run": SMALL_RUN,
     "standalone-run": SMALL_STANDALONE,
@@ -121,45 +123,9 @@ def small_config(overrides: dict) -> dict:
 
 
 class TestConfigValidation:
-    def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match=r"unknown corral-run config keys: \['typo_key'\]"):
-            config(typo_key=1)
-
-    def test_unknown_environment_key(self):
-        with pytest.raises(ConfigError, match="unknown stochastic-mab environment keys"):
-            config(environment={"kind": "stochastic-mab", "means": [0.1, 0.9], "mean": 1})
-
-    def test_unknown_master_key(self):
-        with pytest.raises(ConfigError, match=r"unknown master keys: \['learning_rate'\]"):
-            config(master={"eta": 0.05, "learning_rate": 0.1})
-
-    def test_unknown_base_key(self):
-        with pytest.raises(ConfigError, match=r"unknown exp3 base keys: \['rate'\]"):
-            config(bases=[{"kind": "exp3", "rate": 1}, {"kind": "ucb1"}])
-
-    def test_corral_needs_two_bases(self):
-        with pytest.raises(ConfigError, match="corral-run needs at least 2 base algorithms"):
-            config(bases=[{"kind": "exp3"}])
-
-    def test_standalone_needs_one_base(self):
-        raw = dict(SMALL_STANDALONE, bases=[{"kind": "exp3"}, {"kind": "ucb1"}])
-        with pytest.raises(ConfigError, match="standalone-run needs exactly 1 base algorithm"):
-            ExperimentConfig.from_dict(raw)
-
-    def test_stability_needs_two_rho_levels(self):
-        raw = dict(SMALL_STABILITY, rho_levels=[1.0])
-        with pytest.raises(ConfigError, match="stability-test needs at least 2 rho levels"):
-            ExperimentConfig.from_dict(raw)
-
-    def test_needs_seeds_and_horizon(self):
-        with pytest.raises(ConfigError, match="need at least one seed"):
-            config(seeds=[])
-        with pytest.raises(ConfigError, match="horizon must be >= 2"):
-            config(horizon=1)
-
-    def test_tuned_eta_requires_target(self):
-        with pytest.raises(ConfigError, match="tuned master needs exactly one of"):
-            config(master={"eta": "tuned"})
+    """Loading besides its rejections, which ``TestCli``'s table holds: the
+    tuned rate, the seed offset, ``from_dict`` on deep nesting, and each
+    value walked and read once."""
 
     def test_tuned_eta_resolves(self):
         cfg = config(master={"eta": "tuned", "regret_target": 10.0}, horizon=100)
@@ -171,18 +137,6 @@ class TestConfigValidation:
     def test_seed_offset(self):
         cfg = config(seeds=[0, 1]).with_seed_offset(100)
         assert cfg.seeds == [100, 101]
-
-    def test_seeds_must_fit_in_64_bits(self):
-        # Streams are keyed on 64-bit seeds: 2**64 would replay seed 0, and
-        # -1 would replay 2**64 - 1.
-        top = config(seeds=[2**64 - 1])
-        for seeds in ([0, 2**64], [-1]):
-            with pytest.raises(ConfigError):
-                config(seeds=seeds)
-        with pytest.raises(ConfigError):
-            config(seeds=[0]).with_seed_offset(-1)
-        with pytest.raises(ConfigError):
-            top.with_seed_offset(1)
 
     def test_deep_nesting_is_a_config_error(self):
         means = [0.5]
@@ -206,99 +160,6 @@ class TestConfigValidation:
         for entry in runs:
             env = entry["config"]["environment"]
             assert sum(value is env for value in walked) == 1
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"scenario": "stability-test", "rho_levels": [True, "4"]},
-             "rho_levels takes numbers, got True"),
-            ({"scenario": "stability-test", "rho_levels": [1.0, "4"]},
-             "rho_levels takes no string, got '4'"),
-            ({"master": {"eta": True}}, "eta takes numbers, got True"),
-            ({"master": {"eta": "0.5"}}, "eta takes no string, got '0.5'"),
-            ({"master": {"eta": "tuned", "regret_target": "2"}},
-             "regret_target takes no string, got '2'"),
-            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": "1e-3"}},
-             "naive_eta takes no string, got '1e-3'"),
-            ({"scenario": "lowerbound-demo", "demo": {"corral_eta": True}},
-             "corral_eta takes numbers, got True"),
-            ({"environment": {"kind": "stochastic-mab", "means": [True, "0.5"]}},
-             "means takes numbers, got True"),
-            ({"environment": {"kind": "stochastic-mab", "means": [0.1, "0.5"]}},
-             "means takes no string, got '0.5'"),
-            ({"bases": [{"kind": "thompson", "prior": [[True, "2"], [1, 1]]},
-                        {"kind": "ucb1"}]},
-             "prior takes numbers, got True"),
-            ({"environment": dict(CONTEXTUAL_ENV, context_probs=[0.5, "0.5"])},
-             "context_probs takes no string, got '0.5'"),
-            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0.9, True]}]},
-             "arm_pair takes integers, got 0.9"),
-            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 1.0]}]},
-             "arm_pair takes integers, got 1.0"),
-            ({"environment": dict(CONTEXTUAL_ENV, policies=[[0.2, 1.9], [True, 0]])},
-             "policies takes integers, got 0.2"),
-            ({"environment": CONTEXTUAL_ENV,
-              "bases": [{"kind": "exp3"}, {"kind": "exp4", "policies": [[0.2, 1.9], [1, 0]]}]},
-             "policies takes integers, got 0.2"),
-            ({"environment": {"kind": "adversarial-mab",
-                              "script": [[0.0, 1.0]] * 99 + [[0, True]]}},
-             "script takes numbers, got True"),
-            # String keys took numbers, and a boolean or null failed as a number.
-            ({"environment": {"kind": True}}, "kind takes a string, got True"),
-            ({"bases": [{"kind": None}, {"kind": "ucb1"}]}, "kind takes a string, got None"),
-            ({"master": {"eta": 0.05, "estimator": True}}, "estimator takes a string, got True"),
-            ({"master": {"eta": 0.05, "restart_policy": 1}},
-             "restart_policy takes a string, got 1"),
-            ({"environment": {"kind": "adversarial-mab", "script_csv": 5}},
-             "script_csv takes a string, got 5"),
-            ({"scenario": "sweep", "runs": [{"name": "a", "config": dict(SMALL_RUN, scenario=2)}]},
-             "scenario takes a string, got 2"),
-            ({"scenario": "sweep", "runs": [{"name": 7, "config": SMALL_RUN}]},
-             "name takes a string, got 7"),
-        ],
-        ids=["rho-levels", "rho-level-string", "eta-bool", "eta-string",
-             "regret-target-string", "demo-naive-eta-string", "demo-corral-eta-bool",
-             "means", "mean-string", "thompson-prior", "context-probs-string",
-             "arm-pair", "arm-pair-fraction", "env-policies", "exp4-policies",
-             "script-bool", "env-kind-bool", "base-kind-null", "estimator-bool",
-             "restart-policy-number", "script-csv-number", "scenario-number",
-             "run-name-number"],
-    )
-    def test_non_json_numbers_rejected(self, overrides, message):
-        # Each of these loaded with the value read as a number (or truncated).
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            ExperimentConfig.from_dict(small_config(overrides))
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"environment": {"kind": "adversarial-mab", "script": [[0.0, 1.0]] * 99 + [[0.5]]}},
-             "script rows must have one length, got lengths [1, 2]"),
-            ({"environment": dict(CONTEXTUAL_ENV, cond_means=[[0.2, 0.7], [0.6, 0.3, 0.1]])},
-             "cond_means rows must have one length, got lengths [2, 3]"),
-            ({"bases": [{"kind": "thompson", "prior": [[1], [1]]}, {"kind": "ucb1"}]},
-             "prior rows must be [a, b] pairs, got rows of 1"),
-            ({"environment": {"kind": "stochastic-mab", "means_prior": [[1], [2]]}},
-             "means_prior rows must be [a, b] pairs, got rows of 1"),
-        ],
-        ids=["script", "cond-means", "prior", "means-prior"],
-    )
-    def test_ragged_table_names_its_key(self, overrides, message):
-        # Each of these failed as a "malformed config value" naming no key.
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            ExperimentConfig.from_dict(small_config(overrides))
-
-    @pytest.mark.parametrize(
-        "names",
-        [["a", "a"], ["../escaped"], [7], [""], ["."], [".."], ["a/b"], ["a", "a\0b"],
-         ["summary.json"], ["summary.json.tmp"], ["a", "b\ud800"]],
-        ids=["duplicate", "parent-escape", "number", "empty", "dot", "dot-dot", "slash",
-             "nul", "sweep-summary", "sweep-summary-tmp", "lone-surrogate"],
-    )
-    def test_sweep_run_names_are_distinct_path_components(self, names):
-        runs = [{"name": name, "config": SMALL_RUN} for name in names]
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"scenario": "sweep", "runs": runs})
 
     def test_script_is_one_array_read_once(self, tmp_path, monkeypatch):
         rows = [[0.2, 0.7], [0.9, 0.1]] * 25
@@ -1517,17 +1378,7 @@ class TestCli:
         return str(path)
 
     def test_run_writes_outputs(self, tmp_path, capsys):
-        path = self.write_config(
-            tmp_path,
-            {
-                "scenario": "corral-run",
-                "horizon": 50,
-                "seeds": [0],
-                "environment": MAB_ENV,
-                "bases": [{"kind": "exp3"}, {"kind": "ucb1"}],
-                "master": {"eta": 0.05},
-            },
-        )
+        path = self.write_config(tmp_path, SMALL_RUN)
         out_dir = tmp_path / "out"
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
         assert (out_dir / "rounds.csv").exists()
@@ -1536,31 +1387,12 @@ class TestCli:
         assert "mean_final_regret" in printed
 
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
-        path = self.write_config(
-            tmp_path,
-            {
-                "scenario": "standalone-run",
-                "horizon": 50,
-                "seeds": [0],
-                "environment": MAB_ENV,
-                "bases": [{"kind": "exp3"}],
-            },
-        )
+        path = self.write_config(tmp_path, SMALL_STANDALONE)
         assert main(["standalone", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
     def test_scenario_subcommand_mismatch(self, tmp_path, capsys):
-        path = self.write_config(
-            tmp_path,
-            {
-                "scenario": "corral-run",
-                "horizon": 50,
-                "seeds": [0],
-                "environment": MAB_ENV,
-                "bases": [{"kind": "exp3"}, {"kind": "ucb1"}],
-                "master": {"eta": 0.05},
-            },
-        )
+        path = self.write_config(tmp_path, SMALL_RUN)
         assert main(["standalone", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
 
@@ -1647,7 +1479,7 @@ class TestCli:
             ({"horizon": 10.9}, "horizon takes integers, got 10.9"),
             ({"seeds": [1.7]}, "seeds takes integers, got 1.7"),
             ({"seeds": [True]}, "seeds takes integers, got True"),
-            ({"seeds": [0, 2**64]}, "seeds must lie in [0, 2**64)"),
+            ({"seeds": [0, 2**64]}, "seeds must lie in [0, 2**64), got [0, 18446744073709551616]"),
             ({"seeds": [-1]}, "seeds must lie in [0, 2**64), got [-1]"),
             # Keys that no check read: each loaded and was ignored.
             ({"scenario": "standalone-run", "master": {"eta": 0.05}},
@@ -1667,7 +1499,7 @@ class TestCli:
             # Values that loaded: numpy's beta draws 0 for an infinite b, and
             # rows past the horizon went unchecked.
             ({"environment": {"kind": "stochastic-mab", "means_prior": [[1, math.inf], [1, 1]]}},
-             "means_prior pseudo-counts must be finite and > 0"),
+             "means_prior pseudo-counts must be finite and > 0, got [[1, inf], [1, 1]]"),
             ({"environment": {"kind": "adversarial-mab",
                               "script": [[0.0, 1.0]] * 50 + [[math.nan, 0.0]]}},
              "script entries must lie in [0, 1]"),
@@ -1725,23 +1557,102 @@ class TestCli:
              "the round logs of a horizon of 100000000000 do not fit in memory"),
             ({"bogus": 1}, "unknown corral-run config keys: ['bogus']"),
             # Config text, not overrides. A UTF-16 byte-order mark is not UTF-8.
-            (b"\xff\xfe{", "config is not UTF-8 text"),
-            (b'{"scenario": ', "config is not valid JSON"),
+            (b"\xff\xfe{", "config is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                           "in position 0: invalid start byte"),
+            (b'{"scenario": ',
+             "config is not valid JSON: Expecting value: line 1 column 14 (char 13)"),
             # ``json`` alone keeps a repeated key's last value.
             (edited(SMALL_STANDALONE, '"horizon": 50', '"horizon": 10, "horizon": 50'),
-             "config repeats key 'horizon'"),
+             "config is not valid JSON: config repeats key 'horizon' in one object"),
             (edited(SMALL_STANDALONE, '"means": [0.1, 0.9]',
                     '"means": [0.1, 0.9], "means": [0.9, 0.1]'),
-             "config repeats key 'means'"),
+             "config is not valid JSON: config repeats key 'means' in one object"),
             (b"[" * 100_000 + b"]" * 100_000, "config nests too deeply"),
             # Python converts no integer literal of more than 4,300 digits:
             # json raised that as a bare ValueError, which escaped as a
-            # traceback.
+            # traceback, and then failed as JSON naming no key.
             (edited(SMALL_STANDALONE, '"horizon": 50', '"horizon": ' + "9" * 5000),
-             "config is not valid JSON: Exceeds the limit (4300 digits)"),
+             "horizon takes integers a float can hold, got an integer of 5000 digits"),
+            (edited(SMALL_RUN, '"eta": 0.05', '"eta": -' + "9" * 5000),
+             "eta takes numbers a float can hold, got an integer of 5000 digits"),
             # json reads the literal 1e400 as inf, which json.dumps never writes.
             (edited(SMALL_RUN, '"eta": 0.05', '"eta": "tuned", "regret_target": 1e400'),
              "regret_target must be finite and > 0, got inf"),
+            # Keys and key counts.
+            ({"environment": dict(MAB_ENV, mean=1)},
+             "unknown stochastic-mab environment keys: ['mean']"),
+            ({"master": {"eta": 0.05, "learning_rate": 0.1}},
+             "unknown master keys: ['learning_rate']"),
+            ({"bases": [{"kind": "exp3", "rate": 1}, {"kind": "ucb1"}]},
+             "unknown exp3 base keys: ['rate']"),
+            ({"master": {"eta": "tuned"}}, "tuned master needs exactly one of ['regret_target']"),
+            ({"bases": [{"kind": "exp3"}]}, "corral-run needs at least 2 base algorithms"),
+            ({"scenario": "standalone-run", "bases": [{"kind": "exp3"}, {"kind": "ucb1"}]},
+             "standalone-run needs exactly 1 base algorithm"),
+            ({"scenario": "stability-test", "rho_levels": [1.0]},
+             "stability-test needs at least 2 rho levels"),
+            ({"seeds": []}, "need at least one seed"),
+            ({"horizon": 1}, "horizon must be >= 2, got 1"),
+            # Each of these loaded with the value read as a number (or truncated).
+            ({"scenario": "stability-test", "rho_levels": [True, "4"]},
+             "rho_levels takes numbers, got True"),
+            ({"scenario": "stability-test", "rho_levels": [1.0, "4"]},
+             "rho_levels takes no string, got '4'"),
+            ({"master": {"eta": True}}, "eta takes numbers, got True"),
+            ({"master": {"eta": "0.5"}}, "eta takes no string, got '0.5'"),
+            ({"master": {"eta": "tuned", "regret_target": "2"}},
+             "regret_target takes no string, got '2'"),
+            ({"scenario": "lowerbound-demo", "demo": {"naive_eta": "1e-3"}},
+             "naive_eta takes no string, got '1e-3'"),
+            ({"scenario": "lowerbound-demo", "demo": {"corral_eta": True}},
+             "corral_eta takes numbers, got True"),
+            ({"environment": {"kind": "stochastic-mab", "means": [True, "0.5"]}},
+             "means takes numbers, got True"),
+            ({"environment": {"kind": "stochastic-mab", "means": [0.1, "0.5"]}},
+             "means takes no string, got '0.5'"),
+            ({"bases": [{"kind": "thompson", "prior": [[True, "2"], [1, 1]]},
+                        {"kind": "ucb1"}]},
+             "prior takes numbers, got True"),
+            ({"environment": dict(CONTEXTUAL_ENV, context_probs=[0.5, "0.5"])},
+             "context_probs takes no string, got '0.5'"),
+            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0.9, True]}]},
+             "arm_pair takes integers, got 0.9"),
+            ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 1.0]}]},
+             "arm_pair takes integers, got 1.0"),
+            ({"environment": dict(CONTEXTUAL_ENV, policies=[[0.2, 1.9], [True, 0]])},
+             "policies takes integers, got 0.2"),
+            ({"environment": CONTEXTUAL_ENV,
+              "bases": [{"kind": "exp3"}, {"kind": "exp4", "policies": [[0.2, 1.9], [1, 0]]}]},
+             "policies takes integers, got 0.2"),
+            ({"environment": {"kind": "adversarial-mab",
+                              "script": [[0.0, 1.0]] * 99 + [[0, True]]}},
+             "script takes numbers, got True"),
+            # String keys took numbers, and a boolean or null failed as a number.
+            ({"environment": {"kind": True}}, "kind takes a string, got True"),
+            ({"bases": [{"kind": None}, {"kind": "ucb1"}]}, "kind takes a string, got None"),
+            ({"master": {"eta": 0.05, "estimator": True}}, "estimator takes a string, got True"),
+            ({"master": {"eta": 0.05, "restart_policy": 1}},
+             "restart_policy takes a string, got 1"),
+            ({"environment": {"kind": "adversarial-mab", "script_csv": 5}},
+             "script_csv takes a string, got 5"),
+            ({"scenario": "sweep", "runs": [{"name": "a", "config": dict(SMALL_RUN, scenario=2)}]},
+             "scenario takes a string, got 2"),
+            ({"scenario": "sweep", "runs": [{"name": 7, "config": SMALL_RUN}]},
+             "name takes a string, got 7"),
+            # Each of these failed as a "malformed config value" naming no key.
+            ({"environment": dict(CONTEXTUAL_ENV, cond_means=[[0.2, 0.7], [0.6, 0.3, 0.1]])},
+             "cond_means rows must have one length, got lengths [2, 3]"),
+            ({"bases": [{"kind": "thompson", "prior": [[1], [1]]}, {"kind": "ucb1"}]},
+             "prior rows must be [a, b] pairs, got rows of 1"),
+            ({"environment": {"kind": "stochastic-mab", "means_prior": [[1], [2]]}},
+             "means_prior rows must be [a, b] pairs, got rows of 1"),
+            # Each of these failed naming the contextual environment's cond_means.
+            ({"environment": {"kind": "stochastic-mab", "means": [0.5]}},
+             "stochastic-mab needs at least 2 arms, got 1"),
+            ({"environment": {"kind": "stochastic-mab", "means_prior": [[1, 1]]}},
+             "stochastic-mab needs at least 2 arms, got 1"),
+            ({"environment": {"kind": "stochastic-mab", "means": [1.5, 0.2]}},
+             "means must lie in [0, 1], got [1.5, 0.2]"),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -1764,7 +1675,19 @@ class TestCli:
              "huge-thompson-prior", "huge-stability-horizon", "script-ragged",
              "horizon-past-memory", "demo-horizon-past-memory", "unknown-key", "not-utf8",
              "json-truncated", "repeated-key-top", "repeated-key-environment", "deep-nesting",
-             "integer-past-digit-limit", "regret-target-1e400"],
+             "integer-past-digit-limit", "eta-past-digit-limit", "regret-target-1e400",
+             "unknown-environment-key", "unknown-master-key", "unknown-base-key",
+             "tuned-eta-no-target", "corral-one-base", "standalone-two-bases",
+             "stability-one-rho-level", "seeds-empty", "horizon-one",
+             "rho-levels", "rho-level-string", "eta-bool", "eta-string",
+             "regret-target-string", "demo-naive-eta-string", "demo-corral-eta-bool",
+             "means-bool", "mean-string", "thompson-prior", "context-probs-string",
+             "arm-pair", "arm-pair-fraction", "env-policies", "exp4-policies",
+             "script-bool", "env-kind-bool", "base-kind-null", "estimator-bool",
+             "restart-policy-number", "script-csv-number", "scenario-number",
+             "run-name-number", "cond-means-ragged", "prior-not-pairs",
+             "means-prior-not-pairs", "means-one-arm", "means-prior-one-arm",
+             "means-out-of-range"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, source, message):
         # ``source`` is overrides of a small config, or the config file's bytes.
@@ -1774,27 +1697,50 @@ class TestCli:
         else:
             raw = small_config(source)
             path = self.write_config(tmp_path, raw)
-            command = {"corral-run": "run", "standalone-run": "standalone",
-                       "lowerbound-demo": "lowerbound-demo", "sweep": "sweep"}[raw["scenario"]]
-        with pytest.raises(ConfigError, match=re.escape(message)):
+            command = COMMANDS[raw["scenario"]]
+        # ``message`` is the whole message.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.load_config(path)
         out_dir = tmp_path / "o"
         assert main([command, "--config", str(path), "--out", str(out_dir)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "names", [["a", "a"], ["../escaped"], [7], ["summary.json"], ["summary.json.tmp"],
-                  ["a", "b\ud800"]],
-        ids=["duplicate", "parent-escape", "number", "summary", "summary-tmp",
-             "lone-surrogate"],
+        "text, message",
+        [(b'{"scenario": ',
+          "config is not valid JSON: Expecting value: line 1 column 14 (char 13)"),
+         (edited(SMALL_STANDALONE, '"horizon": 50', '"horizon": ' + "9" * 5000),
+          "horizon takes integers a float can hold, got an integer of 5000 digits")],
+        ids=["json-truncated", "integer-past-digit-limit"],
+    )
+    def test_config_through_a_pipe_fails_naming_its_fault(self, text, message):
+        # ``--config <(jq ...)`` passes a pipe, which can be read only once.
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(text)
+        try:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                harness.load_config(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+
+    @pytest.mark.parametrize(
+        "names",
+        [["a", "a"], ["../escaped"], [7], [""], ["."], [".."], ["a/b"], ["a", "a\0b"],
+         ["summary.json"], ["summary.json.tmp"], ["a", "b\ud800"]],
+        ids=["duplicate", "parent-escape", "number", "empty", "dot", "dot-dot", "slash",
+             "nul", "summary", "summary-tmp", "lone-surrogate"],
     )
     def test_bad_sweep_run_name_writes_nothing(self, tmp_path, capsys, names):
-        # A lone surrogate (the JSON "b\ud800") once passed the load, so run
-        # "a" played and wrote its outputs before "b" failed to make its directory.
+        # Sweep run names must be distinct path components, none of them the
+        # sweep's own summary file or its temporary twin. A lone surrogate (the
+        # JSON "b\ud800") once passed the load, so run "a" played and wrote its
+        # outputs before "b" failed to make its directory.
         runs = [{"name": name, "config": SMALL_RUN} for name in names]
         path = self.write_config(tmp_path, {"scenario": "sweep", "runs": runs})
+        with pytest.raises(ConfigError):
+            harness.load_config(path)
         out_dir = tmp_path / "out" / "sweep"
         assert main(["sweep", "--config", path, "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -1840,9 +1786,13 @@ class TestCli:
         assert "seed 6: the naive master" in err
 
     def test_negative_seed_offset_fails_before_output(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, SMALL_RUN)
-        argv = ["run", "--config", path, "--seed-offset", "-1"]
-        self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+        # Streams are keyed on 64-bit seeds: -1 would replay 2**64 - 1, and
+        # 2**64 seed 0. The top seed itself loads.
+        for top, offset in ((0, -1), (2**64 - 1, 1)):
+            path = self.write_config(tmp_path, dict(SMALL_RUN, seeds=[top]))
+            argv = ["run", "--config", path, "--seed-offset", str(offset)]
+            err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
+            assert f"seeds must lie in [0, 2**64), got [{top + offset}]" in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "empty"])
     def test_unreadable_script_csv_fails_before_output(self, tmp_path, capsys, kind):
@@ -1948,13 +1898,7 @@ class TestCli:
             assert tomllib.load(fh)["project"]["scripts"] == {"corral": "corral.cli:main"}
 
     def test_seed_offset_matches_shifted_config(self, tmp_path):
-        base = {
-            "scenario": "standalone-run",
-            "horizon": 80,
-            "seeds": [0, 1],
-            "environment": MAB_ENV,
-            "bases": [{"kind": "exp3"}],
-        }
+        base = dict(SMALL_STANDALONE, horizon=80, seeds=[0, 1])
         path_a = self.write_config(tmp_path, base)
         shifted = dict(base, seeds=[10, 11])
         path_b = tmp_path / "shifted.json"
@@ -1966,13 +1910,7 @@ class TestCli:
         ).read_bytes()
 
     def test_sweep_creates_nested_outputs(self, tmp_path):
-        sub = {
-            "scenario": "standalone-run",
-            "horizon": 40,
-            "seeds": [0],
-            "environment": MAB_ENV,
-            "bases": [{"kind": "exp3"}],
-        }
+        sub = dict(SMALL_STANDALONE, horizon=40)
         path = self.write_config(
             tmp_path,
             {

@@ -44,6 +44,7 @@ from .core import (
     UNSELECTED,
     UniformStream,
     last_with_mass,
+    shown,
 )
 
 Policy = tuple[int, ...]
@@ -111,9 +112,7 @@ class PolicyLearner(BaseAlgorithm):
             raise ConfigError(f"need at least 2 policies, got {len(self.policies)}")
         for pol in self.policies:
             if len(pol) != num_contexts:
-                raise ConfigError(
-                    f"policy {pol} does not cover {num_contexts} contexts"
-                )
+                raise ConfigError(f"policy {shown(pol)} does not cover {num_contexts} contexts")
             for a in pol:
                 if not 0 <= a < num_arms:
                     raise ConfigError(f"policy action {a} out of range [0, {num_arms})")

@@ -1,4 +1,4 @@
-"""Command-line entry point: one subcommand per experiment scenario."""
+"""Command-line entry point: run the scenario a config names."""
 
 from __future__ import annotations
 
@@ -9,49 +9,32 @@ import sys
 from .core import CorralError
 from .harness import execute, load_config
 
-_SUBCOMMANDS = {
-    "run": "corral-run",
-    "standalone": "standalone-run",
-    "stability-test": "stability-test",
-    "lowerbound-demo": "lowerbound-demo",
-    "sweep": "sweep",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corral",
         description=(
-            "Bandit-ensemble simulation harness: run a master over base "
-            "algorithms, standalone baselines, stability exponent tests, "
-            "the linear-regret demonstration, or a sweep of configs."
+            "Bandit-ensemble simulation harness: run the scenario the config "
+            "names, one of corral-run, standalone-run, stability-test, "
+            "lowerbound-demo or sweep."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, scenario in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=f"execute a {scenario} config")
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument(
-            "--seed-offset",
-            type=int,
-            default=0,
-            help="shift every configured seed by this amount",
-        )
-        p.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument(
+        "--seed-offset",
+        type=int,
+        default=0,
+        help="shift every configured seed by this amount",
+    )
+    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    expected = _SUBCOMMANDS[args.command]
     try:
         config = load_config(args.config)
-        if config.scenario != expected:
-            raise CorralError(
-                f"config declares scenario {config.scenario!r}, "
-                f"but the {args.command} subcommand expects {expected!r}"
-            )
         if args.seed_offset:
             config = config.with_seed_offset(args.seed_offset)
         summary = execute(config, args.out)

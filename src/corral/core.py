@@ -33,6 +33,7 @@ import functools
 import hashlib
 import itertools
 import math
+import reprlib
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +41,9 @@ import numpy as np
 # Probability vectors that drift from sum one by up to this much are
 # renormalized; anything past it is a solver bug.
 SIMPLEX_HARD_TOL = 1e-6
+
+# A config value in a message: its repr, cut to 6 items, 30 characters or 40 digits.
+shown = reprlib.Repr().repr
 
 
 class CorralError(Exception):

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, FeedbackPacket, UniformStream, trusted_packet
+from .core import ConfigError, FeedbackPacket, UniformStream, shown, trusted_packet
 
 # Rounds an environment realizes at a time.
 BLOCK = 1024
@@ -113,7 +113,7 @@ class StochasticContextual(Environment):
             if len(pol) != self.num_contexts or any(
                 not 0 <= a < self.num_arms for a in pol
             ):
-                raise ConfigError(f"invalid evaluation policy {pol}")
+                raise ConfigError(f"invalid evaluation policy {shown(pol)}")
         self.rng = rng
 
     def _block(self, lo, hi):
@@ -147,7 +147,7 @@ class StochasticMAB(StochasticContextual):
         if len(means) < 2:
             raise ConfigError(f"stochastic-mab needs at least 2 arms, got {len(means)}")
         if not all(0.0 <= m <= 1.0 for m in means):
-            raise ConfigError(f"means must lie in [0, 1], got {list(means)}")
+            raise ConfigError(f"means must lie in [0, 1], got {shown(list(means))}")
         super().__init__([1.0], [means], [(a,) for a in range(len(means))], rng)
 
 

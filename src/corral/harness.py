@@ -55,6 +55,7 @@ from .core import (
     UniformStream,
     named_rng,
     sample_index,
+    shown,
     trusted_packet,
 )
 from .envs import (
@@ -81,7 +82,6 @@ CSV_BLOCK = 1024
 # messages, whether the key holds a list, its kind key, and its rows of key
 # groups by the kind key's value; see ``_check_spec``. "config" is also the
 # document itself.
-# A ``None`` row takes a spec whose kind is absent or not a string.
 _PLAYED = [("horizon",), ("seeds",)]
 _LEVELS = {
     "config": ("config", False, "scenario", {
@@ -92,10 +92,8 @@ _LEVELS = {
         "sweep": [("runs",)],
     }),
     "runs": ("sweep run", True, None, {None: [("name",), ("config",)]}),
-    # By "eta": a fixed rate, or "tuned" to a regret target.
-    "master": ("master", False, "eta", {
-        None: [("eta",), ("estimator", None), ("restart_policy", None)],
-        "tuned": [("regret_target",), ("estimator", None), ("restart_policy", None)],
+    "master": ("master", False, None, {
+        None: [("eta", "regret_target"), ("estimator", None), ("restart_policy", None)],
     }),
     "demo": ("demo", False, None, {None: [("corral_eta", None), ("naive_eta", None)]}),
     "environment": ("environment", False, "kind", {
@@ -110,8 +108,7 @@ _LEVELS = {
     }),
 }
 # Every other key's JSON type and depth, by rows of keys that nest 0 (one
-# value), 1 (a list) or 2 (a table, a list of lists) deep. Besides numbers,
-# "eta" takes the string "tuned".
+# value), 1 (a list) or 2 (a table, a list of lists) deep.
 _VALUES = {key: (kind, depth) for kind, rows in {
     "string": ["scenario kind estimator restart_policy script_csv name"],
     "integer": ["horizon", "seeds arm_pair", "policies"],
@@ -138,14 +135,13 @@ def _check_spec(spec, level: str = "config") -> None:
     if key in spec:
         _check_value(spec[key], key)
     kind = spec.get(key)
-    row = kind if isinstance(kind, str) else None
-    if row not in table:
-        raise ConfigError(f"unknown {what} {key} {kind!r}")
-    name = what if row is None else f"{kind} {what}"
-    groups = table[row]
+    if kind not in table:
+        raise ConfigError(f"unknown {what} {key} {shown(kind)}")
+    name = what if kind is None else f"{kind} {what}"
+    groups = table[kind]
     unknown = set(spec) - {key}.union(*groups)
     if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys: {shown(sorted(unknown))}")
     for group in groups:
         keys = [k for k in group if k is not None]
         found = sum(k in spec for k in keys)
@@ -188,16 +184,16 @@ def _check_value(value, key: str, depth: int | None = None) -> None:
             for v in value:
                 _check_value(v, key, depth - 1)
     elif isinstance(value, str):
-        if kind != "string" and (key, value) != ("eta", "tuned"):
-            raise ConfigError(f"{key} takes no string, got {value!r}")
+        if kind != "string":
+            raise ConfigError(f"{key} takes no string, got {shown(value)}")
     elif kind == "string":
-        raise ConfigError(f"{key} takes a string, got {value!r}")
+        raise ConfigError(f"{key} takes a string, got {shown(value)}")
     elif isinstance(value, bool) or not isinstance(
         value, numbers.Integral if kind == "integer" else numbers.Real
     ):
-        raise ConfigError(f"{key} takes {kind}s, got {value!r}")
+        raise ConfigError(f"{key} takes {kind}s, got {shown(value)}")
     elif depth:
-        raise ConfigError(f"{key} takes {('a list', 'a table')[top - 1]}, got {value!r}")
+        raise ConfigError(f"{key} takes {('a list', 'a table')[top - 1]}, got {shown(value)}")
     elif isinstance(value, int) and abs(value) >= _FLOAT_OVERFLOW:
         raise ConfigError(f"{key} takes {kind}s a float can hold, "
                           f"got an integer of {len(repr(value).lstrip('-'))} digits")
@@ -258,9 +254,9 @@ class ExperimentConfig:
                 if (name in reserved or set(name) & {"/", "\0", os.sep, os.altsep}
                         or any("\ud800" <= c <= "\udfff" for c in name)):
                     raise ConfigError("sweep run name must be one path component not in "
-                                      f"{reserved}, got {name!r}")
+                                      f"{reserved}, got {shown(name)}")
             if len(set(names)) != len(names):
-                raise ConfigError(f"sweep run names must be distinct, got {names}")
+                raise ConfigError(f"sweep run names must be distinct, got {shown(names)}")
             return
         if self.horizon < 2:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
@@ -285,10 +281,10 @@ class ExperimentConfig:
             elif len(self.bases) < 2:
                 raise ConfigError("corral-run needs at least 2 base algorithms")
             else:
-                # The table admits a regret target only beside "eta": "tuned".
-                eta, target = self.master["eta"], self.master.get("regret_target")
-                if target is not None:
-                    eta = corral_master.tuned_eta(float(target), self.horizon, len(self.bases))
+                eta = self.master.get("eta")
+                if eta is None:
+                    eta = corral_master.tuned_eta(
+                        float(self.master["regret_target"]), self.horizon, len(self.bases))
                 self.master = {
                     "eta": float(eta),
                     "estimator": self.master.get("estimator", corral_master.ESTIMATOR_STANDARD),
@@ -296,16 +292,17 @@ class ExperimentConfig:
                         "restart_policy", corral_master.RESTART_ON_DOUBLING),
                 }
                 if self.master["estimator"] not in corral_master.ESTIMATORS:
-                    raise ConfigError(f"unknown estimator {self.master['estimator']!r}")
+                    raise ConfigError(f"unknown estimator {shown(self.master['estimator'])}")
         if self.scenario == "stability-test":
-            if len(self.rho_levels) < 2:
+            levels = self.rho_levels
+            if len(levels) < 2:
                 raise ConfigError("stability-test needs at least 2 rho levels")
             # NaN and +inf fail the range comparison itself.
-            if not all(1.0 <= r < math.inf for r in self.rho_levels):
-                raise ConfigError(f"rho levels must be finite and >= 1, got {self.rho_levels}")
+            if not all(1.0 <= r < math.inf for r in levels):
+                raise ConfigError(f"rho levels must be finite and >= 1, got {shown(levels)}")
             # Equal levels replay identical legs, which add no point to the fit.
-            if len(set(self.rho_levels)) != len(self.rho_levels):
-                raise ConfigError(f"rho levels must be distinct, got {self.rho_levels}")
+            if len(set(levels)) != len(levels):
+                raise ConfigError(f"rho levels must be distinct, got {shown(levels)}")
         # Build seed 0's legs (nothing sized by the horizon) so bad values fail here.
         # Every seed's round log, 40 + 8 * bases bytes a round, is held until
         # the outputs are written; a stability test logs no rounds.
@@ -330,10 +327,10 @@ def _check_seeds(seeds: list[int]) -> None:
     if not seeds:
         raise ConfigError("need at least one seed")
     if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds must be distinct, got {seeds}")
+        raise ConfigError(f"seeds must be distinct, got {shown(seeds)}")
     # ``named_rng`` keys streams on 64-bit seeds; any other seed aliases one.
     if not all(0 <= s < 2**64 for s in seeds):
-        raise ConfigError(f"seeds must lie in [0, 2**64), got {seeds}")
+        raise ConfigError(f"seeds must lie in [0, 2**64), got {shown(seeds)}")
 
 
 def _read_script_csv(path) -> np.ndarray:
@@ -351,7 +348,7 @@ def _unique_keys(pairs: list[tuple]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"config repeats key {key!r} in one object")
+            raise ConfigError(f"config repeats key {shown(key)} in one object")
         obj[key] = value
     return obj
 
@@ -404,7 +401,8 @@ def build_environment(spec: dict, rng, horizon: int) -> Environment:
             prior = spec["means_prior"]
             # numpy's beta draws 0 for an infinite b and NaN for an infinite a.
             if not all(0.0 < x < math.inf for pair in prior for x in pair):
-                raise ConfigError(f"means_prior pseudo-counts must be finite and > 0, got {prior}")
+                raise ConfigError("means_prior pseudo-counts must be finite and > 0, "
+                                  f"got {shown(prior)}")
             means = [float(rng.beta(a, b)) for a, b in prior]
         return StochasticMAB(means, rng)
     if kind == "adversarial-mab":
@@ -442,7 +440,7 @@ def build_base(
         return Ucb1(env.num_arms)
     pair = tuple(int(a) for a in spec["arm_pair"])
     if len(pair) != 2 or not all(0 <= a < env.num_arms for a in pair):
-        raise ConfigError(f"arm_pair must be 2 arms in [0, {env.num_arms}), got {pair}")
+        raise ConfigError(f"arm_pair must be 2 arms in [0, {env.num_arms}), got {shown(pair)}")
     return PathologicalBase(pair, rng)
 
 

@@ -33,6 +33,7 @@ from .core import (
     InvalidProbabilityError,
     SIMPLEX_HARD_TOL,
     UNSELECTED,
+    shown,
     trusted_packet,
     validate_simplex,
 )
@@ -95,7 +96,7 @@ def init_master(
     if not 0.0 < eta0 < math.inf:
         raise ConfigError(f"learning rate must be finite and > 0, got {eta0}")
     if restart_policy not in RESTART_POLICIES:
-        raise ConfigError(f"unknown restart policy {restart_policy!r}")
+        raise ConfigError(f"unknown restart policy {shown(restart_policy)}")
     uniform = [1.0 / num_bases] * num_bases
     return MasterState(
         horizon=horizon,

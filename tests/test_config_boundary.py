@@ -27,7 +27,6 @@ from corral.cli import main
 from corral.core import ConfigError
 from corral.harness import ExperimentConfig
 from test_digests import CONFIGS
-from test_harness import COMMANDS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # The most rounds a mutated config may play.
@@ -321,7 +320,7 @@ def typed_paths(value, path=()):
             yield from typed_paths(child, path + (key,))
 
 
-# Scalars of another JSON type than each type's, none of them "tuned".
+# Scalars of another JSON type than each type's.
 MISTYPED = {"string": [5, 0.5, True, False, None],
             "integer": [0.5, 1.0, "1", True, None],
             "number": ["0.5", "x", True, False, None]}
@@ -377,9 +376,8 @@ def test_mutated_config_runs_whole_or_fails_before_output(tmp_path_factory, data
         config = None
     if config is not None and played(config) > MAX_HORIZON:
         return
-    command = COMMANDS[config.scenario] if config else "run"
     with contextlib.redirect_stderr(io.StringIO()) as stderr:
-        code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        code = main(["--config", str(path), "--out", str(out), "--quiet"])
     err = stderr.getvalue()
     if code == 0:
         assert config is not None and err == ""

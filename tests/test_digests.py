@@ -85,7 +85,7 @@ CONFIGS = {
             {"kind": "pathological", "arm_pair": [2, 3]},
             {"kind": "exp3"},
         ],
-        "master": {"eta": "tuned", "regret_target": 2.0},
+        "master": {"regret_target": 2.0},
     },
     "standalone-thompson": {
         "scenario": "standalone-run",

@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from corral import harness
 from corral import master as corral_master
-from corral.cli import _SUBCOMMANDS, main
+from corral.cli import main
 from corral.bases import Exp3
 from corral.core import (
     UNSELECTED,
@@ -85,8 +85,6 @@ def edited(raw: dict, old: str, new: str) -> bytes:
     return text.replace(old, new).encode()
 
 
-# The subcommand that runs each scenario.
-COMMANDS = {scenario: command for command, scenario in _SUBCOMMANDS.items()}
 SMALL_CONFIGS = {
     "corral-run": SMALL_RUN,
     "standalone-run": SMALL_STANDALONE,
@@ -128,7 +126,7 @@ class TestConfigValidation:
     value walked and read once."""
 
     def test_tuned_eta_resolves(self):
-        cfg = config(master={"eta": "tuned", "regret_target": 10.0}, horizon=100)
+        cfg = config(master={"regret_target": 10.0}, horizon=100)
         summary, _ = run_corral(cfg)
         assert summary["eta"] == pytest.approx(
             min(1.0 / (400.0 * math.log(100)), math.sqrt(2.0 / 100))
@@ -1380,21 +1378,34 @@ class TestCli:
     def test_run_writes_outputs(self, tmp_path, capsys):
         path = self.write_config(tmp_path, SMALL_RUN)
         out_dir = tmp_path / "out"
-        assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
+        assert main(["--config", path, "--out", str(out_dir)]) == 0
         assert (out_dir / "rounds.csv").exists()
         assert (out_dir / "summary.json").exists()
         printed = capsys.readouterr().out
         assert "mean_final_regret" in printed
 
+    @pytest.mark.parametrize("scenario", [*SMALL_CONFIGS, "sweep"])
+    def test_runs_the_scenario_its_config_names(self, tmp_path, capsys, scenario):
+        raw = SMALL_CONFIGS.get(scenario) or {
+            "scenario": "sweep", "runs": [{"name": "a", "config": SMALL_DEMO}]}
+        path = self.write_config(tmp_path, raw)
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["scenario"] == scenario
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["scenario"] == scenario
+
+    def test_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        # The scenario is the config's; a subcommand before it is no argument.
+        path = self.write_config(tmp_path, SMALL_RUN)
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--config", path, "--out", str(tmp_path / "o")])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: run" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         path = self.write_config(tmp_path, SMALL_STANDALONE)
-        assert main(["standalone", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert main(["--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
-
-    def test_scenario_subcommand_mismatch(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, SMALL_RUN)
-        assert main(["standalone", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "source, message",
@@ -1413,7 +1424,7 @@ class TestCli:
             ({"environment": {"kind": "stochastic-mab", "means": "ab"}},
              "means takes no string, got 'ab'"),
             ({"master": {"eta": "fast"}}, "eta takes no string, got 'fast'"),
-            ({"master": {}}, "master needs exactly one of ['eta']"),
+            ({"master": {}}, "master needs exactly one of ['eta', 'regret_target']"),
             ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [1]}]},
              "arm_pair must be 2 arms in [0, 2), got (1,)"),
             ({"bases": [{"kind": "exp3"}, {"kind": "pathological", "arm_pair": [0, 7]}]},
@@ -1438,9 +1449,9 @@ class TestCli:
              "unknown sweep config keys: ['environment']"),
             ({"master": {"eta": math.inf}}, "learning rate must be finite and > 0, got inf"),
             # Both tuned the rate to 0.0, which failed naming the learning rate.
-            ({"master": {"eta": "tuned", "regret_target": math.inf}},
+            ({"master": {"regret_target": math.inf}},
              "regret_target must be finite and > 0, got inf"),
-            ({"master": {"eta": "tuned", "regret_target": 1e308}},
+            ({"master": {"regret_target": 1e308}},
              "regret_target 1e+308 tunes the learning rate to 0.0"),
             ({"scenario": "lowerbound-demo", "demo": {"naive_eta": -50.0}},
              "naive learning rate must be finite and > 0, got -50.0"),
@@ -1493,7 +1504,7 @@ class TestCli:
             ({"scenario": "lowerbound-demo", "rho_levels": [1.0, 4.0]},
              "unknown lowerbound-demo config keys: ['rho_levels']"),
             ({"master": {"eta": 0.05, "regret_target": 10.0}},
-             "unknown master keys: ['regret_target']"),
+             "master needs exactly one of ['eta', 'regret_target']"),
             ({"scenario": "lowerbound-demo", "environment": {}},
              "unknown lowerbound-demo config keys: ['environment']"),
             # Values that loaded: numpy's beta draws 0 for an infinite b, and
@@ -1532,7 +1543,7 @@ class TestCli:
                 {"name": "a", "config": dict(SMALL_STABILITY, rho_levels=[1.0, HUGE])},
             ]}, too_large("rho_levels")),
             ({"master": {"eta": HUGE}}, too_large("eta")),
-            ({"master": {"eta": "tuned", "regret_target": HUGE}}, too_large("regret_target")),
+            ({"master": {"regret_target": HUGE}}, too_large("regret_target")),
             ({"scenario": "lowerbound-demo", "demo": {"naive_eta": HUGE}}, too_large("naive_eta")),
             ({"environment": {"kind": "adversarial-mab", "script": [[0, HUGE]] * 50}},
              too_large("script")),
@@ -1576,7 +1587,7 @@ class TestCli:
             (edited(SMALL_RUN, '"eta": 0.05', '"eta": -' + "9" * 5000),
              "eta takes numbers a float can hold, got an integer of 5000 digits"),
             # json reads the literal 1e400 as inf, which json.dumps never writes.
-            (edited(SMALL_RUN, '"eta": 0.05', '"eta": "tuned", "regret_target": 1e400'),
+            (edited(SMALL_RUN, '"eta": 0.05', '"regret_target": 1e400'),
              "regret_target must be finite and > 0, got inf"),
             # Keys and key counts.
             ({"environment": dict(MAB_ENV, mean=1)},
@@ -1585,7 +1596,9 @@ class TestCli:
              "unknown master keys: ['learning_rate']"),
             ({"bases": [{"kind": "exp3", "rate": 1}, {"kind": "ucb1"}]},
              "unknown exp3 base keys: ['rate']"),
-            ({"master": {"eta": "tuned"}}, "tuned master needs exactly one of ['regret_target']"),
+            ({"master": {"restart_policy": "never-restart"}},
+             "master needs exactly one of ['eta', 'regret_target']"),
+            ({"master": {"eta": "tuned"}}, "eta takes no string, got 'tuned'"),
             ({"bases": [{"kind": "exp3"}]}, "corral-run needs at least 2 base algorithms"),
             ({"scenario": "standalone-run", "bases": [{"kind": "exp3"}, {"kind": "ucb1"}]},
              "standalone-run needs exactly 1 base algorithm"),
@@ -1600,7 +1613,7 @@ class TestCli:
              "rho_levels takes no string, got '4'"),
             ({"master": {"eta": True}}, "eta takes numbers, got True"),
             ({"master": {"eta": "0.5"}}, "eta takes no string, got '0.5'"),
-            ({"master": {"eta": "tuned", "regret_target": "2"}},
+            ({"master": {"regret_target": "2"}},
              "regret_target takes no string, got '2'"),
             ({"scenario": "lowerbound-demo", "demo": {"naive_eta": "1e-3"}},
              "naive_eta takes no string, got '1e-3'"),
@@ -1653,6 +1666,25 @@ class TestCli:
              "stochastic-mab needs at least 2 arms, got 1"),
             ({"environment": {"kind": "stochastic-mab", "means": [1.5, 0.2]}},
              "means must lie in [0, 1], got [1.5, 0.2]"),
+            ({"bases": {"kind": "exp3"}}, "bases takes a list, got dict"),
+            ({"scenario": "sweep", "runs": []}, "sweep needs a nonempty 'runs' list"),
+            ({"bases": [{"kind": "thompson", "prior": [[1, 1]] * 3}, {"kind": "exp3"}]},
+             "prior covers 3 arms but environment has 2"),
+            ({"environment": {"kind": "adversarial-mab", "script": [[0.5]] * 60}},
+             "script must be a T x K matrix, got shape (60, 1)"),
+            ({"environment": dict(CONTEXTUAL_ENV, cond_means=[[0.2, 0.7]] * 3)},
+             "conditional means must be contexts x arms, got shape (3, 2)"),
+            ({"environment": dict(CONTEXTUAL_ENV, policies=[[0, 1], [0, 9]])},
+             "invalid evaluation policy (0, 9)"),
+            ({"environment": CONTEXTUAL_ENV,
+              "bases": [{"kind": "exp3"}, {"kind": "exp4", "policies": [[0, 1], [9, 0]]}]},
+             "policy action 9 out of range [0, 2)"),
+            # Each echoed its value in full: 5,024, 5,029 and about 18,000 characters.
+            (edited(SMALL_RUN, '"seeds": [0]', '"seeds": ' + "9" * 5000),
+             "seeds takes a list, got " + "9" * 18 + "..." + "9" * 19),
+            ({"environment": {"kind": "stochastic-mab", "means": "x" * 5000}},
+             "means takes no string, got '" + "x" * 12 + "..." + "x" * 13 + "'"),
+            ({"seeds": [0] * 6000}, "seeds must be distinct, got [0, 0, 0, 0, 0, 0, ...]"),
         ],
         ids=["exp4-no-policies", "thompson-no-prior", "horizon", "seeds", "estimator",
              "restart-policy", "seeds-string", "seeds-duplicate", "means", "eta",
@@ -1677,7 +1709,7 @@ class TestCli:
              "json-truncated", "repeated-key-top", "repeated-key-environment", "deep-nesting",
              "integer-past-digit-limit", "eta-past-digit-limit", "regret-target-1e400",
              "unknown-environment-key", "unknown-master-key", "unknown-base-key",
-             "tuned-eta-no-target", "corral-one-base", "standalone-two-bases",
+             "tuned-eta-no-target", "eta-tuned", "corral-one-base", "standalone-two-bases",
              "stability-one-rho-level", "seeds-empty", "horizon-one",
              "rho-levels", "rho-level-string", "eta-bool", "eta-string",
              "regret-target-string", "demo-naive-eta-string", "demo-corral-eta-bool",
@@ -1687,22 +1719,23 @@ class TestCli:
              "restart-policy-number", "script-csv-number", "scenario-number",
              "run-name-number", "cond-means-ragged", "prior-not-pairs",
              "means-prior-not-pairs", "means-one-arm", "means-prior-one-arm",
-             "means-out-of-range"],
+             "means-out-of-range", "bases-object", "sweep-no-runs", "prior-too-many-arms",
+             "script-one-column", "cond-means-too-many-contexts", "env-policy-action",
+             "exp4-policy-action", "seeds-huge-integer", "means-long-string",
+             "seeds-many-repeated"],
     )
     def test_malformed_config_fails_before_output(self, tmp_path, capsys, source, message):
         # ``source`` is overrides of a small config, or the config file's bytes.
         if isinstance(source, bytes):
-            path, command = tmp_path / "config.json", "run"
+            path = tmp_path / "config.json"
             path.write_bytes(source)
         else:
-            raw = small_config(source)
-            path = self.write_config(tmp_path, raw)
-            command = COMMANDS[raw["scenario"]]
+            path = self.write_config(tmp_path, small_config(source))
         # ``message`` is the whole message.
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.load_config(path)
         out_dir = tmp_path / "o"
-        assert main([command, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert main(["--config", str(path), "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
@@ -1742,7 +1775,7 @@ class TestCli:
         with pytest.raises(ConfigError):
             harness.load_config(path)
         out_dir = tmp_path / "out" / "sweep"
-        assert main(["sweep", "--config", path, "--out", str(out_dir)]) == 1
+        assert main(["--config", path, "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
@@ -1771,7 +1804,7 @@ class TestCli:
         with pytest.raises(NormalizationDriftError):
             run_corral(ExperimentConfig.from_dict(raw))
         path = self.write_config(tmp_path, raw)
-        err = self.assert_fails_before_output(capsys, ["run", "--config", path], tmp_path / "o")
+        err = self.assert_fails_before_output(capsys, ["--config", path], tmp_path / "o")
         assert err.startswith(f"error: round {num_bases + 2}: ")
         assert "the master's eta is too large" in err
 
@@ -1781,7 +1814,7 @@ class TestCli:
         path = self.write_config(
             tmp_path, {"scenario": "lowerbound-demo", "horizon": 2, "seeds": [6, 7]}
         )
-        argv = ["lowerbound-demo", "--config", path]
+        argv = ["--config", path]
         err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
         assert "seed 6: the naive master" in err
 
@@ -1790,7 +1823,7 @@ class TestCli:
         # 2**64 seed 0. The top seed itself loads.
         for top, offset in ((0, -1), (2**64 - 1, 1)):
             path = self.write_config(tmp_path, dict(SMALL_RUN, seeds=[top]))
-            argv = ["run", "--config", path, "--seed-offset", str(offset)]
+            argv = ["--config", path, "--seed-offset", str(offset)]
             err = self.assert_fails_before_output(capsys, argv, tmp_path / "o")
             assert f"seeds must lie in [0, 2**64), got [{top + offset}]" in err
 
@@ -1811,8 +1844,7 @@ class TestCli:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 harness.load_config(path)
         assert caught == []
-        err = self.assert_fails_before_output(capsys, ["standalone", "--config", path],
-                                              tmp_path / "o")
+        err = self.assert_fails_before_output(capsys, ["--config", path], tmp_path / "o")
         assert message in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -1823,7 +1855,7 @@ class TestCli:
         message = f"cannot read config {str(path)!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             harness.load_config(path)
-        argv = ["run", "--config", str(path)]
+        argv = ["--config", str(path)]
         assert message in self.assert_fails_before_output(capsys, argv, tmp_path / "o")
 
     @pytest.mark.parametrize(
@@ -1836,10 +1868,9 @@ class TestCli:
         # write in full before ``b`` failed.
         name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
         name = "x" * (name_max + 1) if kind.endswith("long-name") else "b"
-        out, command, raw = tmp_path / "out", "standalone", SMALL_STANDALONE
+        out, raw = tmp_path / "out", SMALL_STANDALONE
         if kind.startswith("sweep"):
             out.mkdir()
-            command = "sweep"
             raw = {"scenario": "sweep", "runs": [{"name": run, "config": SMALL_STANDALONE}
                                                  for run in ("a", name)]}
         bad = out / name
@@ -1857,7 +1888,7 @@ class TestCli:
         before = tree()
         target = bad if kind in ("under-file", "long-name") else out
         with mock.patch.object(harness, "run_seed", side_effect=AssertionError("played")):
-            assert main([command, "--config", path, "--out", str(target)]) == 1
+            assert main(["--config", path, "--out", str(target)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert tree() == before
 
@@ -1873,9 +1904,9 @@ class TestCli:
         # directory, would fail only when the outputs are written, after
         # every seed has played: ``occupied`` is made a directory.
         monkeypatch.chdir(tmp_path)
-        command, raw = "standalone", SMALL_STANDALONE
+        raw = SMALL_STANDALONE
         if occupied.startswith("sweep:"):
-            occupied, command = occupied[len("sweep:"):], "sweep"
+            occupied = occupied[len("sweep:"):]
             raw = {"scenario": "sweep", "runs": [{"name": name, "config": SMALL_STANDALONE}
                                                  for name in ("a", "b")]}
         if occupied:
@@ -1888,7 +1919,7 @@ class TestCli:
         with mock.patch.object(harness, "run_seed", side_effect=AssertionError("played")):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 execute(ExperimentConfig.from_dict(raw), out)
-            assert main([command, "--config", path, "--out", out]) == 1
+            assert main(["--config", path, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -1903,8 +1934,8 @@ class TestCli:
         shifted = dict(base, seeds=[10, 11])
         path_b = tmp_path / "shifted.json"
         path_b.write_text(json.dumps(shifted))
-        main(["standalone", "--config", path_a, "--out", str(tmp_path / "a"), "--seed-offset", "10", "--quiet"])
-        main(["standalone", "--config", str(path_b), "--out", str(tmp_path / "b"), "--quiet"])
+        main(["--config", path_a, "--out", str(tmp_path / "a"), "--seed-offset", "10", "--quiet"])
+        main(["--config", str(path_b), "--out", str(tmp_path / "b"), "--quiet"])
         assert (tmp_path / "a" / "rounds.csv").read_bytes() == (
             tmp_path / "b" / "rounds.csv"
         ).read_bytes()
@@ -1921,7 +1952,7 @@ class TestCli:
                 ],
             },
         )
-        assert main(["sweep", "--config", path, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+        assert main(["--config", path, "--out", str(tmp_path / "s"), "--quiet"]) == 0
         assert (tmp_path / "s" / "first" / "rounds.csv").exists()
         assert (tmp_path / "s" / "second" / "summary.json").exists()
         assert (tmp_path / "s" / "summary.json").exists()
@@ -1932,7 +1963,6 @@ class TestCli:
             tmp_path, {"scenario": "sweep", "runs": [{"name": "inner", "config": inner}]}
         )
         out = tmp_path / "s"
-        assert main(["sweep", "--config", path, "--out", str(out), "--seed-offset", "7",
-                     "--quiet"]) == 0
+        assert main(["--config", path, "--out", str(out), "--seed-offset", "7", "--quiet"]) == 0
         summary = json.loads((out / "inner" / "run" / "summary.json").read_text())
         assert [e["seed"] for e in summary["per_seed"]] == [7]

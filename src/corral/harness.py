@@ -22,7 +22,6 @@ runner summarizes.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -260,7 +259,13 @@ class ExperimentConfig:
             return
         if self.horizon < 2:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
-        _check_seeds(self.seeds)
+        if not self.seeds:
+            raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {shown(self.seeds)}")
+        # ``named_rng`` keys streams on 64-bit seeds; any other seed aliases one.
+        if not all(0 <= s < 2**64 for s in self.seeds):
+            raise ConfigError(f"seeds must lie in [0, 2**64), got {shown(self.seeds)}")
         if self.scenario == "lowerbound-demo":
             default_eta = corral_master.tuned_eta(math.sqrt(self.horizon), self.horizon, 2)
             self.demo = {"corral_eta": float(self.demo.get("corral_eta", default_eta)),
@@ -310,27 +315,6 @@ class ExperimentConfig:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if widths and len(self.seeds) * self.horizon * (40 + 8 * widths[0]) > memory:
             raise ConfigError(f"the round logs of a horizon of {self.horizon} do not fit in memory")
-
-    def with_seed_offset(self, offset: int) -> "ExperimentConfig":
-        seeds = [s + offset for s in self.seeds]
-        if self.scenario != "sweep":
-            _check_seeds(seeds)
-        return dataclasses.replace(
-            self,
-            seeds=seeds,
-            runs=[dict(entry, config=entry["config"].with_seed_offset(offset))
-                  for entry in self.runs],
-        )
-
-
-def _check_seeds(seeds: list[int]) -> None:
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds must be distinct, got {shown(seeds)}")
-    # ``named_rng`` keys streams on 64-bit seeds; any other seed aliases one.
-    if not all(0 <= s < 2**64 for s in seeds):
-        raise ConfigError(f"seeds must lie in [0, 2**64), got {shown(seeds)}")
 
 
 def _read_script_csv(path) -> np.ndarray:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import SolverConvergenceError, normalize, validate_simplex
+from .core import SolverConvergenceError, validate_simplex
 
 TOLERANCE = 1e-12
 MAX_ITERATIONS = 200
@@ -150,7 +150,7 @@ def omd_step(
     Checks its inputs; equal losses leave the distribution unchanged. The
     output passes ``validate_simplex``, which renormalizes line-search drift.
     """
-    validate_simplex(p)
+    p = validate_simplex(p)
     if not (len(p) == len(losses) == len(rates)):
         raise ValueError(
             f"mismatched lengths: p={len(p)}, losses={len(losses)}, rates={len(rates)}"
@@ -161,7 +161,6 @@ def omd_step(
     for r in rates:
         if not math.isfinite(r) or r <= 0.0:
             raise ValueError(f"rates must be finite and > 0, got {r}")
-    p = normalize(p)
     if min(losses) == max(losses):
         return p
     lam = solve_lambda(p, losses, rates)

@@ -377,7 +377,7 @@ def test_mutated_config_runs_whole_or_fails_before_output(tmp_path_factory, data
     if config is not None and played(config) > MAX_HORIZON:
         return
     with contextlib.redirect_stderr(io.StringIO()) as stderr:
-        code = main(["--config", str(path), "--out", str(out), "--quiet"])
+        code = main(["--config", str(path), "--out", str(out)])
     err = stderr.getvalue()
     if code == 0:
         assert config is not None and err == ""
